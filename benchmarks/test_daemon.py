@@ -120,12 +120,24 @@ def test_warm_daemon_request_beats_cold_sharded_startup(tmp_path):
     )
 
 
-def test_concurrent_identical_requests_compute_once(tmp_path):
+def test_concurrent_identical_requests_compute_once(tmp_path, monkeypatch):
     """Single-flight dedup: four concurrent identical requests cost one
     computation, not four (behavioral gate, enforced everywhere)."""
     grid = qaoa_grid(p=1, resolution=(4, 8))
-    function = _SlowConstant(delay=0.5)
+    function = cost_function(QaoaAnsatz(random_3_regular_maxcut(4, seed=0), p=1))
+    delay = 0.5
     clients = 4
+
+    # Hold every computation in flight for ``delay`` seconds.  The
+    # workers=1 daemon computes on its request threads in this process,
+    # so the patch reaches its server-side generators.
+    local_grid_search = LandscapeGenerator.local_grid_search
+
+    def slow_grid_search(self, *args, **kwargs):
+        time.sleep(delay)
+        return local_grid_search(self, *args, **kwargs)
+
+    monkeypatch.setattr(LandscapeGenerator, "local_grid_search", slow_grid_search)
 
     daemon = LandscapeDaemon(
         tmp_path / "daemon.sock", workers=1, cache_dir=tmp_path / "cache"
@@ -169,7 +181,7 @@ def test_concurrent_identical_requests_compute_once(tmp_path):
             ["metric", "value"],
             [
                 ("concurrent clients", clients),
-                ("compute delay (s)", function.delay),
+                ("compute delay (s)", delay),
                 ("wall clock, all clients (s)", elapsed),
                 ("computations", counters["computed"]),
                 ("deduped", counters["deduped"]),
@@ -183,7 +195,7 @@ def test_concurrent_identical_requests_compute_once(tmp_path):
     assert counters["deduped"] + counters["hits"] == clients - 1, counters
     # And the wall clock reflects sharing: four 0.5s computations done
     # serially would cost >= 2s; deduped they cost about one delay.
-    assert elapsed < clients * function.delay, (
+    assert elapsed < clients * delay, (
         f"{clients} deduplicated requests took {elapsed:.2f}s - longer "
         f"than {clients} serial computations"
     )
@@ -261,23 +273,3 @@ def test_warm_tcp_request_within_1_3x_of_unix_socket(tmp_path):
         f"Unix-socket request ({unix_seconds:.4f}s): {overhead:.2f}x"
     )
 
-
-class _SlowConstant:
-    """Picklable cost function with a deterministic per-chunk delay, so
-    concurrent requests reliably overlap one in-flight computation."""
-
-    num_qubits = 2
-    shots = None
-
-    def __init__(self, delay: float):
-        self.delay = delay
-
-    def __call__(self, point) -> float:
-        return 0.0
-
-    def many(self, points) -> np.ndarray:
-        time.sleep(self.delay)
-        return np.zeros(np.asarray(points).shape[0])
-
-    def cache_spec(self) -> dict:
-        return {"kind": "slow-constant", "delay": self.delay}

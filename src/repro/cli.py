@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tcp",
         default=None,
         metavar="HOST:PORT",
-        help="also listen on TCP (pickle-free v2 protocol only; requires "
+        help="also listen on TCP (bearer-token auth; requires "
         "--tokens-file).  Port 0 binds an ephemeral port, printed at "
         "startup",
     )

@@ -14,9 +14,9 @@ package is the first step toward a system that serves repeated traffic:
 
 - :mod:`repro.service.daemon` / :mod:`repro.service.client` — a
   long-running :class:`LandscapeDaemon` owning one persistent pool and
-  one store behind a Unix-domain socket (JSON-lines protocol) and,
-  with ``tcp=`` + ``tokens_file=``, an authenticated asyncio TCP
-  listener speaking the pickle-free v2 protocol, and the
+  one store behind a Unix-domain socket and, with ``tcp=`` +
+  ``tokens_file=``, an authenticated TCP listener — one asyncio loop
+  speaking the pickle-free v2 protocol on both — and the
   :class:`LandscapeClient` library that talks to either (Unix path or
   ``tcp://host:port`` target) with transparent in-process fallback;
 - :mod:`repro.service.protocol` — the v2 wire protocol itself: the

@@ -9,25 +9,22 @@ a cost function + grid to the daemon and gets a
 daemon's shared store when cached, computed once on its persistent pool
 otherwise (concurrent identical requests are deduplicated server-side).
 
-Two protocol generations live behind one API:
-
-- requests that can describe themselves declaratively (registered
-  ansatz/cost-function/grid/noise types) travel as **pickle-free v2
-  frames** built from the :mod:`repro.service.protocol` spec registry —
-  the only dialect the TCP front accepts;
-- requests that cannot (closures, duck-typed test grids) fall back to
-  the **legacy pickled v1 frames**, which the daemon only honours on the
-  Unix socket.  Over TCP such requests fail client-side with a
-  :class:`DaemonError` rather than ship un-describable payloads.
+Every request travels as a **pickle-free v2 frame** built from the
+:mod:`repro.service.protocol` spec registry (registered
+ansatz/cost-function/grid/noise types), on both transports.  A request
+that cannot describe itself declaratively — a plain closure, a test
+double, a duck-typed grid — cannot be served by any daemon, so it
+follows the no-daemon rule below.
 
 The client **falls back transparently** to in-process execution when no
-daemon is listening (socket missing, connection refused, daemon gone
-mid-request), so library code can pass ``daemon=`` unconditionally: with
-a daemon running requests share one pool and one cache, without one they
-behave exactly as before.  Server-side *errors* (a malformed task, shot
-noise without a seed, a bad token) are raised as :class:`DaemonError`
-instead — a reachable daemon rejecting a request is a bug to surface,
-not a reason to silently recompute.
+daemon can serve a request (socket missing, connection refused, daemon
+gone mid-request, or a payload with no declarative spec), so library
+code can pass ``daemon=`` unconditionally: with a daemon running
+requests share one pool and one cache, without one they behave exactly
+as before.  Server-side *errors* (a malformed spec, shot noise without a
+seed, a bad token) are raised as :class:`DaemonError` instead — a
+reachable daemon rejecting a request is a bug to surface, not a reason
+to silently recompute.
 
 Example — no daemon on this socket, so the call computes locally::
 
@@ -48,9 +45,8 @@ Example — no daemon on this socket, so the call computes locally::
 
 from __future__ import annotations
 
-import pickle
 import socket
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -58,7 +54,7 @@ import numpy as np
 
 from ..ansatz.base import Ansatz
 from ..landscape.landscape import Landscape
-from .daemon import decode_blob, encode_blob, read_response, write_message
+from .daemon import decode_blob, read_response, write_message
 from .protocol import (
     PROTOCOL_VERSION,
     ansatz_to_spec,
@@ -79,7 +75,8 @@ class DaemonUnavailable(ConnectionError):
 
 
 class DaemonError(RuntimeError):
-    """The daemon answered with a structured error response."""
+    """The daemon answered with a structured error response (or the
+    request could not be expressed as a declarative spec at all)."""
 
     def __init__(
         self,
@@ -91,7 +88,7 @@ class DaemonError(RuntimeError):
         super().__init__(f"{kind}: {message}")
         #: exception type name reported by the daemon
         self.kind = kind
-        #: v2 machine-readable error code (``None`` from v1 daemons)
+        #: machine-readable error code (see ``protocol.ERROR_CODES``)
         self.code = code
         #: whether the daemon marked the failure as safe to retry
         self.retryable = retryable
@@ -110,6 +107,28 @@ def _parse_target(target: str | Path) -> tuple[Path | None, tuple[str, int] | No
     return Path(target), None
 
 
+def _local_generator(function, grid, batch_size, seed, shard_points):
+    """The plain single-process generator behind the local fallbacks."""
+    from ..landscape.generator import LandscapeGenerator
+
+    return LandscapeGenerator(
+        function, grid, batch_size=batch_size, seed=seed, shard_points=shard_points
+    )
+
+
+def _rng_state(rng: np.random.Generator | None) -> dict[str, Any] | None:
+    return None if rng is None else encode_rng_state(rng)
+
+
+def _writeback_rng(
+    rng: np.random.Generator | None, response: dict[str, Any], field: str = "rng"
+) -> None:
+    """Restore a caller generator to the daemon-advanced position (the
+    caller's object is mutated in place, never replaced)."""
+    if rng is not None and response.get(field) is not None:
+        apply_rng_state(rng, response[field])
+
+
 class LandscapeClient:
     """Talks to a :class:`~repro.service.daemon.LandscapeDaemon`.
 
@@ -118,13 +137,15 @@ class LandscapeClient:
             for the authenticated TCP front.
         timeout: per-request socket timeout in seconds (``None`` waits
             indefinitely — computes can legitimately take minutes).
-        fallback: whether :meth:`get_or_compute` computes in-process
-            when no daemon is reachable.  ``False`` raises
-            :class:`DaemonUnavailable` instead (the equivalence harness
-            uses this so a dead daemon fails loudly).
-        token: bearer token attached to every v2 frame.  Required for
-            TCP targets; optional on the Unix socket (where it selects
-            a tenant namespace instead of the default one).
+        fallback: whether the service calls compute in-process when no
+            daemon can serve them (none reachable, or a payload with no
+            declarative spec).  ``False`` raises instead —
+            :class:`DaemonUnavailable` or a :class:`DaemonError` with
+            code ``invalid-spec`` (the equivalence harness uses this so
+            a dead daemon fails loudly).
+        token: bearer token attached to every frame.  Required for TCP
+            targets; optional on the Unix socket (where it selects a
+            tenant namespace instead of the default one).
 
     The instance counts :attr:`fallbacks` (requests served locally) and
     remembers :attr:`last_served_by` (``"daemon-hit"``,
@@ -192,7 +213,7 @@ class LandscapeClient:
             )
         return response
 
-    def _v2_frame(self, op: str, **fields: Any) -> dict[str, Any]:
+    def _frame(self, op: str, **fields: Any) -> dict[str, Any]:
         """A versioned frame with the client's token attached."""
         frame: dict[str, Any] = {"version": PROTOCOL_VERSION, "op": op}
         if self.token is not None:
@@ -200,24 +221,36 @@ class LandscapeClient:
         frame.update(fields)
         return frame
 
-    def _v1_frame(self, op: str, task: dict[str, Any], **fields: Any) -> dict[str, Any]:
-        """A legacy pickled frame — refused client-side over TCP.
+    @staticmethod
+    def _unspecable(op: str) -> DaemonError:
+        return DaemonError(
+            "ProtocolError",
+            f"{op}: this request cannot be expressed as a declarative spec "
+            "(unregistered cost function, ansatz, noise or grid type), so "
+            "no daemon can serve it; it runs in-process only",
+            code="invalid-spec",
+        )
 
-        The TCP front never unpickles, so shipping a pickled task there
-        would only earn an ``unknown-op`` from the daemon; failing here
-        names the actual problem (the payload cannot be described
-        declaratively).
+    def _serve(self, op: str, frame: dict[str, Any] | None) -> dict[str, Any] | None:
+        """The daemon's response to ``frame``, or ``None`` when the
+        request must run in-process instead: no daemon is reachable, or
+        ``frame`` is ``None`` (the payload has no declarative spec).
+
+        ``fallback=False`` turns both cases into errors — it wins even
+        when the caller supplied a fallback callable (the generator
+        wiring always does).
         """
-        if self.tcp_address is not None:
-            raise DaemonError(
-                "ProtocolError",
-                f"{op}: this request cannot be expressed as a declarative "
-                "v2 spec (unregistered cost function, ansatz, or grid "
-                "type), and the legacy pickle protocol is Unix-socket "
-                "only",
-                code="invalid-spec",
-            )
-        return {"op": op, "task": encode_blob(pickle.dumps(task)), **fields}
+        if frame is not None:
+            try:
+                return self._request(frame)
+            except DaemonUnavailable:
+                if not self.fallback:
+                    raise
+        elif not self.fallback:
+            raise self._unspecable(op)
+        self.fallbacks += 1
+        self.last_served_by = "local"
+        return None
 
     # -- probes and maintenance --------------------------------------------
 
@@ -231,11 +264,11 @@ class LandscapeClient:
 
     def ping(self) -> dict[str, Any]:
         """The daemon's ``ping`` response (pid, workers, uptime)."""
-        return self._request(self._v2_frame("ping"))
+        return self._request(self._frame("ping"))
 
     def stats(self) -> dict[str, Any]:
         """Request/hit/miss/dedup counters plus the store summary."""
-        response = self._request(self._v2_frame("stats"))
+        response = self._request(self._frame("stats"))
         response.pop("ok", None)
         response.pop("version", None)
         return response
@@ -243,25 +276,34 @@ class LandscapeClient:
     def index(self) -> list[dict[str, Any]]:
         """The daemon store's entry listing (LRU first), scoped to this
         client's tenant namespace."""
-        return list(self._request(self._v2_frame("index"))["entries"])
+        return list(self._request(self._frame("index"))["entries"])
 
     def invalidate(self, key: str) -> bool:
         """Drop one cached entry by key; returns whether it existed."""
-        return bool(
-            self._request(self._v2_frame("invalidate", key=key))["removed"]
-        )
+        return bool(self._request(self._frame("invalidate", key=key))["removed"])
 
     def get(self, key: str) -> Landscape | None:
         """Fetch a cached landscape by key without ever computing."""
-        blob = self._request(self._v2_frame("get", key=key))["landscape"]
+        blob = self._request(self._frame("get", key=key))["landscape"]
         return None if blob is None else Landscape.from_bytes(decode_blob(blob))
 
     def shutdown(self) -> None:
         """Ask the daemon to stop serving (best-effort, returns after
         the daemon acknowledges)."""
-        self._request(self._v2_frame("shutdown"))
+        self._request(self._frame("shutdown"))
 
     # -- the service path --------------------------------------------------
+
+    def _function_frame(
+        self, op: str, function, grid, **fields: Any
+    ) -> dict[str, Any] | None:
+        """A ``(function, grid)`` frame, or ``None`` when either part
+        cannot describe itself declaratively."""
+        function_spec = function_to_spec(function)
+        grid_spec = grid_to_spec(grid)
+        if function_spec is None or grid_spec is None:
+            return None
+        return self._frame(op, function=function_spec, grid=grid_spec, **fields)
 
     def get_or_compute(
         self,
@@ -275,9 +317,8 @@ class LandscapeClient:
     ) -> Landscape:
         """A dense landscape for ``(function, grid)``, served or computed.
 
-        Ships the cost function and grid to the daemon — declaratively
-        when both can describe themselves (v2), pickled otherwise
-        (Unix-only v1) — which derives the canonical
+        Ships the cost function and grid to the daemon as declarative
+        specs; the daemon derives the canonical
         :class:`~repro.service.store.LandscapeSpec` itself, serves a
         store hit, or computes once on its persistent pool
         (deduplicating concurrent identical requests).  ``seed`` /
@@ -285,33 +326,29 @@ class LandscapeClient:
         :class:`~repro.landscape.generator.LandscapeGenerator` — shot
         noise needs ``seed=`` to be cacheable at all.
 
-        With no daemon reachable and ``fallback`` enabled, the request
-        is computed in-process: by the ``fallback`` callable when given
+        When no daemon can serve the request (none reachable, or no
+        declarative spec) and ``fallback`` is enabled, the request is
+        computed in-process: by the ``fallback`` callable when given
         (:class:`~repro.landscape.generator.LandscapeGenerator` passes
         its own local path, preserving its ``workers``/``store``
         settings), else by a plain single-process generator.
         """
-        task = {
-            "function": function,
-            "grid": grid,
-            "batch_size": batch_size,
-            "seed": seed,
-            "shard_points": shard_points,
-            "label": label,
-        }
-        try:
-            response = self._request(self._compute_frame(task, label))
-        except DaemonUnavailable:
-            # fallback=False is the loud-failure configuration: it wins
-            # even when the caller supplied a fallback callable (the
-            # generator wiring always does).
-            if not self.fallback:
-                raise
-            self.fallbacks += 1
-            self.last_served_by = "local"
+        frame = self._function_frame(
+            "compute",
+            function,
+            grid,
+            batch_size=batch_size,
+            seed=seed,
+            shard_points=shard_points,
+            label=label,
+        )
+        response = self._serve("compute", frame)
+        if response is None:
             if fallback is not None:
                 return fallback()
-            return self._local_compute(task)
+            return _local_generator(
+                function, grid, batch_size, seed, shard_points
+            ).local_grid_search(label)
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
         if response.get("deduped"):
             self.last_served_by = "daemon-deduped"
@@ -322,74 +359,6 @@ class LandscapeClient:
         if landscape.label != label:
             landscape = replace(landscape, label=label)
         return landscape
-
-    def _compute_frame(self, task: dict[str, Any], label: str) -> dict[str, Any]:
-        function_spec = function_to_spec(task["function"])
-        grid_spec = grid_to_spec(task["grid"])
-        if function_spec is not None and grid_spec is not None:
-            return self._v2_frame(
-                "compute",
-                function=function_spec,
-                grid=grid_spec,
-                batch_size=task["batch_size"],
-                seed=task["seed"],
-                shard_points=task["shard_points"],
-                label=label,
-            )
-        return self._v1_frame("compute", task, label=label)
-
-    @staticmethod
-    def _local_compute(task: dict[str, Any]) -> Landscape:
-        from ..landscape.generator import LandscapeGenerator
-
-        generator = LandscapeGenerator(
-            task["function"],
-            task["grid"],
-            batch_size=task["batch_size"],
-            seed=task["seed"],
-            shard_points=task["shard_points"],
-        )
-        return generator.local_grid_search(task["label"])
-
-    @staticmethod
-    def _local_generator(task: dict[str, Any]):
-        from ..landscape.generator import LandscapeGenerator
-
-        return LandscapeGenerator(
-            task["function"],
-            task["grid"],
-            batch_size=task["batch_size"],
-            seed=task["seed"],
-            shard_points=task["shard_points"],
-        )
-
-    @staticmethod
-    def _writeback_rng(
-        rng: np.random.Generator | None, response: dict[str, Any], field: str = "rng"
-    ) -> None:
-        """Restore a caller generator to the daemon-advanced position.
-
-        v2 responses carry a JSON rng state; v1 responses carry the
-        pickled generator itself.  Either way the *caller's* object is
-        mutated in place, never replaced.
-        """
-        if rng is None:
-            return
-        payload = response.get(field)
-        if payload is None:
-            return
-        if isinstance(payload, dict):
-            apply_rng_state(rng, payload)
-        else:
-            advanced = pickle.loads(decode_blob(payload))
-            rng.bit_generator.state = advanced.bit_generator.state
-
-    @staticmethod
-    def _decode_values(payload: Any) -> np.ndarray:
-        """Values from either wire generation (typed codec vs pickle)."""
-        if isinstance(payload, dict):
-            return decode_array(payload)
-        return np.asarray(pickle.loads(decode_blob(payload)))
 
     # -- sparse evaluation (OSCAR's sampling path) -------------------------
 
@@ -413,45 +382,29 @@ class LandscapeClient:
         sets.  The function's bound ``rng`` (if any) is consumed
         server-side and its final state written back, preserving the
         draw-order contract.  Falls back in-process like
-        :meth:`get_or_compute` when no daemon is reachable.
+        :meth:`get_or_compute`.
         """
         indices = np.asarray(flat_indices, dtype=np.int64)
-        task = {
-            "function": function,
-            "grid": grid,
-            "indices": indices,
-            "batch_size": batch_size,
-            "seed": seed,
-            "shard_points": shard_points,
-        }
         rng = getattr(function, "rng", None)
-        function_spec = function_to_spec(function)
-        grid_spec = grid_to_spec(grid)
-        if function_spec is not None and grid_spec is not None:
-            frame = self._v2_frame(
-                "compute_indices",
-                function=function_spec,
-                grid=grid_spec,
-                indices=encode_array(indices),
-                batch_size=batch_size,
-                seed=seed,
-                shard_points=shard_points,
-                rng=None if rng is None else encode_rng_state(rng),
-            )
-        else:
-            frame = self._v1_frame("compute_indices", task)
-        try:
-            response = self._request(frame)
-        except DaemonUnavailable:
-            if not self.fallback:
-                raise
-            self.fallbacks += 1
-            self.last_served_by = "local"
+        frame = self._function_frame(
+            "compute_indices",
+            function,
+            grid,
+            indices=encode_array(indices),
+            batch_size=batch_size,
+            seed=seed,
+            shard_points=shard_points,
+            rng=_rng_state(rng),
+        )
+        response = self._serve("compute_indices", frame)
+        if response is None:
             if fallback is not None:
                 return np.asarray(fallback())
-            return self._local_generator(task).local_evaluate_indices(indices)
-        values = self._decode_values(response["values"])
-        self._writeback_rng(rng, response)
+            return _local_generator(
+                function, grid, batch_size, seed, shard_points
+            ).local_evaluate_indices(indices)
+        values = decode_array(response["values"])
+        _writeback_rng(rng, response)
         if response.get("readthrough"):
             self.last_served_by = "daemon-readthrough"
         elif response.get("deduped"):
@@ -459,64 +412,6 @@ class LandscapeClient:
         else:
             self.last_served_by = "daemon-computed"
         return values
-
-    def evaluate_ansatz_indices(
-        self,
-        ansatz: Ansatz,
-        grid,
-        flat_indices: np.ndarray | Sequence[int],
-        noise=None,
-        shots: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Uncached sparse evaluation at the ansatz level.
-
-        The ``compute_indices`` counterpart of :meth:`evaluate_ansatz`:
-        index points resolve server-side, per-row ``noise`` sequences
-        align with the index list, and the caller's ``rng`` state
-        round-trips — the ``daemon-sparse`` and ``daemon-tcp`` engines
-        in ``tests/equivalence/harness.py`` are this call.  Never falls
-        back (a dead daemon must fail the parity matrix loudly).
-        """
-        indices = np.asarray(flat_indices, dtype=np.int64)
-        frame = self._sparse_ansatz_frame(ansatz, grid, indices, noise, shots, rng)
-        if frame is None:
-            frame = self._v1_frame(
-                "compute_indices",
-                {
-                    "ansatz": ansatz,
-                    "grid": grid,
-                    "indices": indices,
-                    "noise": noise,
-                    "shots": shots,
-                    "rng": rng,
-                },
-            )
-        response = self._request(frame)
-        values = self._decode_values(response["values"])
-        self._writeback_rng(rng, response)
-        return values
-
-    def _sparse_ansatz_frame(
-        self, ansatz, grid, indices, noise, shots, rng
-    ) -> dict[str, Any] | None:
-        ansatz_spec = ansatz_to_spec(ansatz)
-        grid_spec = grid_to_spec(grid)
-        if ansatz_spec is None or grid_spec is None:
-            return None
-        try:
-            noise_spec = noise_to_spec(noise)
-        except (AttributeError, TypeError, ValueError):
-            return None
-        return self._v2_frame(
-            "compute_indices",
-            ansatz=ansatz_spec,
-            grid=grid_spec,
-            indices=encode_array(indices),
-            noise=noise_spec,
-            shots=shots,
-            rng=None if rng is None else encode_rng_state(rng),
-        )
 
     # -- the one-request pipeline ------------------------------------------
 
@@ -540,101 +435,59 @@ class LandscapeClient:
         streams exactly where a local run would — and its trajectory is
         bit-identical to the client-composed sequence.  Falls back to
         the in-process :func:`~repro.service.pipeline.run_pipeline`
-        when no daemon is reachable.
+        like :meth:`get_or_compute`.
         """
+        from ..landscape.reconstructor import ReconstructionReport
+        from ..optimizers.base import OptimizationResult
         from .pipeline import PipelineOutcome, run_pipeline
 
-        task = {
-            "function": function,
-            "grid": grid,
-            "config": config,
-            "sample_rng": sample_rng,
-            "batch_size": batch_size,
-            "seed": seed,
-            "shard_points": shard_points,
-        }
         rng = getattr(function, "rng", None)
-        frame = self._pipeline_frame(task)
-        try:
-            response = self._request(frame)
-        except DaemonUnavailable:
-            if not self.fallback:
-                raise
-            self.fallbacks += 1
-            self.last_served_by = "local"
+        frame = None
+        if is_dataclass(config):
+            payload = asdict(config)
+            if isinstance(payload.get("initial_point"), tuple):
+                payload["initial_point"] = list(payload["initial_point"])
+            frame = self._function_frame(
+                "pipeline",
+                function,
+                grid,
+                config=payload,
+                sample_rng=_rng_state(sample_rng)
+                if isinstance(sample_rng, np.random.Generator)
+                else sample_rng,
+                batch_size=batch_size,
+                seed=seed,
+                shard_points=shard_points,
+                rng=_rng_state(rng),
+            )
+        response = self._serve("pipeline", frame)
+        if response is None:
             if fallback is not None:
                 return fallback()
-            return run_pipeline(self._local_generator(task), config, sample_rng)
+            generator = _local_generator(function, grid, batch_size, seed, shard_points)
+            return run_pipeline(generator, config, sample_rng)
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
-        self._writeback_rng(rng, response)
+        _writeback_rng(rng, response)
         if isinstance(sample_rng, np.random.Generator):
-            self._writeback_rng(sample_rng, response, field="sample_rng")
+            _writeback_rng(sample_rng, response, field="sample_rng")
         self.last_served_by = "daemon-pipeline"
-        if "result" in response:  # v1: pickled report/optimization/arrays
-            result = pickle.loads(decode_blob(response["result"]))
-            report = result["report"]
-            optimization = result["optimization"]
-            flat_indices = np.asarray(result["flat_indices"])
-            values = np.asarray(result["values"])
-        else:  # v2: field dicts + typed array codecs
-            from ..landscape.reconstructor import ReconstructionReport
-            from ..optimizers.base import OptimizationResult
-
-            opt = response["optimization"]
-            report = ReconstructionReport(**response["report"])
-            optimization = OptimizationResult(
-                parameters=decode_array(opt["parameters"]),
-                value=float(opt["value"]),
-                num_queries=int(opt["num_queries"]),
-                path=decode_array(opt["path"]),
-                converged=bool(opt["converged"]),
-                label=str(opt["label"]),
-            )
-            flat_indices = decode_array(response["flat_indices"])
-            values = decode_array(response["values"])
+        optimization = response["optimization"]
         return PipelineOutcome(
             landscape=landscape,
-            report=report,
-            optimization=optimization,
-            flat_indices=flat_indices,
-            values=values,
+            report=ReconstructionReport(**response["report"]),
+            optimization=OptimizationResult(
+                parameters=decode_array(optimization["parameters"]),
+                value=float(optimization["value"]),
+                num_queries=int(optimization["num_queries"]),
+                path=decode_array(optimization["path"]),
+                converged=bool(optimization["converged"]),
+                label=str(optimization["label"]),
+            ),
+            flat_indices=decode_array(response["flat_indices"]),
+            values=decode_array(response["values"]),
             timings=dict(response.get("timings") or {}),
             key=response.get("key"),
             served_by="daemon",
-        )
-
-    def _pipeline_frame(self, task: dict[str, Any]) -> dict[str, Any]:
-        from dataclasses import asdict, is_dataclass
-
-        function_spec = function_to_spec(task["function"])
-        grid_spec = grid_to_spec(task["grid"])
-        config = task["config"]
-        sample_rng = task["sample_rng"]
-        if (
-            function_spec is None
-            or grid_spec is None
-            or not is_dataclass(config)
-        ):
-            return self._v1_frame("pipeline", task)
-        payload = asdict(config)
-        if isinstance(payload.get("initial_point"), tuple):
-            payload["initial_point"] = list(payload["initial_point"])
-        if isinstance(sample_rng, np.random.Generator):
-            sample_payload: Any = encode_rng_state(sample_rng)
-        else:
-            sample_payload = sample_rng
-        return self._v2_frame(
-            "pipeline",
-            function=function_spec,
-            grid=grid_spec,
-            config=payload,
-            sample_rng=sample_payload,
-            batch_size=task["batch_size"],
-            seed=task["seed"],
-            shard_points=task["shard_points"],
-            rng=None
-            if getattr(task["function"], "rng", None) is None
-            else encode_rng_state(task["function"].rng),
         )
 
     # -- raw evaluation (the equivalence-harness path) ---------------------
@@ -649,49 +502,34 @@ class LandscapeClient:
     ) -> np.ndarray:
         """Uncached batch evaluation through the daemon.
 
-        The caller's ``rng`` (if any) ships over — as a JSON state on
-        the v2 path, pickled on the legacy path — is consumed by the
-        daemon's executor, and its final state is written back into the
-        caller's generator, so values *and* rng stream position match
-        an in-process evaluation exactly.  This is the call the
-        ``daemon`` and ``daemon-tcp`` engines in
+        The caller's ``rng`` (if any) ships over as a JSON state, is
+        consumed by the daemon's executor, and its final state is
+        written back into the caller's generator, so values *and* rng
+        stream position match an in-process evaluation exactly.  This
+        is the call the ``daemon`` and ``daemon-tcp`` engines in
         ``tests/equivalence/harness.py`` are built on; it never falls
         back (a dead daemon must fail the parity matrix, not silently
-        pass it).
+        pass it), and an ansatz or noise model with no declarative spec
+        raises a :class:`DaemonError` with code ``invalid-spec``.
         """
         batch = np.asarray(batch, dtype=float)
-        frame = self._evaluate_frame(ansatz, batch, noise, shots, rng)
-        if frame is None:
-            frame = self._v1_frame(
-                "evaluate",
-                {
-                    "ansatz": ansatz,
-                    "batch": batch,
-                    "noise": noise,
-                    "shots": shots,
-                    "rng": rng,
-                },
-            )
-        response = self._request(frame)
-        values = self._decode_values(response["values"])
-        self._writeback_rng(rng, response)
-        return values
-
-    def _evaluate_frame(
-        self, ansatz, batch, noise, shots, rng
-    ) -> dict[str, Any] | None:
         ansatz_spec = ansatz_to_spec(ansatz)
-        if ansatz_spec is None:
-            return None
         try:
             noise_spec = noise_to_spec(noise)
         except (AttributeError, TypeError, ValueError):
-            return None
-        return self._v2_frame(
-            "evaluate",
-            ansatz=ansatz_spec,
-            batch=encode_array(batch),
-            noise=noise_spec,
-            shots=shots,
-            rng=None if rng is None else encode_rng_state(rng),
+            raise self._unspecable("evaluate") from None
+        if ansatz_spec is None:
+            raise self._unspecable("evaluate")
+        response = self._request(
+            self._frame(
+                "evaluate",
+                ansatz=ansatz_spec,
+                batch=encode_array(batch),
+                noise=noise_spec,
+                shots=shots,
+                rng=_rng_state(rng),
+            )
         )
+        values = decode_array(response["values"])
+        _writeback_rng(rng, response)
+        return values

@@ -3,9 +3,10 @@
 :class:`LandscapeDaemon` is a long-running server that owns **one**
 persistent ``multiprocessing`` pool and **one**
 :class:`~repro.service.store.LandscapeStore`, and serves landscape
-requests to any number of local clients over a Unix-domain socket.
-Compared with each client running its own
-:class:`~repro.service.shards.ShardedExecutor`, the daemon
+requests to any number of clients over a Unix-domain socket (and,
+optionally, an authenticated TCP listener).  Compared with each client
+running its own :class:`~repro.service.shards.ShardedExecutor`, the
+daemon
 
 - **amortizes pool startup**: workers fork once at daemon start and
   stay warm, so a request pays only the socket round trip instead of
@@ -20,85 +21,73 @@ Compared with each client running its own
   access counter independently (the ``flock`` fallback in the store
   remains for direct multi-process use without a daemon).
 
-Wire protocol — **JSON lines** over ``AF_UNIX``: each request is a
-single newline-terminated JSON object; each response is a single JSON
-object with ``"ok": true`` plus op-specific fields, or ``"ok": false``
-and a structured ``"error": {"type", "message"}`` (a malformed request
-gets an error response; it never kills the server).  A connection may
-issue any number of requests sequentially.
+Wire protocol — **JSON lines**, version 2
+(:mod:`repro.service.protocol`): each request is a single
+newline-terminated JSON object carrying ``"version": 2`` and an ``op``;
+each response is a single JSON object with ``"ok": true`` plus
+op-specific fields, or ``"ok": false`` and a structured ``"error":
+{"code", "type", "message", "retryable"}`` (a malformed request gets an
+error response; it never kills the server).  Tasks are declarative JSON
+specs resolved server-side from the ansatz/function registry, so
+nothing a client sends is ever unpickled.  A connection may issue any
+number of requests sequentially.
 
 ==================  =========================================================
 op                  meaning
 ==================  =========================================================
-``ping``            liveness probe; returns pid/workers/uptime
-``compute``         ``get_or_compute`` for a pickled ``(function, grid,
-                    ...)`` task: store hit, else single-flighted
-                    computation on the persistent pool; returns the
-                    landscape as base64 ``.npz``
+``ping``            liveness probe; returns pid/workers/uptime/tenant
+``compute``         ``get_or_compute`` for a ``(function, grid)`` spec:
+                    store hit, else single-flighted computation on the
+                    persistent pool; returns the landscape as base64
+                    ``.npz`` plus its store key
 ``compute_indices`` sparse evaluation of an arbitrary flat-index set
-                    (OSCAR's sampling path) through the persistent
-                    pool.  Function-shaped tasks get the full service
-                    treatment — bounds validation, a read-through fast
-                    path answering exact requests from a cached dense
-                    landscape without touching the pool, and
-                    single-flight dedup keyed on (dense spec key,
-                    canonicalized index set) — while ansatz-shaped
-                    tasks mirror ``evaluate`` (rng round-trip, per-row
-                    noise), which is how the ``daemon-sparse``
-                    equivalence engine registers
+                    (OSCAR's sampling path): bounds validation, a
+                    read-through fast path answering exact requests
+                    from a cached dense landscape without touching the
+                    pool, and single-flight dedup keyed on (dense spec
+                    key, canonicalized index set)
 ``pipeline``        the whole paper loop in one request: sample →
                     reconstruct (batched FISTA) → optimize, returning
                     the reconstructed landscape (plus its store key
                     when reproducible) and the full optimizer
                     trajectory with per-stage timings
 ``get``             store lookup by spec key (no computation)
-``evaluate``        raw (uncached) batch evaluation of a pickled ansatz
-                    task; threads the caller's pickled rng through and
-                    returns its final state, which is what lets the
-                    daemon-backed path register in
+``evaluate``        raw (uncached) batch evaluation of an ansatz spec;
+                    threads the caller's rng state through and returns
+                    its final state, which is what lets the
+                    daemon-backed engines register in
                     ``tests/equivalence/harness.py``
 ``invalidate``      drop one store entry by key
 ``index``           list cached entries (key, label, bytes, access)
 ``stats``           per-op counters (dense hits, sparse read-through
                     hits, pipeline runs, dedups, errors) + store summary
+                    + per-tenant accounting
 ``shutdown``        stop serving (the socket file is removed on close)
 ==================  =========================================================
 
-**Two protocol generations, two transports.**  The table above is
-protocol **v1**: unversioned frames whose tasks are **pickled** by the
-client.  Its trust boundary is the socket file's filesystem
-permissions: anyone who can connect can execute code in the daemon
-process, exactly like any local pickle-based worker pool
-(``multiprocessing`` itself included) — keep the socket in a directory
-only the owning user can write.  v1 is accepted **only on the Unix
-socket**, and only for one more release.
-
-Protocol **v2** (:mod:`repro.service.protocol`) is versioned and
-pickle-free: every frame carries ``"version": 2``, tasks are
-declarative JSON specs resolved server-side from the ansatz/function
-registry, and every failure is a structured ``{"code", "type",
-"message", "retryable"}`` error.  v2 works on both transports and is
-the only protocol spoken on the **TCP listener** (``tcp=``), an asyncio
-front with per-connection idle timeouts, a max-payload limit, a
-connection cap that sheds load with a retryable ``overloaded`` error,
-and graceful drain on shutdown.  TCP requires **bearer-token auth**
-(``tokens_file=``): tokens resolve to tenants, each tenant gets its own
-store namespace and byte quota
+**One server loop, two listeners.**  A single asyncio loop on a
+background thread serves the Unix socket and the optional TCP listener
+(``tcp=``) through the same session code: per-connection idle timeouts,
+a max-payload limit, a connection cap that sheds load with a retryable
+``overloaded`` error, a bounded executor for in-flight requests, and
+graceful drain on shutdown.  Only the auth rule differs per transport.
+TCP requires **bearer-token auth** (``tokens_file=``): tokens resolve to
+tenants, each tenant gets its own store namespace and byte quota
 (:class:`~repro.service.store.TenantStores`), and identical exact specs
 still dedupe compute across tenants through the content-addressed key.
-Unauthenticated Unix-socket requests keep operating on the default
-namespace, so existing callers and on-disk caches are untouched.
+A Unix-socket request without a token operates on the default
+namespace; the socket file is owner-only (``0600``), so that namespace
+belongs to the user running the daemon.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import functools
 import hashlib
 import json
 import os
-import pickle
-import socketserver
 import threading
 import time
 import traceback
@@ -134,7 +123,7 @@ __all__ = ["LandscapeDaemon", "DEFAULT_SOCKET", "DEFAULT_MAX_PAYLOAD_BYTES"]
 #: by ``oscar-repro serve`` and the ``--daemon`` client flags.
 DEFAULT_SOCKET = "oscar-repro.sock"
 
-#: Default per-frame byte limit on the TCP listener (requests and
+#: Default per-frame byte limit on both listeners (requests and
 #: responses are single JSON lines; 32 MiB covers paper-sized grids
 #: with room to spare while bounding a hostile frame).
 DEFAULT_MAX_PAYLOAD_BYTES = 32 * 1024 * 1024
@@ -203,33 +192,6 @@ class _Flight:
         self.error: BaseException | None = None
 
 
-class _Server(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
-    """Threading Unix-socket server holding a back-reference to the daemon."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, socket_path: str, landscape_daemon: "LandscapeDaemon"):
-        self.landscape_daemon = landscape_daemon
-        super().__init__(socket_path, _Handler)
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """Per-connection handler: one JSON line in, one JSON line out."""
-
-    def handle(self) -> None:
-        daemon = self.server.landscape_daemon
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            response = daemon.handle_line(line)
-            try:
-                write_message(self.wfile, response)
-            except (BrokenPipeError, ConnectionResetError):
-                return  # client went away; nothing to report to
-
-
 class LandscapeDaemon:
     """Long-running landscape server over a Unix-domain socket.
 
@@ -254,8 +216,7 @@ class LandscapeDaemon:
         tcp: optionally also listen on TCP — ``"host:port"`` (or
             ``(host, port)`` / a bare port); port ``0`` binds an
             ephemeral port, readable from :attr:`tcp_address` after
-            :meth:`start`.  TCP speaks wire protocol v2 only and
-            **requires** ``tokens_file``.
+            :meth:`start`.  TCP **requires** ``tokens_file``.
         tokens_file: path to the bearer-token file (see
             :func:`~repro.service.protocol.load_tokens`).  Tokens
             resolve to tenants; each tenant gets its own store
@@ -263,15 +224,15 @@ class LandscapeDaemon:
         tenant_quota_bytes: default per-tenant store byte budget for
             tenants whose credential does not carry ``quota_bytes``
             (``None`` = unbounded).
-        max_payload_bytes: per-frame byte limit on the TCP listener.
-        max_connections: concurrent TCP connection cap; connections
-            beyond it are shed with a retryable ``overloaded`` error.
-        max_concurrent_requests: TCP requests executing at once;
-            excess requests queue (bounded worker pool), they are not
-            shed.
-        idle_timeout: seconds a TCP connection may sit idle between
+        max_payload_bytes: per-frame byte limit on both listeners.
+        max_connections: concurrent connection cap (both listeners);
+            connections beyond it are shed with a retryable
+            ``overloaded`` error.
+        max_concurrent_requests: requests executing at once; excess
+            requests queue (bounded worker pool), they are not shed.
+        idle_timeout: seconds a connection may sit idle between
             requests before the daemon disconnects it.
-        drain_timeout: seconds :meth:`close` waits for in-flight TCP
+        drain_timeout: seconds :meth:`close` waits for in-flight
             requests to finish before cancelling their connections.
 
     Typical embedding (tests, examples) runs the daemon on a background
@@ -356,40 +317,50 @@ class LandscapeDaemon:
         }
         self._tenant_counters: dict[str, dict[str, int]] = {}
         self._pool = None
-        self._server: _Server | None = None
-        self._thread: threading.Thread | None = None
         self._started = time.time()
-        # TCP listener state (all None/empty until _bind with tcp=).
-        self._tcp_thread: threading.Thread | None = None
-        self._tcp_loop: asyncio.AbstractEventLoop | None = None
-        self._tcp_stop: asyncio.Event | None = None
-        self._tcp_ready = threading.Event()
-        self._tcp_error: BaseException | None = None
-        self._tcp_address: tuple[str, int] | None = None
-        self._tcp_connections = 0
-        self._tcp_connection_lock = threading.Lock()
+        self._close_lock = threading.Lock()
+        self._closed = threading.Event()
+        # Serving-loop state (None/empty until _bind).  Everything below
+        # the loop handle is touched only from the loop's own thread.
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._loop_thread: threading.Thread | None = None
         self._request_executor: ThreadPoolExecutor | None = None
+        self._tcp_address: tuple[str, int] | None = None
+        self._stop: asyncio.Event | None = None
+        self._servers: list[asyncio.AbstractServer] = []
+        self._tasks: set[asyncio.Task] = set()
+        self._connections = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def _bind(self) -> None:
-        """Create the pool and bind the socket (idempotent)."""
-        if self._server is not None:
+        """Fork the pool, then bind and serve both listeners on the
+        serving loop's thread (idempotent).
+
+        Binding errors (a port in use, an over-long socket path) raise
+        here, in the caller's thread."""
+        if self._loop is not None:
             return
+        self._closed.clear()
         if self.workers > 1 and self._pool is None:
             # Fork the workers before any serving thread exists:
             # fork-under-threads is the classic multiprocessing hazard
             # the persistent pool is designed to avoid.
             self._pool = _pool_context().Pool(processes=self.workers)
-        self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-        if self.socket_path.exists():
-            self.socket_path.unlink()
-        self._server = _Server(str(self.socket_path), self)
-        # Owner-only: anyone who can connect can execute pickled tasks,
-        # so do not rely on the umask to keep other users out.
-        os.chmod(self.socket_path, 0o600)
-        if self._tcp_config is not None:
-            self._start_tcp()
+        self._request_executor = ThreadPoolExecutor(
+            max_workers=self.max_concurrent_requests,
+            thread_name_prefix="landscape-daemon-req",
+        )
+        self._loop = asyncio.new_event_loop()
+        self._loop_thread = threading.Thread(
+            target=self._loop.run_forever, name="landscape-daemon", daemon=True
+        )
+        self._loop_thread.start()
+        try:
+            asyncio.run_coroutine_threadsafe(self._listen(), self._loop).result()
+        except BaseException:
+            self.close()
+            raise
         self._started = time.time()
 
     @property
@@ -399,85 +370,47 @@ class LandscapeDaemon:
         callers discover the ephemeral port."""
         return self._tcp_address
 
-    def _start_tcp(self) -> None:
-        """Run the asyncio TCP front on its own thread (idempotent)."""
-        if self._tcp_thread is not None:
-            return
-        self._request_executor = ThreadPoolExecutor(
-            max_workers=self.max_concurrent_requests,
-            thread_name_prefix="landscape-daemon-req",
-        )
-        self._tcp_ready.clear()
-        self._tcp_error = None
-        self._tcp_thread = threading.Thread(
-            target=lambda: asyncio.run(self._tcp_serve()),
-            name="landscape-daemon-tcp",
-            daemon=True,
-        )
-        self._tcp_thread.start()
-        if not self._tcp_ready.wait(timeout=10.0):
-            raise RuntimeError("TCP listener failed to start within 10s")
-        if self._tcp_error is not None:
-            error, self._tcp_error = self._tcp_error, None
-            self._tcp_thread.join(timeout=1.0)
-            self._tcp_thread = None
-            raise error
-
-    def _stop_tcp(self) -> None:
-        """Signal the TCP loop to drain and stop, then join its thread."""
-        thread, self._tcp_thread = self._tcp_thread, None
-        if thread is None:
-            return
-        loop, stop = self._tcp_loop, self._tcp_stop
-        if loop is not None and stop is not None:
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:  # loop already closed
-                pass
-        thread.join(timeout=self.drain_timeout + 10.0)
-        self._tcp_loop = None
-        self._tcp_stop = None
-        self._tcp_address = None
-        if self._request_executor is not None:
-            self._request_executor.shutdown(wait=False)
-            self._request_executor = None
-
     def start(self) -> None:
-        """Bind the socket and serve on a background thread."""
+        """Bind the socket(s) and serve on a background thread."""
         self._bind()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="landscape-daemon",
-            daemon=True,
-        )
-        self._thread.start()
 
     def serve_forever(self) -> None:
-        """Bind the socket and serve in the calling thread (the CLI
+        """Bind the socket(s) and block the calling thread (the CLI
         foreground path); returns after :meth:`close` or a ``shutdown``
         op."""
         self._bind()
         try:
-            self._server.serve_forever()
+            # An Event, not Thread.join: an interrupted join (Ctrl-C)
+            # would mark the still-running loop thread as finished.
+            self._closed.wait()
         finally:
             self.close()
 
     def close(self) -> None:
-        """Stop serving (TCP drains gracefully first), join the server
-        threads, release pool + socket."""
-        self._stop_tcp()
-        server, self._server = self._server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        self.socket_path.unlink(missing_ok=True)
+        """Stop serving (both listeners drain gracefully), join the
+        serving thread, release pool + socket.  Idempotent."""
+        with self._close_lock:
+            loop, self._loop = self._loop, None
+            if loop is not None:
+                try:
+                    asyncio.run_coroutine_threadsafe(self._drain(), loop).result(
+                        timeout=self.drain_timeout + 10.0
+                    )
+                finally:
+                    loop.call_soon_threadsafe(loop.stop)
+                    self._loop_thread.join(timeout=10.0)
+                    if not self._loop_thread.is_alive():
+                        loop.close()
+                    self._loop_thread = None
+                    self._tcp_address = None
+                    self._request_executor.shutdown(wait=False)
+                    self._request_executor = None
+            if self._pool is not None:
+                self._pool.terminate()
+                self._pool.join()
+                self._pool = None
+            self.socket_path.unlink(missing_ok=True)
+            self._closed.set()
 
     def __enter__(self) -> "LandscapeDaemon":
         """Context-manager entry: :meth:`start` on a background thread."""
@@ -502,32 +435,36 @@ class LandscapeDaemon:
 
     @staticmethod
     def _error_payload(error: BaseException) -> dict[str, Any]:
-        """Structured error object: v1's ``{type, message}`` plus the v2
-        ``code``/``retryable`` fields (harmless extras to v1 clients)."""
-        payload: dict[str, Any] = {
+        """The structured ``{type, message, code, retryable}`` object."""
+        code, retryable = "internal", False
+        if isinstance(error, ProtocolError):
+            code, retryable = error.code, error.retryable
+        elif isinstance(error, (json.JSONDecodeError, UnicodeDecodeError)):
+            code = "malformed"
+        return {
             "type": type(error).__name__,
             "message": str(error) or traceback.format_exc(limit=1),
+            "code": code,
+            "retryable": retryable,
         }
-        if isinstance(error, ProtocolError):
-            payload["code"] = error.code
-            payload["retryable"] = error.retryable
-        else:
-            payload["code"] = (
-                "malformed"
-                if isinstance(error, (json.JSONDecodeError, UnicodeDecodeError))
-                else "internal"
-            )
-            payload["retryable"] = False
-        return payload
+
+    def _error_response(self, error: BaseException) -> dict[str, Any]:
+        """A counted ``{"ok": false}`` response for ``error``."""
+        self._bump("errors")
+        return {
+            "ok": False,
+            "version": PROTOCOL_VERSION,
+            "error": self._error_payload(error),
+        }
 
     def handle_line(self, line: bytes, transport: str = "unix") -> dict[str, Any]:
         """One raw request line -> one response object.
 
-        Version dispatch happens here: frames carrying a ``"version"``
-        field take the v2 (pickle-free) path on either transport;
-        unversioned frames are legacy v1 and are **only** accepted from
-        the Unix socket — over TCP they get a structured
-        ``unsupported-version`` error without touching any handler.
+        A frame must carry ``"version": 2`` and an op from
+        :data:`V2_OPS`; anything else (including an unversioned frame of
+        the retired pickle protocol) gets a structured error without
+        touching any handler.  ``transport`` (``"unix"`` or ``"tcp"``)
+        only selects the auth rule (:meth:`_authenticate`).
 
         Every failure — unparseable JSON, an unknown op, a bad spec, an
         exception inside the computation — becomes a structured
@@ -535,7 +472,6 @@ class LandscapeDaemon:
         on a request.
         """
         self._bump("requests")
-        request: Any = None
         try:
             try:
                 request = json.loads(line)
@@ -545,57 +481,26 @@ class LandscapeDaemon:
                 ) from error
             if not isinstance(request, dict):
                 raise ProtocolError("malformed", "request must be a JSON object")
-            if "version" in request or transport != "unix":
-                return self._handle_v2(request, transport)
-            return self._handle_v1(request)
-        except BaseException as error:  # noqa: BLE001 - protocol boundary
-            self._bump("errors")
-            response: dict[str, Any] = {
-                "ok": False,
-                "error": self._error_payload(error),
-            }
-            if transport != "unix" or (
-                isinstance(request, dict) and "version" in request
-            ):
-                response["version"] = PROTOCOL_VERSION
-            return response
-
-    def _handle_v1(self, request: dict[str, Any]) -> dict[str, Any]:
-        """The legacy unversioned dispatch (pickled tasks, Unix only)."""
-        op = request.get("op")
-        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
-        if handler is None or (isinstance(op, str) and op.startswith("_")):
-            raise ValueError(f"unknown op {op!r}")
-        response = handler(request)
-        response["ok"] = True
-        return response
-
-    def _handle_v2(self, request: dict[str, Any], transport: str) -> dict[str, Any]:
-        """The versioned, pickle-free dispatch (both transports)."""
-        version = request.get("version")
-        if version is None:
-            raise ProtocolError(
-                "unsupported-version",
-                "every TCP message needs a 'version' field; the legacy "
-                "unversioned pickle protocol is accepted on the Unix "
-                "socket only",
-            )
-        if not isinstance(version, int) or version not in SUPPORTED_VERSIONS:
-            raise ProtocolError(
-                "unsupported-version",
-                f"unsupported protocol version {version!r}; this daemon "
-                f"speaks {list(SUPPORTED_VERSIONS)}",
-            )
-        op = request.get("op")
-        handler = V2_OPS.get(op) if isinstance(op, str) else None
-        if handler is None:
-            raise ProtocolError(
-                "unknown-op",
-                f"unknown v2 op {op!r}; supported: {sorted(V2_OPS)}",
-            )
-        tenant = self._authenticate(request, transport)
-        self._bump_tenant(tenant, op)
-        response = handler(self, request, tenant)
+            version = request.get("version")
+            if not isinstance(version, int) or version not in SUPPORTED_VERSIONS:
+                raise ProtocolError(
+                    "unsupported-version",
+                    f"unsupported protocol version {version!r}: every frame "
+                    f"needs a 'version' field, and this daemon speaks "
+                    f"{list(SUPPORTED_VERSIONS)}",
+                )
+            op = request.get("op")
+            handler = V2_OPS.get(op) if isinstance(op, str) else None
+            if handler is None:
+                raise ProtocolError(
+                    "unknown-op",
+                    f"unknown op {op!r}; supported: {sorted(V2_OPS)}",
+                )
+            tenant = self._authenticate(request, transport)
+            self._bump_tenant(tenant, op)
+            response = handler(self, request, tenant)
+        except Exception as error:  # noqa: BLE001 - protocol boundary
+            return self._error_response(error)
         response["ok"] = True
         response["version"] = PROTOCOL_VERSION
         return response
@@ -621,297 +526,69 @@ class LandscapeDaemon:
             )
         return authenticate(self.credentials, token).tenant
 
+    # -- request fields ----------------------------------------------------
+
     @staticmethod
-    def _load_task(request: dict[str, Any]) -> dict[str, Any]:
-        task = request.get("task")
-        if not isinstance(task, str):
-            raise ValueError("request is missing its base64 'task' payload")
-        loaded = pickle.loads(decode_blob(task))
-        if not isinstance(loaded, dict):
-            raise TypeError("task payload must unpickle to a dict")
-        return loaded
+    def _int_field(request: dict[str, Any], name: str) -> int | None:
+        """An optional integer field, strictly typed (bools rejected)."""
+        value = request.get(name)
+        if value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ProtocolError(
+                "malformed", f"{name!r} must be an integer or null"
+            )
+        return value
 
-    # -- ops ---------------------------------------------------------------
+    def _resolve_shard_points(self, request: dict[str, Any]) -> int | None:
+        """The request's shard layout, else the daemon's default.
 
-    def _op_ping(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Liveness probe."""
-        return {
-            "pid": os.getpid(),
-            "workers": self.workers,
-            "uptime": time.time() - self._started,
-        }
-
-    def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Counters + store summary + per-tenant accounting."""
-        with self._counter_lock:
-            counters = dict(self._counters)
-            tenant_ops = {
-                tenant: dict(ops) for tenant, ops in self._tenant_counters.items()
-            }
-        store_stats = None
-        with self._store_lock:
-            if self.store is not None:
-                store_stats = self.store.stats()
-            tenant_stores = self.tenants.stats()
-        tenants = {
-            tenant: {
-                "ops": tenant_ops.get(tenant, {}),
-                "store": tenant_stores.get(tenant),
-            }
-            for tenant in sorted(set(tenant_ops) | set(tenant_stores))
-        }
-        return {
-            "pid": os.getpid(),
-            "workers": self.workers,
-            "uptime": time.time() - self._started,
-            "counters": counters,
-            "store": store_stats,
-            "tenants": tenants,
-        }
-
-    def _op_index(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Store index listing (LRU first); empty without a store."""
-        if self.store is None:
-            return {"entries": []}
-        with self._store_lock:
-            entries = self.store.entries()
-        return {
-            "entries": [
-                {
-                    "key": entry.key,
-                    "label": entry.label,
-                    "payload_bytes": entry.payload_bytes,
-                    "access": entry.access,
-                    "created": entry.created,
-                }
-                for entry in entries
-            ]
-        }
-
-    def _op_get(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Store lookup by key; never computes."""
-        key = request.get("key")
-        if not isinstance(key, str):
-            raise ValueError("get needs a string 'key'")
-        landscape = None
-        if self.store is not None:
-            with self._store_lock:
-                landscape = self.store.get(key)
-        return {
-            "landscape": None
-            if landscape is None
-            else encode_blob(landscape.to_bytes())
-        }
-
-    def _op_invalidate(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Drop one store entry by key."""
-        key = request.get("key")
-        if not isinstance(key, str):
-            raise ValueError("invalidate needs a string 'key'")
-        removed = False
-        if self.store is not None:
-            with self._store_lock:
-                removed = self.store.invalidate(key)
-        return {"removed": removed}
-
-    def _op_shutdown(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Acknowledge, then stop the serve loop from a side thread."""
-        threading.Thread(target=self.close, daemon=True).start()
-        return {"stopping": True}
-
-    def _op_evaluate(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Raw batch evaluation with rng round-tripping (uncached).
-
-        The task dict carries ``ansatz``, ``batch`` and optionally
-        ``noise``/``shots``/``rng``/``shard_points``/``seed``.  The
-        caller's generator (if any) is consumed here and shipped back,
-        so the client can restore its own generator to the exact stream
-        position — the property the equivalence harness probes.
+        Clients serialize an explicit ``shard_points: None`` when the
+        caller did not choose a layout, so a plain ``dict.get`` default
+        would never apply ``--shard-points``.
         """
-        task = self._load_task(request)
-        executor = ShardedExecutor(
+        shard_points = request.get("shard_points")
+        return self.shard_points if shard_points is None else shard_points
+
+    def _v2_rng(self, request: dict[str, Any]) -> np.random.Generator | None:
+        """The request's rng state resolved into a live generator."""
+        payload = request.get("rng")
+        return None if payload is None else rng_from_state(payload)
+
+    def _v2_generator(
+        self, request: dict[str, Any], rng: np.random.Generator | None = None
+    ):
+        """A generator executing the request on the daemon's resources.
+
+        Function and grid resolve from declarative specs — the registry
+        (:mod:`repro.service.protocol`) is the only way a request turns
+        into code.  Worker count comes from the daemon (results are
+        worker-count independent by the sharded-executor contract); the
+        rng plan (``seed``/``shard_points``) comes from the request,
+        falling back to the daemon's default layout — it is part of the
+        cache key for shot-noise landscapes.
+        """
+        from ..landscape.generator import LandscapeGenerator
+
+        function = function_from_spec(request.get("function"), rng=rng)
+        grid = grid_from_spec(request.get("grid"))
+        return LandscapeGenerator(
+            function,
+            grid,
+            batch_size=self._int_field(request, "batch_size"),
             workers=self.workers,
-            shard_points=self._resolve_shard_points(task),
-            seed=task.get("seed"),
-            pool=self._pool,
+            shard_points=self._resolve_shard_points(request),
+            seed=self._int_field(request, "seed"),
+            executor_pool=self._pool,
         )
-        rng = task.get("rng")
-        values = executor.run_ansatz(
-            task["ansatz"],
-            task["batch"],
-            noise=task.get("noise"),
-            shots=task.get("shots"),
-            rng=rng,
-        )
-        self._bump("evaluations")
-        return {
-            "values": encode_blob(pickle.dumps(np.asarray(values))),
-            "rng": None if rng is None else encode_blob(pickle.dumps(rng)),
-        }
 
-    def _op_compute(self, request: dict[str, Any]) -> dict[str, Any]:
-        """The service path: store hit, else single-flighted compute.
-
-        The spec (and therefore the dedup/cache key) is derived *here*
-        from the pickled task, never trusted from the client, so the
-        in-flight table and the store can never disagree about what a
-        request means.
-        """
-        task = self._load_task(request)
-        generator = self._generator_for(task)
-        spec = generator.cache_spec()
-
-        def produce() -> tuple[Any, bool]:
-            landscape = None
-            if self.store is not None:
-                with self._store_lock:
-                    landscape = self.store.get(spec)
-            if landscape is not None:
-                self._bump("hits")
-                return landscape, True
-            self._bump("misses")
-            self._bump("computed")
-            landscape = generator.local_grid_search(
-                str(task.get("label", "landscape"))
-            )
-            if self.store is not None:
-                with self._store_lock:
-                    self.store.put(spec, landscape)
-            return landscape, False
-
-        (landscape, hit), deduped = self._single_flight(spec.key(), produce)
-        return {
-            "landscape": encode_blob(landscape.to_bytes()),
-            "hit": hit,
-            "deduped": deduped,
-        }
-
-    def _op_compute_indices(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Sparse evaluation of a flat-index set (OSCAR's sampling path).
-
-        Two task shapes, dispatched on what the task carries:
-
-        - **function-shaped** (``function``/``grid``/``indices``) — the
-          service path used by
-          :meth:`~repro.landscape.generator.LandscapeGenerator.evaluate_indices`:
-          indices are bounds-validated, exact requests are answered
-          from a cached dense landscape in the store when one exists
-          (read-through — no pool touch), and deterministic requests
-          single-flight on (dense spec key, canonicalized index set);
-        - **ansatz-shaped** (``ansatz``/``grid``/``indices`` +
-          ``noise``/``shots``/``rng``) — the raw path mirroring
-          ``evaluate``: index points resolve server-side and run
-          through the sharded executor with the caller's rng threaded
-          through and shipped back.  Per-row noise sequences align with
-          the index list.  This is the ``daemon-sparse`` equivalence
-          engine's path.
-
-        Either way the caller's generator (when bound) is consumed here
-        and its final state returned, preserving the cross-engine rng
-        draw-order contract over the wire.
-        """
-        task = self._load_task(request)
-        if "grid" not in task:
-            raise ValueError("compute_indices task needs 'grid' and 'indices'")
-        grid = task["grid"]
-        flat_indices = validate_flat_indices(int(grid.size), task.get("indices"))
-
-        if "ansatz" in task:
-            executor = ShardedExecutor(
-                workers=self.workers,
-                shard_points=self._resolve_shard_points(task),
-                seed=task.get("seed"),
-                pool=self._pool,
-            )
-            rng = task.get("rng")
-            values = executor.run_ansatz(
-                task["ansatz"],
-                grid.points_from_flat(flat_indices),
-                noise=task.get("noise"),
-                shots=task.get("shots"),
-                rng=rng,
-            )
-            self._bump("evaluations")
-            return {
-                "values": encode_blob(pickle.dumps(np.asarray(values))),
-                "rng": None if rng is None else encode_blob(pickle.dumps(rng)),
-                "readthrough": False,
-                "deduped": False,
-            }
-
-        generator = self._generator_for(task)
-        values, readthrough, deduped = self._sparse_values(
-            generator, flat_indices, self.store
-        )
-        rng = getattr(generator.function, "rng", None)
-        return {
-            "values": encode_blob(pickle.dumps(np.asarray(values))),
-            "rng": None if rng is None else encode_blob(pickle.dumps(rng)),
-            "readthrough": readthrough,
-            "deduped": deduped,
-        }
-
-    def _op_pipeline(self, request: dict[str, Any]) -> dict[str, Any]:
-        """The whole paper loop, server-side, in one request.
-
-        Runs :func:`~repro.service.pipeline.run_pipeline` on the
-        daemon's resources, with the evaluation stage routed through
-        the same sparse service path as ``compute_indices`` (so a
-        cached dense landscape read-throughs here too).  The
-        reconstruction is cached under a pipeline spec when the request
-        is reproducible (integer sample seed + deterministic
-        evaluation), and its store key returned as a handle.  Pipeline
-        requests are *not* single-flighted: an unseeded sampling rng
-        makes two byte-identical requests legitimately different runs.
-        """
-        from .pipeline import PipelineConfig, pipeline_spec, run_pipeline
-
-        task = self._load_task(request)
-        config = task.get("config")
-        if not isinstance(config, PipelineConfig):
-            raise TypeError("pipeline task needs a PipelineConfig 'config'")
-        generator = self._generator_for(task)
-        sample_rng = task.get("sample_rng")
-        outcome = run_pipeline(
-            generator,
-            config,
-            sample_rng,
-            evaluate=lambda indices: self._sparse_values(
-                generator, indices, self.store
-            )[0],
-        )
-        self._bump("pipeline_runs")
-
-        key = None
-        if self.store is not None and isinstance(sample_rng, int):
-            try:
-                spec = pipeline_spec(generator, config, sample_rng)
-            except (TypeError, ValueError, AttributeError):
-                spec = None
-            if spec is not None:
-                with self._store_lock:
-                    self.store.put(spec, outcome.landscape)
-                key = spec.key()
-
-        rng = getattr(generator.function, "rng", None)
-        result = {
-            "report": outcome.report,
-            "optimization": outcome.optimization,
-            "flat_indices": outcome.flat_indices,
-            "values": outcome.values,
-        }
-        return {
-            "landscape": encode_blob(outcome.landscape.to_bytes()),
-            "result": encode_blob(pickle.dumps(result)),
-            "timings": {name: float(t) for name, t in outcome.timings.items()},
-            "key": key,
-            "rng": None if rng is None else encode_blob(pickle.dumps(rng)),
-            "sample_rng": (
-                encode_blob(pickle.dumps(sample_rng))
-                if isinstance(sample_rng, np.random.Generator)
-                else None
-            ),
-        }
+    def _v2_spec_for(self, generator):
+        """The generator's canonical spec; spec problems are the
+        client's fault, not an internal error."""
+        try:
+            return generator.cache_spec()
+        except (TypeError, ValueError) as error:
+            raise ProtocolError("invalid-spec", str(error))
 
     # -- compute helpers ---------------------------------------------------
 
@@ -963,10 +640,9 @@ class LandscapeDaemon:
         request order and seeded draws depend on point order.
 
         Returns ``(None, None)`` when the request has no stable
-        identity: a live rng (unseeded shot noise — every run is a
-        different draw), a cost function that cannot describe itself,
-        or a duck-typed grid the spec cannot canonicalize.  Those
-        requests skip dedup and read-through and just evaluate.
+        identity (a live rng: unseeded shot noise — every run is a
+        different draw).  Those requests skip dedup and read-through
+        and just evaluate.
         """
         try:
             dense_spec = generator.cache_spec()
@@ -1018,85 +694,7 @@ class LandscapeDaemon:
         )
         return values, readthrough, deduped
 
-    def _resolve_shard_points(self, task: dict[str, Any]) -> int | None:
-        """The task's shard layout, else the daemon's default.
-
-        Clients serialize an explicit ``shard_points: None`` when the
-        caller did not choose a layout, so a plain ``dict.get`` default
-        would never apply ``--shard-points``.
-        """
-        shard_points = task.get("shard_points")
-        return self.shard_points if shard_points is None else shard_points
-
-    def _generator_for(self, task: dict[str, Any]):
-        """A generator executing this task on the daemon's resources.
-
-        Worker count comes from the daemon (results are worker-count
-        independent by the sharded-executor contract); the rng plan
-        (``seed``/``shard_points``) comes from the task, falling back
-        to the daemon's default layout — it is part of the cache key
-        for shot-noise landscapes.
-        """
-        from ..landscape.generator import LandscapeGenerator
-
-        if "function" not in task or "grid" not in task:
-            raise ValueError("compute task needs 'function' and 'grid'")
-        return LandscapeGenerator(
-            task["function"],
-            task["grid"],
-            batch_size=task.get("batch_size"),
-            workers=self.workers,
-            shard_points=self._resolve_shard_points(task),
-            seed=task.get("seed"),
-            executor_pool=self._pool,
-        )
-
-    # -- v2 ops (pickle-free; the only handlers reachable over TCP) --------
-
-    @staticmethod
-    def _int_field(request: dict[str, Any], name: str) -> int | None:
-        """An optional integer field, strictly typed (bools rejected)."""
-        value = request.get(name)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(
-                "malformed", f"{name!r} must be an integer or null"
-            )
-        return value
-
-    def _v2_rng(self, request: dict[str, Any]) -> np.random.Generator | None:
-        """The request's rng state resolved into a live generator."""
-        payload = request.get("rng")
-        return None if payload is None else rng_from_state(payload)
-
-    def _v2_generator(
-        self, request: dict[str, Any], rng: np.random.Generator | None = None
-    ):
-        """A generator resolved from declarative v2 specs — the spec
-        registry (:mod:`repro.service.protocol`) is the only way a TCP
-        request turns into code, so nothing on this path unpickles."""
-        from ..landscape.generator import LandscapeGenerator
-
-        function = function_from_spec(request.get("function"), rng=rng)
-        grid = grid_from_spec(request.get("grid"))
-        return LandscapeGenerator(
-            function,
-            grid,
-            batch_size=self._int_field(request, "batch_size"),
-            workers=self.workers,
-            shard_points=self._resolve_shard_points(request),
-            seed=self._int_field(request, "seed"),
-            executor_pool=self._pool,
-        )
-
-    def _v2_spec_for(self, generator):
-        """The generator's canonical spec; spec problems are the
-        client's fault, not an internal error."""
-        try:
-            return generator.cache_spec()
-        except (TypeError, ValueError) as error:
-            raise ProtocolError("invalid-spec", str(error))
+    # -- ops ---------------------------------------------------------------
 
     def _v2_ping(self, request: dict[str, Any], tenant: str) -> dict[str, Any]:
         """Liveness probe (authenticated identity echoed back)."""
@@ -1109,8 +707,32 @@ class LandscapeDaemon:
         }
 
     def _v2_stats(self, request: dict[str, Any], tenant: str) -> dict[str, Any]:
-        """Same counters as v1 ``stats`` (tenant section included)."""
-        return self._op_stats(request)
+        """Counters + store summary + per-tenant accounting."""
+        with self._counter_lock:
+            counters = dict(self._counters)
+            tenant_ops = {
+                name: dict(ops) for name, ops in self._tenant_counters.items()
+            }
+        store_stats = None
+        with self._store_lock:
+            if self.store is not None:
+                store_stats = self.store.stats()
+            tenant_stores = self.tenants.stats()
+        tenants = {
+            name: {
+                "ops": tenant_ops.get(name, {}),
+                "store": tenant_stores.get(name),
+            }
+            for name in sorted(set(tenant_ops) | set(tenant_stores))
+        }
+        return {
+            "pid": os.getpid(),
+            "workers": self.workers,
+            "uptime": time.time() - self._started,
+            "counters": counters,
+            "store": store_stats,
+            "tenants": tenants,
+        }
 
     def _v2_index(self, request: dict[str, Any], tenant: str) -> dict[str, Any]:
         """Index listing over the caller's namespace only."""
@@ -1165,7 +787,7 @@ class LandscapeDaemon:
     def _v2_shutdown(
         self, request: dict[str, Any], tenant: str
     ) -> dict[str, Any]:
-        """Acknowledge, then stop both fronts from a side thread."""
+        """Acknowledge, then stop serving from a side thread."""
         threading.Thread(target=self.close, daemon=True).start()
         return {"stopping": True}
 
@@ -1174,10 +796,10 @@ class LandscapeDaemon:
     ) -> dict[str, Any]:
         """Raw batch evaluation from declarative specs (uncached).
 
-        Mirrors v1 ``evaluate`` — ansatz/noise resolve through the spec
-        registry, the batch travels as a typed array codec, and the
-        caller's rng state round-trips so client-side generators land
-        on the exact stream position a local run would."""
+        The ansatz and noise resolve through the spec registry, the
+        batch travels as a typed array codec, and the caller's rng state
+        round-trips so client-side generators land on the exact stream
+        position a local run would."""
         ansatz = ansatz_from_spec(request.get("ansatz"))
         batch = decode_array(request.get("batch"))
         if batch.ndim != 2:
@@ -1207,13 +829,15 @@ class LandscapeDaemon:
     def _v2_compute(
         self, request: dict[str, Any], tenant: str
     ) -> dict[str, Any]:
-        """The v2 service path: tenant store hit, cross-tenant
-        read-through for exact specs, else single-flighted compute.
+        """The service path: tenant store hit, cross-tenant read-through
+        for exact specs, else single-flighted compute.
 
-        The single-flight key is the content-addressed spec key —
-        tenant-independent on purpose, so two tenants racing the same
-        spec compute it once; each still lands a copy in its own
-        namespace (quota-accounted)."""
+        The spec (and therefore the dedup/cache key) is derived *here*
+        from the resolved request, never trusted from the client, so
+        the in-flight table and the store can never disagree about what
+        a request means.  The single-flight key is tenant-independent on
+        purpose: two tenants racing the same spec compute it once; each
+        still lands a copy in its own namespace (quota-accounted)."""
         generator = self._v2_generator(request)
         spec = self._v2_spec_for(generator)
         label = str(request.get("label", "landscape"))
@@ -1258,60 +882,29 @@ class LandscapeDaemon:
     def _v2_compute_indices(
         self, request: dict[str, Any], tenant: str
     ) -> dict[str, Any]:
-        """Sparse evaluation from declarative specs.
+        """Sparse evaluation of a flat-index set (OSCAR's sampling path).
 
-        The same two shapes as v1 ``compute_indices`` (function-shaped
-        service path with read-through/dedup against the caller's
-        namespace; ansatz-shaped raw path), with indices as a typed
-        int64 array or a plain JSON list."""
-        grid = grid_from_spec(request.get("grid"))
+        The service path used by
+        :meth:`~repro.landscape.generator.LandscapeGenerator.evaluate_indices`:
+        indices (a typed int64 array or a plain JSON list) are
+        bounds-validated, exact requests are answered from a cached
+        dense landscape in the caller's namespace when one exists
+        (read-through — no pool touch), and deterministic requests
+        single-flight on (dense spec key, canonicalized index set).  The
+        cost function's bound rng (when shipped) is consumed here and
+        its final state returned, preserving the cross-engine rng
+        draw-order contract over the wire.
+        """
+        generator = self._v2_generator(request, rng=self._v2_rng(request))
         indices = request.get("indices")
         if isinstance(indices, dict):
             indices = decode_array(indices)
         try:
-            flat_indices = validate_flat_indices(int(grid.size), indices)
+            flat_indices = validate_flat_indices(int(generator.grid.size), indices)
         except (TypeError, ValueError) as error:
             raise ProtocolError("invalid-spec", str(error))
-
-        rng = self._v2_rng(request)
-        if "ansatz" in request:
-            ansatz = ansatz_from_spec(request.get("ansatz"))
-            executor = ShardedExecutor(
-                workers=self.workers,
-                shard_points=self._resolve_shard_points(request),
-                seed=self._int_field(request, "seed"),
-                pool=self._pool,
-            )
-            values = executor.run_ansatz(
-                ansatz,
-                grid.points_from_flat(flat_indices),
-                noise=noise_from_spec(request.get("noise")),
-                shots=self._int_field(request, "shots"),
-                rng=rng,
-            )
-            self._bump("evaluations")
-            return {
-                "values": encode_array(np.asarray(values, dtype=float)),
-                "rng": None if rng is None else encode_rng_state(rng),
-                "readthrough": False,
-                "deduped": False,
-            }
-
-        function = function_from_spec(request.get("function"), rng=rng)
-        from ..landscape.generator import LandscapeGenerator
-
-        generator = LandscapeGenerator(
-            function,
-            grid,
-            batch_size=self._int_field(request, "batch_size"),
-            workers=self.workers,
-            shard_points=self._resolve_shard_points(request),
-            seed=self._int_field(request, "seed"),
-            executor_pool=self._pool,
-        )
-        store = self.tenants.store_for(tenant)
         values, readthrough, deduped = self._sparse_values(
-            generator, flat_indices, store
+            generator, flat_indices, self.tenants.store_for(tenant)
         )
         rng = getattr(generator.function, "rng", None)
         return {
@@ -1324,12 +917,19 @@ class LandscapeDaemon:
     def _v2_pipeline(
         self, request: dict[str, Any], tenant: str
     ) -> dict[str, Any]:
-        """The whole paper loop from a declarative request.
+        """The whole paper loop, server-side, in one request.
 
-        Mirrors v1 ``pipeline`` (sparse service path for evaluation,
-        reproducible runs cached under the pipeline spec in the
-        caller's namespace) with a JSON-only result shape: report and
-        optimization come back as field dicts, arrays as typed codecs."""
+        Runs :func:`~repro.service.pipeline.run_pipeline` on the
+        daemon's resources, with the evaluation stage routed through
+        the same sparse service path as ``compute_indices`` (so a
+        cached dense landscape read-throughs here too).  The
+        reconstruction is cached under a pipeline spec in the caller's
+        namespace when the request is reproducible (integer sample seed
+        + deterministic evaluation), and its store key returned as a
+        handle.  Pipeline requests are *not* single-flighted: an
+        unseeded sampling rng makes two byte-identical requests
+        legitimately different runs.  Report and optimization come back
+        as field dicts, arrays as typed codecs."""
         from dataclasses import asdict
 
         from ..cs.reconstruct import ReconstructionConfig
@@ -1361,8 +961,7 @@ class LandscapeDaemon:
                 "invalid-spec", f"invalid pipeline config: {error}"
             )
 
-        rng = self._v2_rng(request)
-        generator = self._v2_generator(request, rng=rng)
+        generator = self._v2_generator(request, rng=self._v2_rng(request))
         sample_payload = request.get("sample_rng")
         if sample_payload is None:
             sample_rng: Any = None
@@ -1429,110 +1028,103 @@ class LandscapeDaemon:
             ),
         }
 
-    # -- the TCP front -----------------------------------------------------
+    # -- the serving loop (both listeners) ---------------------------------
 
-    async def _tcp_serve(self) -> None:
-        """The asyncio TCP front, run via ``asyncio.run`` on a
-        dedicated thread.
-
-        Binds, publishes the bound address, then parks on the stop
-        event.  Shutdown is a graceful drain: stop accepting, give
-        in-flight connections ``drain_timeout`` seconds to finish their
-        current response, then cancel stragglers."""
-        self._tcp_loop = asyncio.get_running_loop()
-        self._tcp_stop = asyncio.Event()
-        self._tcp_tasks: set[asyncio.Task] = set()
-        host, port = self._tcp_config
-        try:
+    async def _listen(self) -> None:
+        """Bind the Unix socket (owner-only) and, with ``tcp=``, the TCP
+        listener on the running loop; called once by :meth:`_bind`."""
+        self._stop = asyncio.Event()
+        self.socket_path.parent.mkdir(parents=True, exist_ok=True)
+        self.socket_path.unlink(missing_ok=True)
+        self._servers.append(
+            await asyncio.start_unix_server(
+                functools.partial(self._connection, transport="unix"),
+                path=str(self.socket_path),
+                limit=self.max_payload_bytes,
+            )
+        )
+        # Owner-only: a tokenless connection acts as the default tenant,
+        # so do not rely on the umask to keep other users out.
+        os.chmod(self.socket_path, 0o600)
+        if self._tcp_config is not None:
+            host, port = self._tcp_config
             server = await asyncio.start_server(
-                self._tcp_connection,
+                functools.partial(self._connection, transport="tcp"),
                 host=host,
                 port=port,
                 limit=self.max_payload_bytes,
             )
-        except OSError as error:
-            self._tcp_error = error
-            self._tcp_ready.set()
-            return
-        self._tcp_address = server.sockets[0].getsockname()[:2]
-        self._tcp_ready.set()
-        try:
-            await self._tcp_stop.wait()
-        finally:
+            self._servers.append(server)
+            self._tcp_address = server.sockets[0].getsockname()[:2]
+
+    async def _drain(self) -> None:
+        """Graceful shutdown: stop accepting, give in-flight connections
+        ``drain_timeout`` seconds to finish their current response, then
+        cancel stragglers."""
+        loop = asyncio.get_running_loop()
+        self._stop.set()
+        for server in self._servers:
             server.close()
+        deadline = loop.time() + self.drain_timeout
+        while self._tasks and loop.time() < deadline:
+            await asyncio.sleep(0.02)
+        for task in list(self._tasks):
+            task.cancel()
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        for server in self._servers:
             await server.wait_closed()
-            deadline = self._tcp_loop.time() + self.drain_timeout
-            while self._tcp_tasks and self._tcp_loop.time() < deadline:
-                await asyncio.sleep(0.02)
-            for task in list(self._tcp_tasks):
-                task.cancel()
-            if self._tcp_tasks:
-                await asyncio.gather(*self._tcp_tasks, return_exceptions=True)
+        self._servers = []
 
     @staticmethod
-    async def _tcp_send(
-        writer: asyncio.StreamWriter, message: dict[str, Any]
-    ) -> None:
+    async def _send(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
         writer.write(json.dumps(message).encode("utf-8") + b"\n")
         await writer.drain()
 
-    def _tcp_error_frame(
-        self, code: str, message: str, retryable: bool = False
-    ) -> dict[str, Any]:
-        self._bump("errors")
-        return {
-            "ok": False,
-            "version": PROTOCOL_VERSION,
-            "error": {
-                "type": "ProtocolError",
-                "message": message,
-                "code": code,
-                "retryable": retryable,
-            },
-        }
-
-    async def _tcp_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        transport: str,
     ) -> None:
-        """Per-connection wrapper: cap accounting + cleanup."""
+        """Per-connection wrapper: connection cap, session, cleanup."""
         task = asyncio.current_task()
-        if task is not None:
-            self._tcp_tasks.add(task)
-        with self._tcp_connection_lock:
-            shed = self._tcp_connections >= self.max_connections
-            if not shed:
-                self._tcp_connections += 1
+        self._tasks.add(task)
+        shed = self._connections >= self.max_connections
+        if not shed:
+            self._connections += 1
         try:
             if shed:
-                await self._tcp_send(
+                await self._send(
                     writer,
-                    self._tcp_error_frame(
-                        "overloaded",
-                        f"connection cap ({self.max_connections}) reached; "
-                        "retry shortly",
-                        retryable=True,
+                    self._error_response(
+                        ProtocolError(
+                            "overloaded",
+                            f"connection cap ({self.max_connections}) "
+                            "reached; retry shortly",
+                            retryable=True,
+                        )
                     ),
                 )
             else:
-                await self._tcp_session(reader, writer)
+                await self._session(reader, writer, transport)
         except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass  # drain deadline hit; just close
+            pass  # the peer vanished mid-response
         finally:
             if not shed:
-                with self._tcp_connection_lock:
-                    self._tcp_connections -= 1
-            if task is not None:
-                self._tcp_tasks.discard(task)
+                self._connections -= 1
+            self._tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _tcp_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _session(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        transport: str,
     ) -> None:
         """Read frames until idle/EOF/over-limit; answer each one.
 
@@ -1541,7 +1133,7 @@ class LandscapeDaemon:
         beyond ``max_concurrent_requests`` in-flight requests, new
         frames queue rather than spawn unbounded threads."""
         loop = asyncio.get_running_loop()
-        while not self._tcp_stop.is_set():
+        while not self._stop.is_set():
             try:
                 line = await asyncio.wait_for(
                     reader.readline(), timeout=self.idle_timeout
@@ -1552,12 +1144,14 @@ class LandscapeDaemon:
                 # StreamReader's limit tripped: the frame exceeds
                 # max_payload_bytes and cannot be resynchronized —
                 # answer, then drop the connection.
-                await self._tcp_send(
+                await self._send(
                     writer,
-                    self._tcp_error_frame(
-                        "too-large",
-                        "frame exceeds max_payload_bytes "
-                        f"({self.max_payload_bytes}); connection closing",
+                    self._error_response(
+                        ProtocolError(
+                            "too-large",
+                            "frame exceeds max_payload_bytes "
+                            f"({self.max_payload_bytes}); connection closing",
+                        )
                     ),
                 )
                 return
@@ -1566,15 +1160,15 @@ class LandscapeDaemon:
             if not line.strip():
                 continue
             response = await loop.run_in_executor(
-                self._request_executor, self.handle_line, line, "tcp"
+                self._request_executor, self.handle_line, line, transport
             )
-            await self._tcp_send(writer, response)
+            await self._send(writer, response)
 
 
-#: v2 dispatch table: the **only** way a versioned (and therefore any
-#: TCP) request reaches code.  Every handler resolves declarative specs
-#: through :mod:`repro.service.protocol`'s registries — none of them
-#: touches ``pickle`` (a conformance test greps exactly this table).
+#: The dispatch table: the **only** way a request reaches code, on
+#: either listener.  Every handler resolves declarative specs through
+#: :mod:`repro.service.protocol`'s registries; no module of the service
+#: layer imports ``pickle`` (a conformance test checks all of them).
 V2_OPS: dict[str, Callable[..., dict[str, Any]]] = {
     "ping": LandscapeDaemon._v2_ping,
     "stats": LandscapeDaemon._v2_stats,
@@ -1587,4 +1181,3 @@ V2_OPS: dict[str, Callable[..., dict[str, Any]]] = {
     "compute_indices": LandscapeDaemon._v2_compute_indices,
     "pipeline": LandscapeDaemon._v2_pipeline,
 }
-

@@ -1,18 +1,19 @@
 """Wire protocol v2: versioned, pickle-free JSON messages.
 
-Protocol v1 (the original daemon wire format) shipped **pickled** task
-payloads, which confines it to the Unix socket's filesystem trust
-boundary: anyone who can connect can execute code.  v2 removes that
-assumption so the daemon can face a network:
+The daemon's only wire dialect, spoken identically on the Unix socket
+and the TCP listener.  Nothing a client sends is ever executed or
+unpickled, so the daemon can face a network:
 
 - every message carries ``"version": 2``; unversioned or wrong-version
-  frames get a structured ``unsupported-version`` error;
+  frames (including the retired v1 dialect, which shipped pickled
+  tasks) get a structured ``unsupported-version`` error;
 - requests are **declarative JSON specs** — the same canonical payloads
   :class:`~repro.service.store.LandscapeSpec` hashes into cache keys
   (``Ansatz.cache_spec`` / ``NoiseModel.cache_spec`` / the cost-function
   ``cache_spec``) — resolved server-side by the registry in this module
   (:func:`ansatz_from_spec`, :func:`function_from_spec`,
-  :func:`grid_from_spec`).  Nothing on the v2 path ever unpickles;
+  :func:`grid_from_spec`).  A payload outside the registry has no wire
+  form at all: clients run it in-process instead;
 - binary payloads are explicit codecs: landscapes stay
   ``Landscape.to_bytes``/``from_bytes`` (base64 ``.npz``), numeric
   arrays are :func:`encode_array`/:func:`decode_array` (dtype-allowlisted
@@ -72,9 +73,7 @@ __all__ = [
 PROTOCOL_VERSION = 2
 
 #: Versions this server generation understands.  v1 (unversioned pickle
-#: frames) is deliberately absent: it is transport-gated, not
-#: version-negotiated — the Unix socket accepts it for one more release,
-#: TCP never does.
+#: frames) is retired on every transport.
 SUPPORTED_VERSIONS = (PROTOCOL_VERSION,)
 
 #: Structured error codes a v2 response may carry.
@@ -90,7 +89,7 @@ ERROR_CODES = (
 )
 
 #: The implicit tenant of unauthenticated Unix-socket requests — the
-#: daemon's legacy single-namespace store keeps serving under this name.
+#: daemon's default (pre-tenant) store keeps serving under this name.
 DEFAULT_TENANT = "local"
 
 #: Tenant names become store path components, so they are restricted to
@@ -349,7 +348,7 @@ def grid_to_spec(grid: Any) -> list[dict[str, Any]] | None:
     v2 request and the server-derived cache key describe the grid
     identically.  Stand-in grids (test doubles with only
     ``points_from_flat``) are not declaratively describable — callers
-    fall back to the legacy pickle path on the Unix socket.
+    evaluate them in-process.
     """
     from ..landscape.grid import ParameterGrid
 
@@ -569,10 +568,48 @@ def _zne_function_from_spec(
     )
 
 
+def _slice_function_from_spec(
+    spec: Mapping[str, Any], rng: np.random.Generator | None
+):
+    """A Tables 2-4 slice: two varying parameters, the rest frozen."""
+    from ..experiments.slices import SliceCostFunction, SliceSpec
+
+    ansatz = ansatz_from_spec(spec.get("ansatz"))
+    shots = spec.get("shots")
+    try:
+        varying = tuple(int(index) for index in spec["varying"])
+        fixed_values = np.array(
+            [float(value) for value in spec["fixed_values"]], dtype=float
+        )
+        shots = None if shots is None else int(shots)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ProtocolError("invalid-spec", f"invalid slice spec: {error}")
+    if (
+        len(varying) != 2
+        or fixed_values.shape != (ansatz.num_parameters,)
+        or not all(0 <= index < ansatz.num_parameters for index in varying)
+    ):
+        raise ProtocolError(
+            "invalid-spec",
+            "slice spec needs two varying indices and one fixed value per "
+            f"ansatz parameter ({ansatz.num_parameters})",
+        )
+    # The slice grid travels as the request's own grid spec; the cost
+    # function only reads the varying indices and frozen coordinates.
+    return SliceCostFunction(
+        ansatz,
+        SliceSpec(varying=varying, fixed_values=fixed_values, grid=None),
+        noise=noise_from_spec(spec.get("noise")),
+        shots=shots,
+        rng=rng,
+    )
+
+
 #: Cost-function registry: ``cache_spec()["kind"]`` -> builder.
 FUNCTION_BUILDERS: dict[str, Callable[..., Any]] = {
     "ansatz": _ansatz_function_from_spec,
     "zne": _zne_function_from_spec,
+    "slice": _slice_function_from_spec,
 }
 
 
@@ -606,7 +643,7 @@ def validate_function_spec(spec: Any) -> None:
     """Structural check that :func:`function_from_spec` could resolve
     ``spec`` (registered kind + registered ansatz type).  Raises
     :class:`ProtocolError` otherwise — the client uses this to decide
-    v2 vs the legacy pickle fallback without building anything."""
+    whether a request has a wire form without building anything."""
     if not isinstance(spec, Mapping):
         raise ProtocolError("invalid-spec", "function spec must be an object")
     kind = spec.get("kind")
@@ -627,7 +664,7 @@ def validate_function_spec(spec: Any) -> None:
 def function_to_spec(function: Any) -> dict[str, Any] | None:
     """Cost function -> declarative spec, or ``None`` when the function
     cannot describe itself in registry terms (a plain closure, a test
-    double) — the caller then falls back to the legacy pickle path."""
+    double, ``CdrCostFunction``) — the caller then runs it in-process."""
     describe = getattr(function, "cache_spec", None)
     if describe is None:
         return None

@@ -130,16 +130,22 @@ def _run_function_shard(
 
 def _run_ansatz_shard(
     task: tuple[
-        Ansatz, np.ndarray, Any, int | None, np.random.SeedSequence | None
+        Ansatz,
+        np.ndarray,
+        Any,
+        int | None,
+        np.random.SeedSequence | np.random.Generator | None,
     ],
 ) -> np.ndarray:
-    """Worker entry: evaluate one shard through ``expectation_many``."""
-    ansatz, rows, noise, shots, seed_sequence = task
-    rng = (
-        np.random.default_rng(seed_sequence)
-        if seed_sequence is not None
-        else None
-    )
+    """Worker entry: evaluate one shard through ``expectation_many``.
+
+    The last task element is the shard's rng: a spawned
+    ``SeedSequence`` (spawn mode), the caller's own generator (parity
+    mode, which only ever runs inline) or ``None``.
+    """
+    ansatz, rows, noise, shots, rng = task
+    if isinstance(rng, np.random.SeedSequence):
+        rng = np.random.default_rng(rng)
     return ansatz.expectation_many(rows, noise=noise, shots=shots, rng=rng)
 
 
@@ -239,21 +245,40 @@ class ShardedExecutor:
                 "order (pass seed= to spawn per-shard generators)"
             )
 
-    def _map(self, worker: Callable, tasks: list) -> list[np.ndarray]:
-        """Run shard tasks on the pool (or inline for a single task).
+    def _execute(
+        self,
+        worker: Callable,
+        points: np.ndarray,
+        stochastic: bool,
+        task: Callable[[Shard, np.random.SeedSequence | None], tuple],
+    ) -> np.ndarray:
+        """The one shard loop behind :meth:`run` and :meth:`run_ansatz`.
 
-        A caller-supplied persistent pool (``pool=``) is reused as-is;
+        Plan contiguous shards, refuse unseeded multiprocess shot noise,
+        spawn per-shard seed sequences (spawn mode), build one
+        ``task(shard, seed_sequence)`` per shard, run ``worker`` over
+        the tasks — inline in shard order with ``workers=1`` or a single
+        shard, else on the pool — and concatenate in shard order.  A
+        caller-supplied persistent pool (``pool=``) is reused as-is;
         otherwise an ephemeral pool is forked for this call and torn
         down afterwards.
         """
-        if len(tasks) == 1:
-            return [worker(tasks[0])]
+        shards = plan_shards(points.shape[0], self.shard_points)
+        if not shards:
+            return np.empty(0)
+        self._check_stochastic(stochastic)
+        sequences = self.shard_seed_sequences(len(shards), points)
+        tasks = [
+            task(shard, None if sequences is None else sequences[shard.index])
+            for shard in shards
+        ]
+        if self.workers == 1 or len(tasks) == 1:
+            return np.concatenate([worker(one) for one in tasks])
         if self.pool is not None:
-            return self.pool.map(worker, tasks)
-        context = _pool_context()
+            return np.concatenate(self.pool.map(worker, tasks))
         processes = min(self.workers, len(tasks))
-        with context.Pool(processes=processes) as pool:
-            return pool.map(worker, tasks)
+        with _pool_context().Pool(processes=processes) as pool:
+            return np.concatenate(pool.map(worker, tasks))
 
     # -- cost-function level (the LandscapeGenerator path) -----------------
 
@@ -268,41 +293,22 @@ class ShardedExecutor:
         ``function`` is anything :class:`~repro.landscape.generator.LandscapeGenerator`
         accepts (its batched ``many`` path is used when present, in
         ``batch_size``-point chunks per shard).  Returns the ``(m,)``
-        values in the original point order.
+        values in the original point order.  In parity mode every shard
+        runs the caller's function object itself, so its bound rng
+        threads through the shards in order.
         """
         points = np.asarray(points, dtype=float)
-        shards = plan_shards(points.shape[0], self.shard_points)
-        if not shards:
-            return np.empty(0)
-        stochastic = getattr(function, "shots", None) is not None
-        self._check_stochastic(stochastic)
-        sequences = self.shard_seed_sequences(len(shards), points)
-        if self.workers == 1:
-            parts = []
-            for shard in shards:
-                shard_function = function
-                if sequences is not None:
-                    shard_function = _with_rng(
-                        function, np.random.default_rng(sequences[shard.index])
-                    )
-                parts.append(
-                    evaluate_points_chunked(
-                        shard_function,
-                        points[shard.start : shard.stop],
-                        batch_size,
-                    )
-                )
-            return np.concatenate(parts)
-        tasks = [
-            (
+        return self._execute(
+            _run_function_shard,
+            points,
+            getattr(function, "shots", None) is not None,
+            lambda shard, sequence: (
                 function,
                 points[shard.start : shard.stop],
                 batch_size,
-                None if sequences is None else sequences[shard.index],
-            )
-            for shard in shards
-        ]
-        return np.concatenate(self._map(_run_function_shard, tasks))
+                sequence,
+            ),
+        )
 
     # -- ansatz level (the equivalence-harness path) -----------------------
 
@@ -327,9 +333,6 @@ class ShardedExecutor:
         batch = np.asarray(batch, dtype=float)
         if batch.ndim == 1:
             batch = batch[None, :]
-        shards = plan_shards(batch.shape[0], self.shard_points)
-        if not shards:
-            return np.empty(0)
         noise_rows: Sequence | None = None
         if noise is not None and not hasattr(noise, "is_ideal"):
             noise_rows = list(noise)
@@ -338,37 +341,17 @@ class ShardedExecutor:
                     f"per-row noise needs {batch.shape[0]} entries, "
                     f"got {len(noise_rows)}"
                 )
-        self._check_stochastic(shots is not None)
-        sequences = self.shard_seed_sequences(len(shards), batch)
+        # Only parity mode (workers=1, no seed) hands the caller's
+        # generator to the shards; pool workers never see it.
+        parity_rng = rng if self.workers == 1 else None
 
-        def shard_noise(shard: Shard):
-            if noise_rows is None:
-                return noise
-            return noise_rows[shard.start : shard.stop]
-
-        if self.workers == 1:
-            parts = []
-            for shard in shards:
-                shard_rng = rng
-                if sequences is not None:
-                    shard_rng = np.random.default_rng(sequences[shard.index])
-                parts.append(
-                    ansatz.expectation_many(
-                        batch[shard.start : shard.stop],
-                        noise=shard_noise(shard),
-                        shots=shots,
-                        rng=shard_rng,
-                    )
-                )
-            return np.concatenate(parts)
-        tasks = [
-            (
+        def task(shard: Shard, sequence: np.random.SeedSequence | None) -> tuple:
+            return (
                 ansatz,
                 batch[shard.start : shard.stop],
-                shard_noise(shard),
+                noise if noise_rows is None else noise_rows[shard.start : shard.stop],
                 shots,
-                None if sequences is None else sequences[shard.index],
+                parity_rng if sequence is None else sequence,
             )
-            for shard in shards
-        ]
-        return np.concatenate(self._map(_run_ansatz_shard, tasks))
+
+        return self._execute(_run_ansatz_shard, batch, shots is not None, task)

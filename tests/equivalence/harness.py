@@ -145,7 +145,7 @@ def _daemon_client():
 
     The daemon runs on a background thread of this process (workers=1,
     two-point shards — the same parity configuration as
-    :func:`sharded_engine`, plus the full socket/pickle round trip).
+    :func:`sharded_engine`, plus the full socket round trip).
     ``fallback=False`` so a dead daemon fails the matrix loudly instead
     of silently passing via local computation.
     """
@@ -196,63 +196,17 @@ def daemon_engine(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """The landscape daemon's ``evaluate`` op (socket round trip).
+    """The landscape daemon's ``evaluate`` op over its Unix socket.
 
-    The caller's ``rng`` is pickled to the daemon, consumed by its
-    executor (parity mode: workers=1, two-point shards), and its final
-    state is written back — so this engine must match the serial loop
-    in both values and rng stream position, proving the wire protocol
-    itself preserves the cross-engine contract.
+    Ansatz and noise ship as declarative specs, the batch as a typed
+    array codec, and the caller's ``rng`` as a JSON bit-generator state
+    that the daemon's executor consumes (parity mode: workers=1,
+    two-point shards) and sends back — so this engine must match the
+    serial loop in both values and rng stream position, proving the
+    wire protocol itself preserves the cross-engine contract.
     """
     return _daemon_client().evaluate_ansatz(
         ansatz, batch, noise=noise, shots=shots, rng=rng
-    )
-
-
-class _EnumeratedGrid:
-    """A picklable duck grid whose flat indices enumerate a fixed batch.
-
-    The sparse daemon op resolves ``flat index -> parameter point``
-    server-side via the grid's ``points_from_flat``; wrapping the test
-    batch in this stand-in makes ``compute_indices`` evaluate exactly
-    the batch rows, in order, so its output is directly comparable to
-    every dense engine.
-    """
-
-    def __init__(self, batch: np.ndarray):
-        self.batch = np.asarray(batch, dtype=float)
-
-    @property
-    def size(self) -> int:
-        return int(self.batch.shape[0])
-
-    def points_from_flat(self, flat_indices) -> np.ndarray:
-        return self.batch[np.asarray(flat_indices, dtype=np.int64)]
-
-
-def daemon_sparse_engine(
-    ansatz: Ansatz,
-    batch: np.ndarray,
-    noise=None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """The daemon's sparse ``compute_indices`` op (socket round trip).
-
-    Ships the batch as an enumerated grid plus the index set
-    ``0..B-1``, so the daemon resolves points from indices server-side
-    and runs them through its executor exactly like OSCAR's sampling
-    path — per-row noise sequences align with the index list, and the
-    caller's ``rng`` round-trips like the dense ``evaluate`` op's.
-    """
-    batch = np.asarray(batch, dtype=float)
-    return _daemon_client().evaluate_ansatz_indices(
-        ansatz,
-        _EnumeratedGrid(batch),
-        np.arange(batch.shape[0]),
-        noise=noise,
-        shots=shots,
-        rng=rng,
     )
 
 
@@ -265,12 +219,10 @@ def daemon_tcp_engine(
 ) -> np.ndarray:
     """The daemon's ``evaluate`` op over the authenticated TCP front.
 
-    Same daemon, same executor configuration as :func:`daemon_engine`,
-    but the request travels as a pickle-free v2 frame over TCP with a
-    bearer token: ansatz and noise go as declarative specs, the batch
-    as a typed array codec, and the caller's ``rng`` as a JSON state
-    object that round-trips — so matching the serial loop here proves
-    the network wire format preserves the full cross-engine contract.
+    Same daemon, same frames and executor configuration as
+    :func:`daemon_engine`, but over TCP with a bearer token — so
+    matching the serial loop here proves the authenticated network
+    listener preserves the full cross-engine contract too.
     """
     return _daemon_tcp_client().evaluate_ansatz(
         ansatz, batch, noise=noise, shots=shots, rng=rng
@@ -285,7 +237,6 @@ ENGINES: dict[str, EngineFn] = {
     "batched-density": batched_density_engine,
     "sharded": sharded_engine,
     "daemon": daemon_engine,
-    "daemon-sparse": daemon_sparse_engine,
     "daemon-tcp": daemon_tcp_engine,
 }
 REFERENCE_ENGINE = "serial"

@@ -1,10 +1,10 @@
 """Store read-through parity for the daemon's sparse path.
 
-The `daemon-sparse` engine in the main matrix covers the raw
-ansatz-shaped `compute_indices` path; this file pins the
-function-shaped service path's **read-through fast path**: an exact
-sparse request answered from a cached dense landscape must return the
-values an in-process evaluation of the subset would (to the harness's
+The sparse `compute_indices` op takes a cost function and a grid, so it
+is pinned here rather than in the engine matrix — on both listeners.
+Its **read-through fast path**: an exact sparse request answered from
+a cached dense landscape must return the values an in-process
+evaluation of the subset would (to the harness's
 ``ATOL`` — dense-grid and subset evaluations chunk differently, which
 legally reorders float operations) — the cached landscape is the same
 deterministic function, just precomputed.

@@ -57,11 +57,15 @@ def _client(daemon) -> LandscapeClient:
 
 
 def test_ping_and_is_alive(daemon):
+    import stat
+
     client = _client(daemon)
     assert client.is_alive()
     response = client.ping()
     assert response["workers"] == 1
     assert response["uptime"] >= 0.0
+    # Tokenless Unix callers act as the default tenant: owner-only.
+    assert stat.S_IMODE(daemon.socket_path.stat().st_mode) == 0o600
 
 
 def test_malformed_request_returns_structured_error(daemon):
@@ -80,14 +84,16 @@ def test_malformed_request_returns_structured_error(daemon):
 
 
 def test_unknown_op_is_a_structured_error(daemon):
-    with pytest.raises(DaemonError, match="unknown op"):
-        _client(daemon)._request({"op": "teleport"})
+    with pytest.raises(DaemonError, match="unknown op") as refused:
+        _client(daemon)._request({"version": 2, "op": "teleport"})
+    assert refused.value.code == "unknown-op"
     assert _client(daemon).is_alive()
 
 
 def test_compute_without_task_is_a_structured_error(daemon):
-    with pytest.raises(DaemonError, match="task"):
-        _client(daemon)._request({"op": "compute"})
+    with pytest.raises(DaemonError, match="function spec") as refused:
+        _client(daemon)._request({"version": 2, "op": "compute"})
+    assert refused.value.code == "invalid-spec"
 
 
 def test_shot_noise_without_seed_is_rejected(daemon, ansatz, grid):
@@ -147,10 +153,13 @@ def test_generator_daemon_wiring(daemon, ansatz, grid):
     np.testing.assert_allclose(first.values, local.values, rtol=0.0, atol=1e-10)
 
 
-def test_concurrent_identical_requests_compute_once(daemon, grid):
+def test_concurrent_identical_requests_compute_once(
+    daemon, ansatz, grid, monkeypatch
+):
     """Single-flight dedup: N concurrent identical computes -> one
     computation, every client gets the same landscape."""
-    function = _SlowConstant(delay=0.4)
+    _slow_down(monkeypatch, "local_grid_search", delay=0.4)
+    function = cost_function(ansatz)
     results: list = []
     errors: list = []
     barrier = threading.Barrier(3)
@@ -179,10 +188,15 @@ def test_concurrent_identical_requests_compute_once(daemon, grid):
     assert counters["deduped"] + counters["hits"] == 2
 
 
-def test_failed_compute_releases_the_flight(daemon, grid):
+def test_failed_compute_releases_the_flight(daemon, ansatz, grid, monkeypatch):
     """A compute that raises propagates to every waiter and clears the
     in-flight slot so a later request can retry."""
-    function = _Explosive()
+
+    def explode(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(LandscapeGenerator, "local_grid_search", explode)
+    function = cost_function(ansatz)
     client = _client(daemon)
     with pytest.raises(DaemonError, match="boom"):
         client.get_or_compute(function, grid)
@@ -389,10 +403,11 @@ def test_out_of_range_indices_are_a_daemon_error(daemon, ansatz, grid):
     assert client.is_alive()
 
 
-def test_concurrent_sparse_requests_dedup(daemon, grid):
+def test_concurrent_sparse_requests_dedup(daemon, ansatz, grid, monkeypatch):
     """Identical concurrent index sets single-flight into one
     evaluation, keyed on (dense spec, index set)."""
-    function = _SlowConstant(delay=0.4)
+    _slow_down(monkeypatch, "local_evaluate_indices", delay=0.4)
+    function = cost_function(ansatz)
     flat_indices = np.array([1, 5, 9])
     results: list = []
     errors: list = []
@@ -554,23 +569,23 @@ def test_pipeline_config_validation():
 
 
 def test_pipeline_op_rejects_non_config_task(daemon, ansatz, grid):
-    import pickle
+    from repro.service.protocol import function_to_spec, grid_to_spec
 
-    from repro.service.daemon import encode_blob
-
-    task = {
-        "function": cost_function(ansatz),
-        "grid": grid,
-        "config": {"fraction": 0.1},
+    frame = {
+        "version": 2,
+        "op": "pipeline",
+        "function": function_to_spec(cost_function(ansatz)),
+        "grid": grid_to_spec(grid),
         "sample_rng": 0,
-        "batch_size": None,
-        "seed": None,
-        "shard_points": None,
     }
-    with pytest.raises(DaemonError, match="PipelineConfig"):
-        _client(daemon)._request(
-            {"op": "pipeline", "task": encode_blob(pickle.dumps(task))}
-        )
+    for config, detail in (
+        ([0.1], "needs a 'config' object"),
+        ({"sampler": "uniform"}, "invalid pipeline config"),
+    ):
+        with pytest.raises(DaemonError, match=detail) as refused:
+            _client(daemon)._request({**frame, "config": config})
+        assert refused.value.code == "invalid-spec"
+    assert _client(daemon).stats()["counters"]["pipeline_runs"] == 0
 
 
 # -- CLI wiring ---------------------------------------------------------------
@@ -636,41 +651,23 @@ def test_cli_cache_stats_directory_and_daemon(daemon, tmp_path, capsys):
 # -- helpers ------------------------------------------------------------------
 
 
-class _SlowConstant:
-    """Picklable cost function whose many() sleeps once per chunk (to
-    hold a compute in flight while followers pile up)."""
+def _slow_down(monkeypatch, method: str, delay: float) -> None:
+    """Make ``LandscapeGenerator.<method>`` sleep before computing, so a
+    request stays in flight while followers pile up.  A ``workers=1``
+    daemon computes on its request threads in this process, so the
+    patch reaches its server-side generators."""
+    original = getattr(LandscapeGenerator, method)
 
-    num_qubits = 2
-    shots = None
+    def slow(self, *args, **kwargs):
+        time.sleep(delay)
+        return original(self, *args, **kwargs)
 
-    def __init__(self, delay: float):
-        self.delay = delay
-
-    def __call__(self, point) -> float:
-        return 0.0
-
-    def many(self, points) -> np.ndarray:
-        time.sleep(self.delay)
-        return np.zeros(np.asarray(points).shape[0])
-
-    def cache_spec(self) -> dict:
-        return {"kind": "slow-constant", "delay": self.delay}
+    monkeypatch.setattr(LandscapeGenerator, method, slow)
 
 
-class _Explosive:
-    """Picklable cost function that always fails server-side."""
-
-    num_qubits = 2
-    shots = None
-
-    def __call__(self, point) -> float:
-        raise RuntimeError("boom")
-
-    def many(self, points):
-        raise RuntimeError("boom")
-
-    def cache_spec(self) -> dict:
-        return {"kind": "explosive"}
+def _unspecable(point) -> float:
+    """A plain cost closure: no ``cache_spec``, so no wire form."""
+    return float(np.sum(np.cos(point)))
 
 
 # -- TCP front: auth and limits ----------------------------------------------
@@ -705,16 +702,33 @@ def _tcp_daemon(tmp_path, **overrides):
     return daemon
 
 
-def _tcp_send(daemon, message, timeout=30.0):
+def _connect(daemon, listener: str, timeout: float = 30.0) -> socket.socket:
+    if listener == "tcp":
+        return socket.create_connection(daemon.tcp_address, timeout=timeout)
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(timeout)
+    conn.connect(str(daemon.socket_path))
+    return conn
+
+
+def _send_frame(daemon, message, listener="tcp"):
     """One raw frame out, one response line back (b"" = closed)."""
     import json
 
-    with socket.create_connection(daemon.tcp_address, timeout=timeout) as conn:
+    with _connect(daemon, listener) as conn:
         payload = message if isinstance(message, bytes) else json.dumps(message).encode()
         conn.sendall(payload + b"\n")
         with conn.makefile("rb") as stream:
             line = stream.readline()
     return json.loads(line) if line else None
+
+
+def _listener_client(daemon, listener: str, **kwargs) -> LandscapeClient:
+    """A client on either listener (TCP authenticates as alice)."""
+    if listener == "tcp":
+        host, port = daemon.tcp_address
+        return LandscapeClient(f"tcp://{host}:{port}", token="tok-alice", **kwargs)
+    return LandscapeClient(daemon.socket_path, **kwargs)
 
 
 def test_tcp_requires_tokens_file(tmp_path):
@@ -756,7 +770,7 @@ def test_bad_tokens_get_auth_errors_without_pool_work(tmp_path, token, detail):
         }
         if token is not None:
             frame["token"] = token
-        response = _tcp_send(daemon, frame)
+        response = _send_frame(daemon, frame)
         assert response["ok"] is False
         assert response["error"]["code"] == "auth"
         assert detail in response["error"]["message"]
@@ -797,7 +811,7 @@ def test_payload_over_limit_gets_too_large_then_disconnect(tmp_path):
                 assert response["error"]["code"] == "too-large"
                 assert stream.readline() == b"", "connection must close"
         # the daemon itself keeps serving
-        assert _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})["ok"]
+        assert _send_frame(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})["ok"]
     finally:
         daemon.close()
 
@@ -810,7 +824,7 @@ def test_idle_connections_are_disconnected(tmp_path):
             with conn.makefile("rb") as stream:
                 assert stream.readline() == b"", "idle connection must be dropped"
             assert time.monotonic() - start < 10.0
-        assert _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})["ok"]
+        assert _send_frame(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})["ok"]
     finally:
         daemon.close()
 
@@ -828,7 +842,7 @@ def test_connection_cap_sheds_with_retryable_error(tmp_path):
             held_stream = held.makefile("rb")
             assert json.loads(held_stream.readline())["ok"] is True
 
-            response = _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})
+            response = _send_frame(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})
             assert response["ok"] is False
             assert response["error"]["code"] == "overloaded"
             assert response["error"]["retryable"] is True
@@ -836,7 +850,7 @@ def test_connection_cap_sheds_with_retryable_error(tmp_path):
         # capacity frees up once the held connection goes away
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            retry = _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})
+            retry = _send_frame(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})
             if retry and retry.get("ok"):
                 break
             time.sleep(0.05)
@@ -846,38 +860,102 @@ def test_connection_cap_sheds_with_retryable_error(tmp_path):
         daemon.close()
 
 
-def test_legacy_pickle_op_over_tcp_is_refused(tmp_path, ansatz):
-    """An unversioned (v1, pickled-task) frame over TCP never reaches a
-    handler: structured ``unsupported-version``, nothing unpickled."""
+@pytest.mark.parametrize("listener", ["unix", "tcp"])
+def test_legacy_pickle_op_over_tcp_is_refused(tmp_path, ansatz, listener):
+    """An unversioned (v1, pickled-task) frame never reaches a handler on
+    either listener: structured ``unsupported-version``, nothing
+    unpickled, no op counter moved."""
     import base64
     import pickle
 
     daemon = _tcp_daemon(tmp_path)
     try:
         task = base64.b64encode(pickle.dumps({"ansatz": ansatz})).decode()
-        response = _tcp_send(daemon, {"op": "evaluate", "task": task})
+        response = _send_frame(daemon, {"op": "evaluate", "task": task}, listener)
         assert response["ok"] is False
         assert response["error"]["code"] == "unsupported-version"
         with daemon._counter_lock:
-            assert daemon._counters["evaluations"] == 0
+            counters = dict(daemon._counters)
+            tenant_ops = dict(daemon._tenant_counters)
+        assert counters["evaluations"] == 0 and counters["computed"] == 0
+        assert tenant_ops == {}, "a refused frame must not be attributed"
     finally:
         daemon.close()
 
 
-def test_tcp_client_refuses_unspecable_payloads_client_side(tmp_path):
-    """A cost function that cannot describe itself declaratively fails
-    in the client over TCP (the pickle fallback is Unix-only)."""
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("listener", ["unix", "tcp"])
+def test_tcp_client_refuses_unspecable_payloads_client_side(
+    tmp_path, listener, fallback
+):
+    """A cost function that cannot describe itself declaratively has no
+    wire form on either transport: ``fallback=False`` refuses it
+    client-side with ``invalid-spec``, ``fallback=True`` computes it
+    in-process like a request with no daemon.  Nothing is sent."""
     daemon = _tcp_daemon(tmp_path)
     try:
-        host, port = daemon.tcp_address
-        client = LandscapeClient(
-            f"tcp://{host}:{port}", fallback=False, token="tok-alice"
-        )
+        client = _listener_client(daemon, listener, fallback=fallback)
         grid = qaoa_grid(p=1, resolution=(4, 4))
-        with pytest.raises(DaemonError) as refused:
-            client.get_or_compute(_SlowConstant(0.0), grid)
-        assert refused.value.code == "invalid-spec"
+        if fallback:
+            landscape = client.get_or_compute(_unspecable, grid)
+            local = LandscapeGenerator(_unspecable, grid).grid_search()
+            np.testing.assert_allclose(
+                landscape.values, local.values, rtol=0.0, atol=1e-10
+            )
+            assert client.fallbacks == 1
+            assert client.last_served_by == "local"
+        else:
+            with pytest.raises(DaemonError) as refused:
+                client.get_or_compute(_unspecable, grid)
+            assert refused.value.code == "invalid-spec"
+            assert client.fallbacks == 0
         with daemon._counter_lock:
             assert daemon._counters["computed"] == 0
+            assert daemon._counters["requests"] == 0
+    finally:
+        daemon.close()
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+def test_tables_slice_is_daemon_served_over_tcp(tmp_path, noisy):
+    """Tables 2-4 slices have a wire form (the ``slice`` function spec):
+    over authenticated TCP a slice computes, then hits, matches the
+    in-process slice landscape, and is stored under the key the client
+    derives locally."""
+    from repro.ansatz import TwoLocalAnsatz
+    from repro.experiments.slices import random_slice, slice_generator
+    from repro.problems import sk_problem
+    from repro.quantum import NoiseModel
+    from repro.service.protocol import function_to_spec, grid_to_spec
+
+    ansatz = TwoLocalAnsatz(sk_problem(4, seed=3).to_pauli_sum(), reps=1)
+    spec = random_slice(ansatz, 5, rng=np.random.default_rng(7))
+    noise = NoiseModel(p1=0.003, p2=0.007, readout=0.01) if noisy else None
+    daemon = _tcp_daemon(tmp_path)
+    try:
+        client = _listener_client(daemon, "tcp", fallback=False)
+        generator = slice_generator(ansatz, spec, noise=noise, daemon=client)
+        computed = generator.grid_search(label="slice")
+        assert client.last_served_by == "daemon-computed"
+        served = generator.grid_search(label="slice")
+        assert client.last_served_by == "daemon-hit"
+
+        local = slice_generator(ansatz, spec, noise=noise).grid_search()
+        np.testing.assert_allclose(
+            computed.values, local.values, rtol=0.0, atol=1e-10
+        )
+        np.testing.assert_array_equal(served.values, computed.values)
+
+        response = client._request(
+            {
+                "version": 2,
+                "op": "compute",
+                "token": client.token,
+                "function": function_to_spec(generator.function),
+                "grid": grid_to_spec(generator.grid),
+            }
+        )
+        assert response["hit"] is True
+        assert response["key"] == generator.cache_spec().key()
     finally:
         daemon.close()
