@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's per-experiment index).  Numbers are printed and also written
-to ``benchmarks/results/<name>.txt`` so the artifacts survive pytest's
-output capture; EXPERIMENTS.md is compiled from those files.
+Every benchmark regenerates one of the paper's tables or figures (the
+file name says which).  Numbers are printed and also written to
+``benchmarks/results/<name>.txt`` so the artifacts survive pytest's
+output capture.  That directory is gitignored; CI uploads it as the
+``benchmark-smoke-results`` artifact.
 """
 
 from __future__ import annotations

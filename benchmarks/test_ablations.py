@@ -1,4 +1,5 @@
-"""Ablations over the design choices DESIGN.md calls out:
+"""Ablations over the reproduction's design choices, each against the
+paper's pick:
 
 1. L1 solver: FISTA (default) vs OMP vs basis-pursuit LP,
 2. sparsifying basis: DCT-II (paper) vs DST-II,

@@ -2,7 +2,8 @@
 panels: (p=1, ideal), (p=1, noisy), (p=2, ideal), (p=2, noisy).
 
 Scaled from the paper's 12-30 qubits / 16 instances to 6-12 qubits / 3
-instances (see DESIGN.md scaling note).  The shape checks assert what
+instances so the sweep runs on a CPU (the scaling rationale is in
+``repro/experiments/configs.py``).  The shape checks assert what
 the paper's panels show: error decreases with sampling fraction and
 stays small across qubit counts for p=1; p=2 errors are higher due to
 the 4-D -> 2-D reshape."""

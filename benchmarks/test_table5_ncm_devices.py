@@ -1,11 +1,11 @@
 """Table 5 — NCM across device/simulator source combinations at the
 paper's sample splits (20/80, 50/50, 80/20, 100/0).
 
-Devices are the simulated profiles of DESIGN.md's substitution table
-("ibm-lagos"/"ibm-perth" with shot+readout noise, ideal and noisy
-simulators exact).  Shape checks mirror the paper: +NCM reduces the
-error for every pair and split, and errors shrink as the QPU-1 share
-grows."""
+Devices are simulated stand-ins for the paper's hardware
+(``repro.hardware.DEVICE_PROFILES``: "ibm-lagos"/"ibm-perth" with
+shot+readout noise, ideal and noisy simulators exact).  Shape checks
+mirror the paper: +NCM reduces the error for every pair and split, and
+errors shrink as the QPU-1 share grows."""
 
 from __future__ import annotations
 

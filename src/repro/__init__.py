@@ -20,7 +20,7 @@ Quickstart::
     landscape, report = oscar.reconstruct(generator, fraction=0.06)
     print(report.speedup, "x fewer circuit executions than grid search")
 
-Subpackage map (details in DESIGN.md):
+Subpackage map (the service stack is laid out in ``docs/architecture.md``):
 
 - :mod:`repro.quantum` — simulation substrate (circuits, statevector,
   density matrix, trajectories, noise),

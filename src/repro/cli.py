@@ -708,17 +708,25 @@ def _command_cache(args: argparse.Namespace) -> int:
             f"{stats['payload_bytes']} payload bytes (budget: {budget})"
         )
         return 0
-    entries = store.entries()
-    if not entries:
-        print(f"no cached landscapes in {store.root}")
+    return _print_listing(
+        f"in {store.root}",
+        [(entry.key, entry.payload_bytes, entry.label) for entry in store.entries()],
+    )
+
+
+def _print_listing(where: str, rows: list[tuple[str, int, str]]) -> int:
+    """``oscar-repro cache list`` output: one ``(key, bytes, label)`` row
+    per entry, least recently used first (the order both sources use)."""
+    if not rows:
+        print(f"no cached landscapes {where}")
         return 0
-    print(f"{len(entries)} cached landscape(s) in {store.root} "
-          f"({store.total_bytes()} payload bytes), LRU first:")
-    for entry in entries:
-        print(
-            f"  {entry.key}  {entry.payload_bytes:>8d} B  "
-            f"access {entry.access:>4d}  {entry.label}"
-        )
+    total = sum(size for _, size, _ in rows)
+    print(
+        f"{len(rows)} cached landscape(s) {where} "
+        f"({total} payload bytes), LRU first:"
+    )
+    for key, size, label in rows:
+        print(f"  {key}  {size:>8d} B  {label}")
     return 0
 
 
@@ -777,17 +785,13 @@ def _cache_from_daemon(client, action: str) -> int:
                 )
             print(f"  tenant {tenant}: {usage}" + (f"  ops: {ops}" if ops else ""))
         return 0
-    entries = client.index()
-    if not entries:
-        print("no cached landscapes served by the daemon")
-        return 0
-    print(f"{len(entries)} cached landscape(s), LRU first:")
-    for entry in entries:
-        print(
-            f"  {entry['key']}  {entry['payload_bytes']:>8d} B  "
-            f"access {entry['access']:>4d}  {entry['label']}"
-        )
-    return 0
+    return _print_listing(
+        "served by the daemon",
+        [
+            (entry["key"], entry["payload_bytes"], entry["label"])
+            for entry in client.index()
+        ],
+    )
 
 
 _COMMANDS = {

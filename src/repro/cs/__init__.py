@@ -3,8 +3,8 @@
 - :mod:`~repro.cs.dct` — orthonormal DCT transforms and sparsity metrics,
 - :mod:`~repro.cs.solvers` — FISTA-Lasso, OMP, basis-pursuit LP,
 - :mod:`~repro.cs.sampling` — random/stratified grid samplers,
-- :mod:`~repro.cs.reconstruct` — partial-sample signal recovery and the
-  solver registry,
+- :mod:`~repro.cs.reconstruct` — partial-sample signal recovery with
+  the FISTA, OMP and basis-pursuit solvers,
 - :mod:`~repro.cs.engine` — the batched multi-landscape reconstruction
   engine (one vectorized FISTA loop over a stack of problems).
 """
@@ -27,7 +27,6 @@ from .reconstruct import (
     available_solvers,
     reconstruct_signal,
     reconstruction_operators,
-    register_solver,
 )
 from .sampling import (
     flat_to_grid_indices,
@@ -61,7 +60,6 @@ __all__ = [
     "reconstruct_signal",
     "reconstruct_signals",
     "reconstruction_operators",
-    "register_solver",
     "flat_to_grid_indices",
     "sample_count_for_fraction",
     "stratified_indices",

@@ -41,8 +41,6 @@ import numpy as np
 
 from .dct import inverse_transform, transform
 from .reconstruct import (
-    _SOLVER_REGISTRY,
-    _solve_fista,
     ReconstructionConfig,
     reconstruct_signal,
     validate_sample_set,
@@ -109,14 +107,10 @@ class ReconstructionEngine:
             raise ValueError("need one warm start (or None) per problem")
         if not problems:
             return []
-        # The batched loop replicates the *built-in* FISTA exactly; a
-        # registry override of "fista", a non-FISTA solver, or the
-        # backtracking mode (lipschitz=None) all route serially.
-        if (
-            self.config.solver != "fista"
-            or self.config.lipschitz is None
-            or _SOLVER_REGISTRY.get("fista") is not _solve_fista
-        ):
+        # The batched loop replicates the serial FISTA exactly; a
+        # non-FISTA solver or the backtracking mode (lipschitz=None)
+        # routes serially.
+        if self.config.solver != "fista" or self.config.lipschitz is None:
             return self._solve_serial(problems, warm_starts)
         coefficients, iterations, converged, lambdas = self._solve_batched_fista(
             problems, warm_starts

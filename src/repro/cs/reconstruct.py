@@ -9,9 +9,8 @@ operator restricts the synthesised signal to the sampled flat indices.
 Because the basis is orthonormal, the adjoint embeds the residual at the
 sampled indices and applies the forward DCT — both matrix-free.
 
-Solvers are looked up in a small registry (:func:`register_solver` /
-:func:`available_solvers`) keyed by :attr:`ReconstructionConfig.solver`,
-so new recovery algorithms plug in without touching the dispatch.  The
+:attr:`ReconstructionConfig.solver` picks one of three built-in solvers
+(``fista``, ``omp``, ``bp``; see :func:`available_solvers`).  The
 FISTA path supports warm starts (``warm_start=`` on
 :func:`reconstruct_signal`), gradient-based adaptive momentum restart
 and a backtracking line search (``lipschitz=None``) — all exposed as
@@ -23,7 +22,6 @@ which runs one vectorized FISTA loop over a whole stack of problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
 
 import numpy as np
 
@@ -35,7 +33,6 @@ __all__ = [
     "available_solvers",
     "reconstruct_signal",
     "reconstruction_operators",
-    "register_solver",
     "validate_sample_set",
 ]
 
@@ -84,8 +81,8 @@ class ReconstructionConfig:
     """Knobs of the CS reconstruction.
 
     Attributes:
-        solver: a registered solver name — ``"fista"`` (default),
-            ``"omp"`` or ``"bp"`` (see :func:`available_solvers`).
+        solver: ``"fista"`` (default), ``"omp"`` or ``"bp"`` (see
+            :func:`available_solvers`).
         lam: L1 penalty for FISTA; ``None`` = auto heuristic.
         max_iterations: FISTA iteration cap.
         tolerance: FISTA relative-change stopping tolerance.
@@ -154,34 +151,9 @@ def reconstruction_operators(
     return forward, adjoint
 
 
-class _SolverEntry(Protocol):
-    def __call__(
-        self,
-        shape: tuple[int, ...],
-        flat_indices: np.ndarray,
-        values: np.ndarray,
-        config: ReconstructionConfig,
-        warm_start: np.ndarray | None,
-    ) -> SolverResult: ...
-
-
-_SOLVER_REGISTRY: dict[str, _SolverEntry] = {}
-
-
-def register_solver(name: str, solve: _SolverEntry) -> None:
-    """Register a named solver backend for :func:`reconstruct_signal`.
-
-    ``solve`` receives ``(shape, flat_indices, values, config,
-    warm_start)`` and returns a
-    :class:`~repro.cs.solvers.SolverResult` whose coefficients live in
-    ``config.basis``.  Registering an existing name replaces it.
-    """
-    _SOLVER_REGISTRY[name] = solve
-
-
 def available_solvers() -> tuple[str, ...]:
     """Names accepted by :attr:`ReconstructionConfig.solver`."""
-    return tuple(sorted(_SOLVER_REGISTRY))
+    return tuple(sorted(_SOLVERS))
 
 
 def reconstruct_signal(
@@ -212,11 +184,11 @@ def reconstruct_signal(
     if flat_indices.shape[0] != values.shape[0]:
         raise ValueError("indices and values must have matching lengths")
     try:
-        solve = _SOLVER_REGISTRY[config.solver]
+        solve = _SOLVERS[config.solver]
     except KeyError:
         raise ValueError(
             f"unknown solver {config.solver!r}; "
-            f"registered: {available_solvers()}"
+            f"choose from {available_solvers()}"
         ) from None
     result = solve(shape, flat_indices, values, config, warm_start)
     signal = inverse_transform(result.coefficients.reshape(shape), config.basis)
@@ -230,7 +202,7 @@ def _solve_fista(
     config: ReconstructionConfig,
     warm_start: np.ndarray | None,
 ) -> SolverResult:
-    """Registry entry: matrix-free FISTA (the landscape-scale default)."""
+    """Matrix-free FISTA (the landscape-scale default)."""
     forward, adjoint = reconstruction_operators(shape, flat_indices, config.basis)
     return fista_lasso(
         forward,
@@ -254,7 +226,7 @@ def _solve_omp(
     config: ReconstructionConfig,
     warm_start: np.ndarray | None,
 ) -> SolverResult:
-    """Registry entry: orthogonal matching pursuit (ablations)."""
+    """Orthogonal matching pursuit (ablations)."""
     forward, adjoint = reconstruction_operators(shape, flat_indices, config.basis)
     return omp(forward, adjoint, values, shape, max_atoms=config.max_atoms)
 
@@ -266,7 +238,7 @@ def _solve_basis_pursuit(
     config: ReconstructionConfig,
     warm_start: np.ndarray | None,
 ) -> SolverResult:
-    """Registry entry: dense basis-pursuit LP (small grids only)."""
+    """Dense basis-pursuit LP (small grids only)."""
     if config.basis != "dct":
         raise ValueError("basis pursuit path only supports the DCT basis")
     size = int(np.prod(shape))
@@ -289,6 +261,6 @@ def _solve_basis_pursuit(
     )
 
 
-register_solver("fista", _solve_fista)
-register_solver("omp", _solve_omp)
-register_solver("bp", _solve_basis_pursuit)
+#: Every solver takes ``(shape, flat_indices, values, config,
+#: warm_start)`` and returns coefficients in ``config.basis``.
+_SOLVERS = {"fista": _solve_fista, "omp": _solve_omp, "bp": _solve_basis_pursuit}

@@ -4,8 +4,8 @@ The paper's hardware evaluation (Figs. 5-6) uses the landscapes that
 Harrigan et al. (Nature Physics 2021) measured on the 53-qubit Sycamore
 processor: 50 x 50 (beta, gamma) grids for MaxCut on 3-regular and mesh
 ("hardware grid") graphs and for the SK model.  That dataset is not
-available offline, so — per the substitution rule in DESIGN.md — we
-generate landscapes with the same grid shape and noise character:
+available offline, so we substitute simulated landscapes with the same
+grid shape and noise character:
 
 1. compute the exact p=1 QAOA landscape for the matching problem class
    with the fast statevector evaluator;

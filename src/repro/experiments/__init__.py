@@ -1,7 +1,8 @@
 """Experiment runners that regenerate every table and figure.
 
-Each module maps to paper artifacts (see DESIGN.md's per-experiment
-index):
+Each module maps to paper artifacts, and each artifact has a benchmark
+named after it (``benchmarks/test_fig4_sampling_fraction.py``,
+``benchmarks/test_table5_ncm_devices.py``, ...):
 
 - :mod:`~repro.experiments.tables` — Tables 2, 3, 4,
 - :mod:`~repro.experiments.sampling_study` — Figs. 4, 6,

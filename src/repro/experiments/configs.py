@@ -3,13 +3,13 @@
 The paper's experiments run up to 30 qubits on GPU simulators and real
 hardware; this reproduction targets one CPU core, so every experiment
 has a scaled default configuration here.  Benchmarks import these so
-the scaling story lives in exactly one place (and EXPERIMENTS.md
-documents the mapping paper-size -> repro-size).
+the scaling story lives in exactly one place: each
+:class:`ExperimentScale` attribute names the paper's size next to the
+scaled default.
 
-Two tiers are provided: ``SMOKE`` (seconds; used by the test suite and
-CI-style runs) and ``FULL`` (minutes; used when regenerating
-EXPERIMENTS.md numbers).  Benchmarks default to SMOKE-to-FULL
-intermediates chosen to finish in a few minutes total.
+Two tiers are provided: ``SMOKE`` (seconds; used by the test suite) and
+``DEFAULT`` (the runners' default).  Benchmarks build their own
+intermediate scales, chosen to finish in a few minutes total.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Runners for the paper's Tables 2, 3 and 4.
 
 Each runner returns a list of result rows mirroring the paper's table
-layout so the benchmark harness can print paper-style tables and
-EXPERIMENTS.md can record paper-vs-measured values.
+layout, so the benchmark harness prints paper-style tables that read
+side by side with the paper's (``benchmarks/test_table2_*.py`` to
+``test_table4_*.py``).
 """
 
 from __future__ import annotations

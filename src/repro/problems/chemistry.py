@@ -12,7 +12,8 @@ structure packages; offline we use published reduced qubit Hamiltonians:
   Z/ZZ terms dominating, weaker XX/YY/XZ exchange terms).  Coefficients
   are representative rather than chemically exact; the landscape
   experiments only require a realistic multi-term, partly off-diagonal
-  4-qubit Hamiltonian (see DESIGN.md substitution table).
+  4-qubit Hamiltonian, so this stands in for the electronic-structure
+  derivation.
 
 Both return :class:`~repro.problems.pauli.PauliSum` objects.
 """

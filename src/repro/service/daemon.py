@@ -14,12 +14,7 @@ daemon
 - **single-flights identical requests**: concurrent ``compute``
   requests for the same :class:`~repro.service.store.LandscapeSpec`
   key join one in-flight computation instead of racing the pool — the
-  leader computes, followers wait on the result;
-- **makes LRU accounting single-writer**: every store read/write runs
-  under the daemon's store lock in one process, which closes the
-  documented last-writer-wins hazard of multiple processes bumping the
-  access counter independently (the ``flock`` fallback in the store
-  remains for direct multi-process use without a daemon).
+  leader computes, followers wait on the result.
 
 Wire protocol — **JSON lines**, version 2
 (:mod:`repro.service.protocol`): each request is a single
@@ -201,7 +196,7 @@ class LandscapeDaemon:
             it under ~100 characters, the kernel's path limit).
         workers: process count for the persistent pool.  ``1`` serves
             every request in-process (no pool) — still useful for the
-            shared cache, single-flight dedup, and single-writer LRU.
+            shared cache and single-flight dedup.
         cache_dir: directory for the daemon's
             :class:`~repro.service.store.LandscapeStore`.  ``None``
             (and no ``store``) disables caching: every ``compute``

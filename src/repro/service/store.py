@@ -13,16 +13,17 @@ Store layout (one directory, two files per entry)::
 
     <root>/
         <key>.npz    # Landscape.save payload (values + axes + metadata)
-        <key>.json   # manifest: spec payload, label, sizes, access stamp
+        <key>.json   # manifest: spec payload, label, creation time
 
 The manifest keeps the full spec next to the payload so entries are
-self-describing (``oscar-repro cache list`` prints them).  Eviction is
-LRU over a byte budget: every read bumps a monotonically increasing
-access stamp (persisted in the manifest, so recency survives process
-restarts), and :meth:`LandscapeStore.put` drops the least recently used
-entries until the store fits ``max_bytes`` again.  The entry being
-written is exempt, so a single landscape larger than the budget still
-caches.
+self-describing (``oscar-repro cache list`` prints them); only ``put``
+writes it.  Recency is the payload's mtime, which ``put`` and every hit
+set to the wall clock in ns, and :meth:`LandscapeStore.put` evicts the
+least recently used entries until the store fits ``max_bytes`` again.
+The entry being written is exempt, so a single landscape larger than
+the budget still caches.  LRU resolution is the file system's
+timestamp resolution, and a backward wall-clock step can misorder
+recency but never loses or corrupts an entry.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class StoreEntry:
     key: str
     label: str
     payload_bytes: int
-    access: int
+    access: int  # the payload's mtime in ns: the LRU order
     created: float
     spec_payload: Mapping[str, Any]
     path: Path
@@ -227,11 +228,6 @@ class LandscapeStore:
 
     # -- key/path plumbing -------------------------------------------------
 
-    @staticmethod
-    def key_for(spec: LandscapeSpec) -> str:
-        """The cache key a spec resolves to."""
-        return spec.key()
-
     def _payload_path(self, key: str) -> Path:
         return self.root / f"{key}.npz"
 
@@ -265,40 +261,16 @@ class LandscapeStore:
         finally:
             temp.unlink(missing_ok=True)
 
-    def _next_access_stamp(self) -> int:
-        """Monotone LRU stamp from an O(1) counter file.
-
-        The read-modify-write runs under an advisory ``flock`` on a
-        sidecar lock file where the platform provides one, so
-        concurrent processes never hand out duplicate stamps (which
-        would let eviction's tie-break drop a just-read entry).  Falls
-        back to a manifest scan when the counter is missing or damaged
-        (hand-pruned store), so recency never resets to zero.
-        """
-        counter_path = self.root / "_counter.json"
-
-        def bump() -> int:
-            try:
-                stamp = int(json.loads(counter_path.read_text())["next"])
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                stamps = [entry.access for entry in self.entries()]
-                stamp = (max(stamps) + 1) if stamps else 1
-            self._write_atomic(
-                counter_path,
-                lambda path: path.write_text(json.dumps({"next": stamp + 1})),
-            )
-            return stamp
-
+    @staticmethod
+    def _stamp(payload_path: Path) -> bool:
+        """Set the payload's mtime to now, or ``False`` if it is gone (a
+        write's own mtime is tick-coarse and would tie back-to-back puts)."""
+        now = time.time_ns()
         try:
-            import fcntl
-        except ImportError:  # non-POSIX: unlocked last-writer-wins
-            return bump()
-        with open(self.root / "_counter.lock", "a+") as lock_file:
-            fcntl.flock(lock_file, fcntl.LOCK_EX)
-            try:
-                return bump()
-            finally:
-                fcntl.flock(lock_file, fcntl.LOCK_UN)
+            os.utime(payload_path, ns=(now, now))
+        except FileNotFoundError:
+            return False
+        return True
 
     # -- core operations ---------------------------------------------------
 
@@ -308,7 +280,7 @@ class LandscapeStore:
         return self._payload_path(key).exists() and self._manifest_path(key).exists()
 
     def get(self, spec_or_key: LandscapeSpec | str) -> Landscape | None:
-        """Load a cached landscape (bumping its LRU stamp), or ``None``.
+        """Load a cached landscape (stamping its payload), or ``None``.
 
         Any read failure — a concurrent writer or eviction racing this
         load, a damaged payload — degrades to a cache miss rather than
@@ -317,18 +289,14 @@ class LandscapeStore:
         key = self._resolve_key(spec_or_key)
         if not self.contains(key):
             return None
-        manifest = self._read_manifest(self._manifest_path(key))
-        if manifest is None:
+        if self._read_manifest(self._manifest_path(key)) is None:
             return None
         try:
             landscape = Landscape.load(self._payload_path(key))
         except Exception:
             return None
-        manifest["access"] = self._next_access_stamp()
-        self._write_atomic(
-            self._manifest_path(key),
-            lambda path: path.write_text(json.dumps(manifest, indent=1)),
-        )
+        if not self._stamp(self._payload_path(key)):
+            return None  # invalidated or evicted since the load
         return landscape
 
     def put(self, spec: LandscapeSpec, landscape: Landscape) -> str:
@@ -342,13 +310,12 @@ class LandscapeStore:
         key = spec.key()
         payload_path = self._payload_path(key)
         self._write_atomic(payload_path, landscape.save)
+        self._stamp(payload_path)
         manifest = {
             "key": key,
             "spec": spec.payload(),
             "label": landscape.label,
             "circuit_executions": int(landscape.circuit_executions),
-            "payload_bytes": payload_path.stat().st_size,
-            "access": self._next_access_stamp(),
             "created": time.time(),
         }
         self._write_atomic(
@@ -399,21 +366,23 @@ class LandscapeStore:
         """All cached entries, least recently used first."""
         out = []
         for manifest_path in sorted(self.root.glob("*.json")):
-            if ".tmp-" in manifest_path.name or manifest_path.name.startswith("_"):
-                continue  # in-flight writes and the access counter
+            if ".tmp-" in manifest_path.name:
+                continue  # an in-flight write
             manifest = self._read_manifest(manifest_path)
             if manifest is None or "key" not in manifest:
                 continue
             key = str(manifest["key"])
             payload_path = self._payload_path(key)
-            if not payload_path.exists():
+            try:
+                payload = payload_path.stat()
+            except FileNotFoundError:
                 continue
             out.append(
                 StoreEntry(
                     key=key,
                     label=str(manifest.get("label", "")),
-                    payload_bytes=int(manifest.get("payload_bytes", 0)),
-                    access=int(manifest.get("access", 0)),
+                    payload_bytes=payload.st_size,
+                    access=payload.st_mtime_ns,
                     created=float(manifest.get("created", 0.0)),
                     spec_payload=manifest.get("spec", {}),
                     path=payload_path,

@@ -80,7 +80,8 @@ def test_dst_recovers_dst_sparse_signal():
 def test_dct_beats_dst_on_nonzero_boundary_landscape(qaoa6, medium_grid):
     """VQA landscapes have non-zero boundaries, violating the DST's
     implicit odd extension — the DCT should reconstruct better (the
-    DESIGN.md basis ablation, asserted at test scale)."""
+    basis ablation of ``benchmarks/test_ablations.py``, asserted at test
+    scale)."""
     from repro.landscape import LandscapeGenerator, OscarReconstructor, cost_function, nrmse
 
     generator = LandscapeGenerator(cost_function(qaoa6), medium_grid)

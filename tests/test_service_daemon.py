@@ -1,11 +1,10 @@
 """Tests for the landscape daemon and its client library.
 
 Covers the protocol (every op, malformed input), the service semantics
-(store hit/miss, single-flight dedup, single-writer LRU accounting
-through one daemon), the failure modes the docs promise (no daemon ->
-transparent in-process fallback; daemon restart preserves the store;
-malformed requests return structured errors without killing the
-server), and the ``LandscapeGenerator(daemon=...)`` / CLI wiring.
+(store hit/miss and single-flight dedup through one daemon), the
+failure modes the docs promise (no daemon -> transparent in-process
+fallback; daemon restart preserves the store; malformed requests
+return structured errors without killing the server), and the ``LandscapeGenerator(daemon=...)`` / CLI wiring.
 """
 
 from __future__ import annotations

@@ -324,6 +324,105 @@ def test_entries_listing_orders_by_recency(tmp_path):
     assert ordered[0] == pairs[1][0].key()
 
 
+# -- recency lives in the payload's mtime --------------------------------------
+
+
+def test_hit_writes_no_file(tmp_path):
+    """A hit only stamps the payload's mtime: the manifest keeps its
+    bytes and mtime, and no access-counter file appears."""
+    store = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    manifest = tmp_path / f"{spec.key()}.json"
+    before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+    assert store.get(spec) is not None
+    assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"{spec.key()}.json",
+        f"{spec.key()}.npz",
+    ]
+
+
+def test_hit_racing_an_invalidation_is_a_clean_miss(tmp_path, monkeypatch):
+    """An entry another process drops between the load and the stamp is
+    a miss, and the stamp recreates nothing (no orphan manifest)."""
+    store = LandscapeStore(tmp_path)
+    other = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    load = Landscape.load
+
+    def load_then_invalidate(path):
+        loaded = load(path)
+        assert other.invalidate(spec)
+        return loaded
+
+    monkeypatch.setattr(Landscape, "load", staticmethod(load_then_invalidate))
+    assert store.get(spec) is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_read_in_another_process_counts_for_eviction(tmp_path):
+    """Recency is shared through the file system: an entry a fresh
+    interpreter read survives this process's next eviction."""
+    store = LandscapeStore(tmp_path)
+    pairs = [_tiny_landscape(seed) for seed in range(3)]
+    for spec, landscape in pairs:
+        store.put(spec, landscape)
+    sizes = [entry.payload_bytes for entry in store.entries()]
+    script = (
+        "import sys\n"
+        "from repro.service import LandscapeStore\n"
+        "assert LandscapeStore(sys.argv[1]).get(sys.argv[2]) is not None\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), pairs[0][0].key()],
+        env=env,
+        check=True,
+    )
+    store.max_bytes = sum(sizes) + sizes[0] // 2  # room for three entries
+    spec3, landscape3 = _tiny_landscape(3)
+    store.put(spec3, landscape3)
+    keys = {entry.key for entry in store.entries()}
+    assert pairs[0][0].key() in keys, "the other process's read must count"
+    assert pairs[1][0].key() not in keys, "LRU entry should be evicted"
+
+
+def test_store_written_with_access_counter_needs_no_migration(tmp_path):
+    """A root from before recency moved to the payload mtime — manifests
+    carrying ``access``/``payload_bytes`` next to ``_counter.json`` and
+    ``_counter.lock`` — lists, hits and evicts by the payload files."""
+    store = LandscapeStore(tmp_path)
+    pairs = [_tiny_landscape(seed) for seed in range(3)]
+    for position, (spec, landscape) in enumerate(pairs):
+        store.put(spec, landscape)
+        manifest_path = tmp_path / f"{spec.key()}.json"
+        manifest = json.loads(manifest_path.read_text())
+        # Stale on purpose: the old fields are ignored, the files rule.
+        manifest.update(access=len(pairs) - position, payload_bytes=1)
+        manifest_path.write_text(json.dumps(manifest, indent=1))
+    (tmp_path / "_counter.json").write_text(json.dumps({"next": len(pairs) + 1}))
+    (tmp_path / "_counter.lock").touch()
+
+    entries = store.entries()
+    assert [entry.key for entry in entries] == [spec.key() for spec, _ in pairs]
+    sizes = [entry.path.stat().st_size for entry in entries]
+    assert [entry.payload_bytes for entry in entries] == sizes
+    assert store.get(pairs[0][0]) is not None
+    store.max_bytes = sum(sizes) + sizes[0] // 2  # room for three entries
+    spec3, landscape3 = _tiny_landscape(3)
+    store.put(spec3, landscape3)
+    assert [entry.key for entry in store.entries()] == [
+        pairs[2][0].key(),
+        pairs[0][0].key(),
+        spec3.key(),
+    ]
+    assert store.clear() == 3
+
+
 # -- multi-tenant namespaces (TenantStores) -----------------------------------
 
 
