@@ -5,7 +5,7 @@ Acceptance bars for the service subsystem:
 - sharded generation must reproduce the single-process batched engine
   on a Table-1-sized grid (<= 1e-10, enforced always) and — with at
   least two cores available — run faster than single-process
-  (wall-clock bar > 1x);
+  (wall-clock bar > 1x, best of three runs per side);
 - a warm cache hit on the content-addressed landscape store must be
   >= 50x faster than recomputing the same Table-1-sized grid, and
   bit-identical to the computed landscape.
@@ -50,6 +50,16 @@ def _table1_setup():
     return ansatz, grid
 
 
+def _best_of_three(generator):
+    """``(landscape, seconds)`` of the fastest of three grid searches."""
+    seconds = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        landscape = generator.grid_search()
+        seconds = min(seconds, time.perf_counter() - start)
+    return landscape, seconds
+
+
 def test_sharded_grid_search_speedup():
     """Sharded generation matches single-process to machine precision
     and (given cores) beats it on a Table-1-sized grid."""
@@ -61,12 +71,10 @@ def test_sharded_grid_search_speedup():
     single.evaluate_indices(range(4))  # warm caches
     sharded.evaluate_indices(range(4))  # includes pool/fork warmup
 
-    start = time.perf_counter()
-    reference = single.grid_search()
-    single_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    landscape = sharded.grid_search()
-    sharded_seconds = time.perf_counter() - start
+    # Best of three per side, like the cache gate below: one slow run on
+    # a busy box must not decide a sub-second comparison.
+    reference, single_seconds = _best_of_three(single)
+    landscape, sharded_seconds = _best_of_three(sharded)
 
     # (a) equivalence with the single-process engine, always enforced.
     difference = float(np.abs(landscape.values - reference.values).max())

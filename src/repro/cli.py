@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="processes for sharded landscape execution (default: 1, "
-            "in-process)",
+            "in-process); with a pool, this process and its workers run "
+            "one BLAS thread (Linux), as idle BLAS threads would contend "
+            "with the workers for cores",
         )
         command.add_argument(
             "--cache-dir",
@@ -206,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="persistent worker-pool size (forked once at startup; "
-        "default: 1, in-process)",
+        "default: 1, in-process); with a pool, the daemon and its workers "
+        "run one BLAS thread (Linux), as idle BLAS threads would contend "
+        "with the workers for cores",
     )
     serve.add_argument(
         "--cache-dir",

@@ -239,6 +239,10 @@ class LandscapeGenerator:
             is ``batch_size * rows_per_point`` rows, so keep explicit
             overrides small on mitigated landscapes.
         workers: processes for sharded execution (``1`` = in-process).
+            Once a pool is forked, this process and its workers run one
+            BLAS thread (Linux only; see
+            :func:`~repro.service.shards.create_pool` for the measured
+            reason).
         shard_points: points per shard for the sharded executor
             (``None`` = its worker-count-independent default).
         seed: root seed for per-shard shot-noise generators.  Required

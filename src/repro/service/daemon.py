@@ -109,7 +109,7 @@ from .protocol import (
     noise_from_spec,
     rng_from_state,
 )
-from .shards import ShardedExecutor, _pool_context, plan_shards
+from .shards import ShardedExecutor, create_pool, plan_shards
 from .store import LandscapeStore, TenantStores
 
 __all__ = ["LandscapeDaemon", "DEFAULT_SOCKET", "DEFAULT_MAX_PAYLOAD_BYTES"]
@@ -196,7 +196,9 @@ class LandscapeDaemon:
             it under ~100 characters, the kernel's path limit).
         workers: process count for the persistent pool.  ``1`` serves
             every request in-process (no pool) — still useful for the
-            shared cache and single-flight dedup.
+            shared cache and single-flight dedup.  With a pool, the
+            daemon and its workers run one BLAS thread (Linux only;
+            :func:`~repro.service.shards.create_pool` says why).
         cache_dir: directory for the daemon's
             :class:`~repro.service.store.LandscapeStore`.  ``None``
             (and no ``store``) disables caching: every ``compute``
@@ -341,7 +343,7 @@ class LandscapeDaemon:
             # Fork the workers before any serving thread exists:
             # fork-under-threads is the classic multiprocessing hazard
             # the persistent pool is designed to avoid.
-            self._pool = _pool_context().Pool(processes=self.workers)
+            self._pool = create_pool(self.workers)
         self._request_executor = ThreadPoolExecutor(
             max_workers=self.max_concurrent_requests,
             thread_name_prefix="landscape-daemon-req",

@@ -24,7 +24,9 @@ from repro.service import (
     LandscapeClient,
     LandscapeDaemon,
     LandscapeStore,
+    ShardedExecutor,
 )
+from repro.service.shards import _openblas_thread_controls
 
 
 @pytest.fixture
@@ -280,6 +282,23 @@ def test_daemon_default_shard_points_applies(tmp_path, monkeypatch, ansatz, grid
     np.testing.assert_allclose(
         served.values, local.values, rtol=0.0, atol=1e-10
     )
+
+
+def _blas_threads(point):
+    """A closure-free probe (no ``many``): the most threads any OpenBLAS
+    mapped into the evaluating process will use."""
+    return float(max(get_threads() for _, get_threads in _openblas_thread_controls()))
+
+
+@pytest.mark.skipif(
+    not _openblas_thread_controls(), reason="no OpenBLAS mapped into this process"
+)
+def test_daemon_pool_workers_run_one_blas_thread(tmp_path):
+    with LandscapeDaemon(tmp_path / "blas.sock", workers=2) as daemon:
+        values = ShardedExecutor(
+            workers=2, shard_points=1, pool=daemon._pool
+        ).run(_blas_threads, np.zeros((4, 2)))
+    np.testing.assert_array_equal(values, 1.0)
 
 
 def test_daemon_restart_preserves_store(tmp_path, ansatz, grid):

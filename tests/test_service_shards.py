@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from repro.mitigation import ZneConfig, zne_cost_function
 from repro.problems import random_3_regular_maxcut
 from repro.quantum import NoiseModel
 from repro.service import ShardedExecutor, plan_shards
-from repro.service.shards import DEFAULT_MAX_SHARDS
+from repro.service.shards import DEFAULT_MAX_SHARDS, _openblas_thread_controls
 
 
 @pytest.fixture
@@ -112,6 +115,55 @@ def test_plain_closures_shard_too(grid):
         ]
     ).reshape(grid.shape)
     np.testing.assert_allclose(values.values, expected, rtol=0.0, atol=1e-12)
+
+
+# -- pool workers: one BLAS thread, one task batch -----------------------------
+
+
+def _blas_threads(point):
+    """A closure-free probe (no ``many``): the most threads any OpenBLAS
+    mapped into the evaluating process will use."""
+    return float(max(get_threads() for _, get_threads in _openblas_thread_controls()))
+
+
+@pytest.mark.skipif(
+    not _openblas_thread_controls(), reason="no OpenBLAS mapped into this process"
+)
+def test_pool_workers_run_one_blas_thread():
+    values = ShardedExecutor(workers=2, shard_points=1).run(
+        _blas_threads, np.zeros((4, 2))
+    )
+    np.testing.assert_array_equal(values, 1.0)
+
+
+class _UnpickleCounter:
+    """A picklable cost function whose ``many`` reports how many times
+    the evaluating process has unpickled one (counted per pid, so forked
+    workers start from zero)."""
+
+    unpickled: dict[int, int] = {}
+
+    def __init__(self):
+        # Holds each batch long enough for the other worker to take its own.
+        self.delay = 0.05
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.unpickled[os.getpid()] = self.unpickled.get(os.getpid(), 0) + 1
+
+    def many(self, points):
+        time.sleep(self.delay)
+        return np.full(len(points), float(self.unpickled.get(os.getpid(), 0)))
+
+
+def test_each_worker_gets_one_task_batch():
+    """16 shards on 2 workers ship as one pickled batch per worker, so
+    each worker unpickles the cost function (and would build its ansatz
+    caches) once per call."""
+    values = ShardedExecutor(workers=2, shard_points=1).run(
+        _UnpickleCounter(), np.zeros((16, 2))
+    )
+    np.testing.assert_array_equal(values, 1.0)
 
 
 # -- parity mode: workers=1 reproduces the serial batched path ----------------
