@@ -46,14 +46,6 @@ from ..utils import ensure_rng
 __all__ = ["Ansatz"]
 
 
-#: Accepted shot-noise sampling strategies for the batch path.
-#: ``"parity"`` preserves the serial loop's rng draw order (the
-#: cross-engine equivalence contract); ``"multinomial"`` opts into the
-#: vectorized multinomial sampler where one exists (same per-row
-#: statistics, different draw order).
-SAMPLERS = ("parity", "multinomial")
-
-
 class Ansatz(abc.ABC):
     """A parametric circuit plus the cost observable it is scored by."""
 
@@ -74,15 +66,6 @@ class Ansatz(abc.ABC):
     #: :func:`~repro.quantum.batched_density.default_density_batch_size`.
     #: The equivalence harness pins this to force genuine chunk splits.
     density_batch_rows: int | None = None
-
-    @staticmethod
-    def validate_sampler(sampler: str) -> str:
-        """Check a ``sampler=`` value against :data:`SAMPLERS`."""
-        if sampler not in SAMPLERS:
-            raise ValueError(
-                f"unknown sampler {sampler!r}; choose from {SAMPLERS}"
-            )
-        return sampler
 
     @abc.abstractmethod
     def circuit(self, parameters: Sequence[float]) -> QuantumCircuit:
@@ -113,7 +96,6 @@ class Ansatz(abc.ABC):
         noise: NoiseModel | Sequence[NoiseModel | None] | None = None,
         shots: int | None = None,
         rng: np.random.Generator | None = None,
-        sampler: str = "parity",
     ) -> np.ndarray:
         """Cost-function values for a batch of parameter points.
 
@@ -135,12 +117,6 @@ class Ansatz(abc.ABC):
                 scale factors into the batch axis.
             shots: if given, add measurement shot noise per row.
             rng: random generator shared across the batch.
-            sampler: shot-noise sampling strategy (:data:`SAMPLERS`).
-                ``"parity"`` keeps the serial loop's draw order;
-                ``"multinomial"`` opts into a vectorized sampler on the
-                ansatzes that have one (QAOA's measurement sampler).
-                Advisory for implementations whose shot model is
-                already a single vectorized draw block.
 
         Returns:
             The ``(B,)`` array of cost values, row-aligned with the
@@ -161,7 +137,6 @@ class Ansatz(abc.ABC):
             >>> bool(np.allclose(values, serial, atol=1e-10))
             True
         """
-        self.validate_sampler(sampler)
         batch = self._validate_batch(parameters_batch)
         noise_rows = self._resolve_noise(noise, batch.shape[0])
         if shots is not None:

@@ -267,22 +267,16 @@ class QaoaAnsatz(Ansatz):
         noise: NoiseModel | Sequence[NoiseModel | None] | None = None,
         shots: int | None = None,
         rng: np.random.Generator | None = None,
-        sampler: str = "parity",
     ) -> np.ndarray:
         """Vectorized :meth:`expectation` over a parameter batch.
 
         Semantics match a serial loop of :meth:`expectation` row by
         row: the same diagonal fast path, the same cached depolarizing
-        contraction, and — for ``shots`` requests with the default
-        ``sampler="parity"`` — the same per-row rng draw order.
-        ``sampler="multinomial"`` switches the shot sampling to one
-        vectorized multinomial per stack (identical per-row statistics,
-        different draw order, markedly faster on shots-heavy grids).
-        ``noise`` may vary per row (a length-``B`` sequence), in which
-        case the analytic contraction is applied with a per-row factor
-        — the path batched ZNE rides.
+        contraction, and — for ``shots`` requests — the same per-row
+        rng draw order.  ``noise`` may vary per row (a length-``B``
+        sequence), in which case the analytic contraction is applied
+        with a per-row factor — the path batched ZNE rides.
         """
-        self.validate_sampler(sampler)
         batch = self._validate_batch(parameters_batch)
         noise_rows = self._resolve_noise(noise, batch.shape[0])
         state = self.statevector_many(batch)
@@ -293,9 +287,7 @@ class QaoaAnsatz(Ansatz):
         if shots is None:
             return exact
         rng = ensure_rng(rng)
-        sampled = state.sample_expectation_diagonal(
-            self._cost_diagonal, shots, rng, rng_parity=(sampler == "parity")
-        )
+        sampled = state.sample_expectation_diagonal(self._cost_diagonal, shots, rng)
         if contraction is not None:
             sampled = self._contract(sampled, *contraction)
         return sampled
@@ -306,7 +298,6 @@ class QaoaAnsatz(Ansatz):
         noise_models: Sequence[NoiseModel | None],
         shots: int | None = None,
         rng: np.random.Generator | None = None,
-        sampler: str = "parity",
     ) -> np.ndarray:
         """``(B, S)`` noisy expectations with one simulation per point.
 
@@ -320,9 +311,8 @@ class QaoaAnsatz(Ansatz):
 
         Semantics match a serial per-(point, scale) loop of
         :meth:`expectation` in point-major / scale-minor order, rng
-        draws included for ``sampler="parity"``.
+        draws included.
         """
-        self.validate_sampler(sampler)
         batch = self._validate_batch(parameters_batch)
         models = list(noise_models)
         for model in models:
@@ -350,26 +340,15 @@ class QaoaAnsatz(Ansatz):
             values = np.repeat(exact[:, None], num_scales, axis=1)
         else:
             rng = ensure_rng(rng)
-            if sampler == "multinomial":
-                # One multinomial over the point-major/scale-minor row
-                # expansion: each point's distribution repeated per
-                # scale, all sampled in a single vectorized draw.
-                counts = state._multinomial_counts(
-                    shots, rng, repeats=num_scales
-                )
-                values = (
-                    (counts @ self._cost_diagonal) / shots
-                ).reshape(num_points, num_scales)
-            else:
-                # Parity: sample per (point, scale) from the shared
-                # per-point state, in exactly the serial loop's order.
-                values = np.empty((num_points, num_scales))
-                for index in range(num_points):
-                    row = state.row(index)
-                    for scale in range(num_scales):
-                        values[index, scale] = row.sample_expectation_diagonal(
-                            self._cost_diagonal, shots, rng
-                        )
+            # Sample per (point, scale) from the shared per-point state,
+            # in exactly the serial loop's order.
+            values = np.empty((num_points, num_scales))
+            for index in range(num_points):
+                row = state.row(index)
+                for scale in range(num_scales):
+                    values[index, scale] = row.sample_expectation_diagonal(
+                        self._cost_diagonal, shots, rng
+                    )
         # Contract noisy columns; ideal columns stay bit-identical (the
         # serial loop never scales them either).
         values[:, noisy] = self._cost_mean + factors[noisy][None, :] * (

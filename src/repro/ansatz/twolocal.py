@@ -137,7 +137,6 @@ class TwoLocalAnsatz(Ansatz):
         noise: NoiseModel | Sequence[NoiseModel | None] | None = None,
         shots: int | None = None,
         rng: np.random.Generator | None = None,
-        sampler: str = "parity",
     ) -> np.ndarray:
         """Vectorized :meth:`expectation` over a parameter batch.
 
@@ -148,11 +147,8 @@ class TwoLocalAnsatz(Ansatz):
         matching the serial loop's values to machine precision.  Shot
         noise is drawn after all rows are evaluated, one draw per row
         in batch order, so a serial loop over :meth:`expectation` with
-        the same generator sees identical draws.  ``sampler`` is
-        accepted for interface uniformity but is a no-op here: the
-        Gaussian shot model is already one vectorized draw block.
+        the same generator sees identical draws.
         """
-        self.validate_sampler(sampler)
         batch = self._validate_batch(parameters_batch)
         noise_rows = self._resolve_noise(noise, batch.shape[0])
         return self._expectation_many_split(

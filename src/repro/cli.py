@@ -330,13 +330,30 @@ def _problem(kind: str, qubits: int, seed: int):
     return sk_problem(qubits, seed=seed)
 
 
-def _store(args: argparse.Namespace):
-    """A LandscapeStore for --cache-dir, or ``None`` when unset."""
-    if getattr(args, "cache_dir", None) is None:
-        return None
-    from .service import LandscapeStore
+def _service(args: argparse.Namespace, shots: int | None = None) -> dict:
+    """Generator keywords for the ``--workers``/``--cache-dir``/
+    ``--daemon``/``--token`` flags a command has.
 
-    return LandscapeStore(args.cache_dir)
+    ``daemon`` is a client carrying ``--token``, for a Unix socket and a
+    ``tcp://`` target alike.  With ``shots``, the keywords also carry the
+    rng-plan ``seed`` (``--seed``) when the run is multiprocess, cached
+    or daemon-served: shot noise there needs a seeding plan the cache
+    key can record, while exact runs stay plan-independent.
+    """
+    from .service import LandscapeClient, LandscapeStore
+
+    workers = getattr(args, "workers", 1)
+    cache_dir = getattr(args, "cache_dir", None)
+    options = {
+        "workers": workers,
+        "store": None if cache_dir is None else LandscapeStore(cache_dir),
+        "daemon": None
+        if args.daemon is None
+        else LandscapeClient(args.daemon, token=args.token),
+    }
+    if shots is not None and (workers > 1 or cache_dir or args.daemon):
+        options["seed"] = args.seed
+    return options
 
 
 def _command_reconstruct(args: argparse.Namespace) -> int:
@@ -364,22 +381,7 @@ def _command_reconstruct(args: argparse.Namespace) -> int:
     else:
         function = cost_function(ansatz, noise=noise, shots=args.shots, rng=rng)
     generator = LandscapeGenerator(
-        function,
-        grid,
-        batch_size=args.batch_size,
-        workers=args.workers,
-        # Multiprocess (or cached/daemon-served) shot noise needs a
-        # seeding plan the cache key can record; exact runs stay
-        # plan-independent.
-        seed=args.seed
-        if (
-            args.shots is not None
-            and (args.workers > 1 or args.cache_dir or args.daemon)
-        )
-        else None,
-        store=_store(args),
-        daemon=args.daemon,
-        daemon_token=args.token,
+        function, grid, batch_size=args.batch_size, **_service(args, args.shots)
     )
     truth = generator.grid_search(label="grid-search")
     oscar = OscarReconstructor(grid, rng=args.seed)
@@ -397,13 +399,7 @@ def _command_reconstruct(args: argparse.Namespace) -> int:
 
 def _command_sycamore(args: argparse.Namespace) -> int:
     hardware, _ = sycamore_landscape(
-        args.kind,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        workers=args.workers,
-        store=_store(args),
-        daemon=args.daemon,
-        daemon_token=args.token,
+        args.kind, seed=args.seed, batch_size=args.batch_size, **_service(args)
     )
     oscar = OscarReconstructor(hardware.grid, rng=args.seed)
     indices = oscar.sample_indices(args.fraction)
@@ -426,10 +422,7 @@ def _command_speedup(args: argparse.Namespace) -> int:
         target_nrmse=args.target_nrmse,
         seed=args.seed,
         batch_size=args.batch_size,
-        workers=args.workers,
-        store=_store(args),
-        daemon=args.daemon,
-        daemon_token=args.token,
+        **_service(args),
     )
     print(
         f"grid: {result.grid_executions} executions  "
@@ -445,13 +438,7 @@ def _command_sparsity(args: argparse.Namespace) -> int:
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=(30, 60))
     generator = LandscapeGenerator(
-        cost_function(ansatz),
-        grid,
-        batch_size=args.batch_size,
-        workers=args.workers,
-        store=_store(args),
-        daemon=args.daemon,
-        daemon_token=args.token,
+        cost_function(ansatz), grid, batch_size=args.batch_size, **_service(args)
     )
     truth = generator.grid_search()
     fraction = truth.dct_sparsity()
@@ -525,11 +512,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=tuple(args.resolution))
     generator = LandscapeGenerator(
-        cost_function(ansatz),
-        grid,
-        batch_size=args.batch_size,
-        daemon=args.daemon,
-        daemon_token=args.token,
+        cost_function(ansatz), grid, batch_size=args.batch_size, **_service(args)
     )
     truth = generator.grid_search(label="grid-search")
     oscar = OscarReconstructor(grid, rng=args.seed)
@@ -575,19 +558,7 @@ def _command_pipeline(args: argparse.Namespace) -> int:
         cost_function(ansatz, noise=noise, shots=args.shots, rng=rng),
         grid,
         batch_size=args.batch_size,
-        workers=args.workers,
-        # Multiprocess (or cached/daemon-served) shot noise needs a
-        # seeding plan the cache key can record; exact runs stay
-        # plan-independent.
-        seed=args.seed
-        if (
-            args.shots is not None
-            and (args.workers > 1 or args.cache_dir or args.daemon)
-        )
-        else None,
-        store=_store(args),
-        daemon=args.daemon,
-        daemon_token=args.token,
+        **_service(args, args.shots),
     )
     config = PipelineConfig(
         fraction=args.fraction,
@@ -626,13 +597,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .service import DEFAULT_SOCKET, LandscapeDaemon
 
     socket_path = args.socket or DEFAULT_SOCKET
-    tcp = None
-    if args.tcp is not None:
-        host, _, port = args.tcp.rpartition(":")
-        if not port.isdigit():
-            print(f"serve: --tcp expects HOST:PORT, got {args.tcp!r}")
-            return 2
-        tcp = (host or "127.0.0.1", int(port))
     try:
         daemon = LandscapeDaemon(
             socket_path,
@@ -640,7 +604,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             max_bytes=args.max_bytes,
             shard_points=args.shard_points,
-            tcp=tcp,
+            tcp=args.tcp,
             tokens_file=args.tokens_file,
             tenant_quota_bytes=args.tenant_quota_bytes,
         )
@@ -652,7 +616,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         # Bind before printing the banner so --tcp HOST:0 reports the
         # ephemeral port it actually got (serve_forever's own bind is
         # idempotent).
-        daemon._bind()
+        daemon.start()
     except OSError as error:
         print(f"serve: cannot bind: {error}")
         return 2

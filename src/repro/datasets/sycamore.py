@@ -109,7 +109,6 @@ def sycamore_landscape(
     workers: int = 1,
     store=None,
     daemon=None,
-    daemon_token=None,
 ) -> tuple[Landscape, Landscape]:
     """Generate a (hardware-like, ideal) landscape pair.
 
@@ -130,8 +129,6 @@ def sycamore_landscape(
             a running landscape daemon; the ideal landscape is then
             served by the daemon's shared pool/cache, with in-process
             fallback.
-        daemon_token: bearer token for an authenticated daemon
-            (required for ``tcp://`` targets).
 
     Returns:
         ``(hardware, ideal)`` landscapes on the same 50 x 50 grid.
@@ -149,7 +146,6 @@ def sycamore_landscape(
         workers=workers,
         store=store,
         daemon=daemon,
-        daemon_token=daemon_token,
     )
     ideal = generator.grid_search(label=f"sycamore-{kind}-ideal")
 

@@ -62,22 +62,16 @@ def run_mitigation_study(
     shots: int = 1024,
     sampling_fraction: float = 0.15,
     seed: int = 0,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> tuple[MitigationLandscapes, list[MetricsRow]]:
     """Generate the Fig. 9 landscapes and the Fig. 10 metric table.
 
     The Richardson configuration uses scales {1,2,3} and the linear one
     {1,3}, exactly as in the paper.  ``shots`` drives the statistical
-    noise that Richardson amplifies into "salt".  ``batch_size`` counts
-    landscape *points* per vectorized chunk for every setting; the ZNE
-    cost functions fold their noise scales into the batch axis (one
-    batched call per chunk covering all scale factors, i.e.
-    ``batch_size * num_scales`` execution rows), so the mitigated
-    landscapes ride the same vectorized backend as the unmitigated one.
-    Leave it ``None`` for a cache-capped default that accounts for the
-    fold.
+    noise that Richardson amplifies into "salt".  The ZNE cost
+    functions fold their noise scales into the batch axis (one batched
+    call per chunk covering all scale factors), so the mitigated
+    landscapes ride the same vectorized backend as the unmitigated one,
+    in cache-capped chunks that account for the fold.
     """
     problem = random_3_regular_maxcut(num_qubits, seed=seed)
     ansatz = QaoaAnsatz(problem, p=1)
@@ -98,19 +92,7 @@ def run_mitigation_study(
     sample_sets = []
     settings = list(functions)
     for position, (setting, function) in enumerate(functions.items()):
-        generator = LandscapeGenerator(
-            function,
-            grid,
-            batch_size=batch_size,
-            workers=workers,
-            # Multiprocess (or daemon-served) shot noise needs a
-            # per-shard seeding plan; in-process runs keep the serial
-            # rng threading untouched.
-            seed=(seed + 31 * (position + 1))
-            if (workers > 1 or daemon is not None)
-            else None,
-            daemon=daemon,
-        )
+        generator = LandscapeGenerator(function, grid)
         truth = generator.grid_search(label=f"{setting}-original")
         # Stable per-setting seed (str hash is randomized per process).
         reconstructor = OscarReconstructor(grid, rng=seed + 101 * (position + 1))

@@ -47,9 +47,6 @@ def _instance_errors(
     scale: ExperimentScale,
     seed: int,
     shots: int | None,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> np.ndarray:
     """Per-instance NRMSE; sampling/execution stay per-instance (seeded
     identically to the serial path) while the reconstructions of all
@@ -63,17 +60,7 @@ def _instance_errors(
         ansatz = QaoaAnsatz(problem, p=p)
         rng = np.random.default_rng(seed + 57 * instance)
         generator = LandscapeGenerator(
-            cost_function(ansatz, noise=noise, shots=shots, rng=rng),
-            grid,
-            batch_size=batch_size,
-            workers=workers,
-            # Multiprocess (or daemon-served) shot noise needs a
-            # per-shard seeding plan; in-process runs keep the serial
-            # rng threading untouched.
-            seed=(seed + 57 * instance)
-            if ((workers > 1 or daemon is not None) and shots)
-            else None,
-            daemon=daemon,
+            cost_function(ansatz, noise=noise, shots=shots, rng=rng), grid
         )
         truths.append(generator.grid_search())
         reconstructor = OscarReconstructor(grid, rng=seed + 101 * instance)
@@ -94,9 +81,6 @@ def run_fig4_sweep(
     qubit_counts: tuple[int, ...] | None = None,
     shots: int | None = 4096,
     seed: int = 0,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> list[FractionSweepPoint]:
     """One panel of Fig. 4: quartile NRMSE vs sampling fraction.
 
@@ -112,10 +96,6 @@ def run_fig4_sweep(
         shots: shots per expectation in the noisy setting (ideal panels
             always use exact expectations, as in the paper).
         seed: base seed; instances use ``seed + i``.
-        batch_size: grid points per vectorized execution pass (``None``
-            picks the memory-capped default).
-        workers: processes for sharded landscape evaluation (noisy
-            panels switch to per-shard seeded shot noise when > 1).
     """
     noise = FIG4_NOISE if noisy else None
     if qubit_counts is None:
@@ -132,9 +112,6 @@ def run_fig4_sweep(
                 scale,
                 seed,
                 shots if noisy else None,
-                batch_size=batch_size,
-                workers=workers,
-                daemon=daemon,
             )
             q1, median, q3 = np.percentile(errors, (25, 50, 75))
             points.append(

@@ -163,18 +163,12 @@ def slice_generator(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
     batch_size: int | None = None,
-    workers: int = 1,
     daemon=None,
 ) -> LandscapeGenerator:
     """A batch-capable :class:`LandscapeGenerator` over the slice's grid.
 
-    ``workers`` fans the slice grid out across the sharded executor
-    (exact slices only: shot-noise slices bind their rng here, which
-    multiprocess execution would need a ``seed=`` plan for);
     ``daemon`` serves the slice through a running landscape daemon
     (with in-process fallback).
     """
     function = SliceCostFunction(ansatz, spec, noise=noise, shots=shots, rng=rng)
-    return LandscapeGenerator(
-        function, spec.grid, batch_size=batch_size, workers=workers, daemon=daemon
-    )
+    return LandscapeGenerator(function, spec.grid, batch_size=batch_size, daemon=daemon)

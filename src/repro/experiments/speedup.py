@@ -54,7 +54,6 @@ def measure_speedup(
     workers: int = 1,
     store=None,
     daemon=None,
-    daemon_token=None,
 ) -> SpeedupResult:
     """Find the smallest sampling fraction meeting the accuracy target.
 
@@ -65,8 +64,7 @@ def measure_speedup(
     evaluation across processes; ``store`` serves the dense ground
     truth from a :class:`~repro.service.store.LandscapeStore` cache;
     ``daemon`` routes it through a running landscape daemon instead
-    (shared pool + cache, with in-process fallback; ``daemon_token``
-    authenticates against a token-gated daemon).
+    (shared pool + cache, with in-process fallback).
     """
     problem = random_3_regular_maxcut(num_qubits, seed=seed)
     ansatz = QaoaAnsatz(problem, p=1)
@@ -78,7 +76,6 @@ def measure_speedup(
         workers=workers,
         store=store,
         daemon=daemon,
-        daemon_token=daemon_token,
     )
     truth = generator.grid_search()
 

@@ -64,9 +64,6 @@ def slice_reconstruction_error(
     sampling_fraction: float = 0.35,
     repeats: int = 3,
     seed: int = 0,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> tuple[float, float]:
     """Median (NRMSE, DCT-sparsity) over random 2-parameter slices.
 
@@ -75,16 +72,14 @@ def slice_reconstruction_error(
     paper repeats 100 times; callers choose ``repeats`` to fit their
     budget.  Every ansatz here (QAOA, Two-local, UCCSD) has a native
     batched execution path, so the dense slice grids run vectorized in
-    ``batch_size``-point chunks rather than a circuit per point.
+    memory-capped chunks rather than a circuit per point.
     """
     rng = np.random.default_rng(seed)
     errors = []
     sparsities = []
     for _ in range(repeats):
         spec = random_slice(ansatz, points_per_axis, rng=rng)
-        generator = slice_generator(
-            ansatz, spec, batch_size=batch_size, workers=workers, daemon=daemon
-        )
+        generator = slice_generator(ansatz, spec)
         truth = generator.grid_search()
         reconstructor = OscarReconstructor(spec.grid, rng=rng)
         reconstruction, _ = reconstructor.reconstruct(generator, sampling_fraction)
@@ -97,9 +92,6 @@ def run_table2(
     repeats: int = 3,
     sampling_fraction: float = 0.35,
     seed: int = 0,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> list[SliceReconstructionRow]:
     """Table 2: QAOA vs Two-local on 4/6-qubit MaxCut and SK problems.
 
@@ -124,14 +116,7 @@ def run_table2(
             ("Two-local", _twolocal_for_params(hamiltonian, num_parameters)),
         ):
             error, sparsity = slice_reconstruction_error(
-                ansatz,
-                points,
-                sampling_fraction,
-                repeats,
-                seed,
-                batch_size,
-                workers,
-                daemon=daemon,
+                ansatz, points, sampling_fraction, repeats, seed
             )
             rows.append(
                 SliceReconstructionRow(
@@ -151,9 +136,6 @@ def run_table3(
     repeats: int = 3,
     sampling_fraction: float = 0.35,
     seed: int = 0,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> list[SliceReconstructionRow]:
     """Table 3: H2 and LiH with Two-local and UCCSD ansatzes.
 
@@ -173,14 +155,7 @@ def run_table3(
     rows = []
     for molecule, ansatz_name, ansatz, points in cases:
         error, sparsity = slice_reconstruction_error(
-            ansatz,
-            points,
-            sampling_fraction,
-            repeats,
-            seed,
-            batch_size,
-            workers,
-            daemon=daemon,
+            ansatz, points, sampling_fraction, repeats, seed
         )
         rows.append(
             SliceReconstructionRow(
@@ -199,9 +174,6 @@ def run_table3(
 def run_table4(
     repeats: int = 3,
     seed: int = 0,
-    batch_size: int | None = None,
-    workers: int = 1,
-    daemon=None,
 ) -> list[SliceReconstructionRow]:
     """Table 4: DCT-sparsity fractions across problems and ansatzes.
 
@@ -216,9 +188,7 @@ def run_table4(
         fractions = []
         for _ in range(repeats):
             spec = random_slice(ansatz, points, rng=rng)
-            truth = slice_generator(
-                ansatz, spec, batch_size=batch_size, workers=workers, daemon=daemon
-            ).grid_search()
+            truth = slice_generator(ansatz, spec).grid_search()
             fractions.append(dct_sparsity(truth.values))
         return float(np.median(fractions))
 

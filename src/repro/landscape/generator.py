@@ -130,13 +130,6 @@ class AnsatzCostFunction:
       memory-capped default batch size;
     - :meth:`cache_spec` — the canonical content description the
       landscape store hashes into a cache key.
-
-    ``sampler`` selects the shot-noise sampling strategy of the batch
-    path: ``"parity"`` (default) preserves the serial loop's rng draw
-    order; ``"multinomial"`` opts into the vectorized multinomial
-    sampler (same per-row statistics, different draw order, markedly
-    faster on shots-heavy grids — see
-    :meth:`~repro.quantum.batched.BatchedStatevector.sample_expectation_diagonal`).
     """
 
     def __init__(
@@ -145,13 +138,11 @@ class AnsatzCostFunction:
         noise: NoiseModel | None = None,
         shots: int | None = None,
         rng: np.random.Generator | None = None,
-        sampler: str = "parity",
     ):
         self.ansatz = ansatz
         self.noise = noise
         self.shots = shots
         self.rng = rng
-        self.sampler = Ansatz.validate_sampler(sampler)
 
     @property
     def num_qubits(self) -> int:
@@ -176,11 +167,7 @@ class AnsatzCostFunction:
     def many(self, parameters_batch: np.ndarray) -> np.ndarray:
         """Cost values for a ``(B, num_parameters)`` batch of points."""
         return self.ansatz.expectation_many(
-            parameters_batch,
-            noise=self.noise,
-            shots=self.shots,
-            rng=self.rng,
-            sampler=self.sampler,
+            parameters_batch, noise=self.noise, shots=self.shots, rng=self.rng
         )
 
     def cache_spec(self) -> dict:
@@ -188,19 +175,14 @@ class AnsatzCostFunction:
 
         Captures everything that determines exact values: the ansatz
         and problem content (:meth:`~repro.ansatz.base.Ansatz.cache_spec`),
-        the noise model, and the shot budget.  The sampler only matters
-        when shot noise is drawn, so it is recorded only then — exact
-        landscapes share one key across sampler settings.
+        the noise model, and the shot budget.
         """
-        spec = {
+        return {
             "kind": "ansatz",
             "ansatz": self.ansatz.cache_spec(),
             "noise": _noise_spec(self.noise),
             "shots": self.shots,
         }
-        if self.shots is not None:
-            spec["sampler"] = self.sampler
-        return spec
 
 
 def _noise_spec(noise: NoiseModel | None) -> dict | None:
@@ -213,12 +195,9 @@ def cost_function(
     noise: NoiseModel | None = None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-    sampler: str = "parity",
 ) -> AnsatzCostFunction:
     """Bind an ansatz and execution settings into a batch-capable callable."""
-    return AnsatzCostFunction(
-        ansatz, noise=noise, shots=shots, rng=rng, sampler=sampler
-    )
+    return AnsatzCostFunction(ansatz, noise=noise, shots=shots, rng=rng)
 
 
 class LandscapeGenerator:
@@ -260,11 +239,9 @@ class LandscapeGenerator:
             persistent pool, shared cache, concurrent identical
             requests computed once — and transparently falls back to
             this generator's own in-process path (honouring
-            ``workers``/``store``) when no daemon is listening.
-        daemon_token: bearer token presented to an authenticated
-            daemon (required for ``tcp://`` targets; resolves to a
-            tenant store namespace server-side).  Ignored when
-            ``daemon=`` is already a client.
+            ``workers``/``store``) when no daemon is listening.  An
+            authenticated ``tcp://`` daemon needs a client that carries
+            its bearer token: ``LandscapeClient(target, token=...)``.
         executor_pool: an already-running ``multiprocessing`` pool the
             sharded executor should reuse instead of forking per call
             (how the daemon itself executes requests); the pool's
@@ -296,7 +273,6 @@ class LandscapeGenerator:
         seed: int | None = None,
         store: "LandscapeStore | None" = None,
         daemon=None,
-        daemon_token: str | None = None,
         executor_pool=None,
     ):
         self.function = function
@@ -311,7 +287,6 @@ class LandscapeGenerator:
         self.seed = None if seed is None else int(seed)
         self.store = store
         self.daemon = daemon
-        self.daemon_token = daemon_token
         self.executor_pool = executor_pool
 
     def _resolved_batch_size(self) -> int:
@@ -346,7 +321,7 @@ class LandscapeGenerator:
 
         if isinstance(self.daemon, LandscapeClient):
             return self.daemon
-        return LandscapeClient(self.daemon, token=self.daemon_token)
+        return LandscapeClient(self.daemon)
 
     def evaluate_points(self, points: np.ndarray) -> np.ndarray:
         """Cost values for an ``(m, ndim)`` array of parameter vectors.

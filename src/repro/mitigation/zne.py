@@ -262,14 +262,12 @@ class ZneCostFunction:
         config: ZneConfig | None = None,
         shots: int | None = None,
         rng: np.random.Generator | None = None,
-        sampler: str = "parity",
     ):
         self.ansatz = ansatz
         self.noise = noise
         self.config = config or ZneConfig()
         self.shots = shots
         self.rng = rng
-        self.sampler = Ansatz.validate_sampler(sampler)
         self._scaled = [
             noise.scaled(scale) for scale in self.config.scale_factors
         ]
@@ -321,11 +319,7 @@ class ZneCostFunction:
         scaled_many = getattr(self.ansatz, "expectation_many_scaled", None)
         if scaled_many is not None:
             values = scaled_many(
-                points,
-                self._scaled,
-                shots=self.shots,
-                rng=self.rng,
-                sampler=self.sampler,
+                points, self._scaled, shots=self.shots, rng=self.rng
             )
         else:
             folded = np.repeat(points, num_scales, axis=0)
@@ -334,7 +328,6 @@ class ZneCostFunction:
                 noise=self._scaled * num_points,
                 shots=self.shots,
                 rng=self.rng,
-                sampler=self.sampler,
             ).reshape(num_points, num_scales)
         return extrapolate_many(
             self.config.method, self.config.scale_factors, values
@@ -342,7 +335,7 @@ class ZneCostFunction:
 
     def cache_spec(self) -> dict:
         """Canonical content description for the landscape store."""
-        spec = {
+        return {
             "kind": "zne",
             "ansatz": self.ansatz.cache_spec(),
             "noise": self.noise.cache_spec(),
@@ -354,9 +347,6 @@ class ZneCostFunction:
                 ],
             },
         }
-        if self.shots is not None:
-            spec["sampler"] = self.sampler
-        return spec
 
 
 def zne_cost_function(
@@ -365,7 +355,6 @@ def zne_cost_function(
     config: ZneConfig | None = None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-    sampler: str = "parity",
 ) -> ZneCostFunction:
     """A batch-capable cost callable with ZNE applied at every query.
 
@@ -374,6 +363,4 @@ def zne_cost_function(
     landscapes are produced by the same grid/OSCAR machinery — batched
     chunks included (see :class:`ZneCostFunction`).
     """
-    return ZneCostFunction(
-        ansatz, noise, config, shots=shots, rng=rng, sampler=sampler
-    )
+    return ZneCostFunction(ansatz, noise, config, shots=shots, rng=rng)

@@ -316,53 +316,21 @@ class BatchedStatevector:
         transformed = self._data @ observable.T
         return np.real(np.einsum("bi,bi->b", np.conj(self._data), transformed))
 
-    def _multinomial_counts(
-        self, shots: int, rng: np.random.Generator, repeats: int = 1
-    ) -> np.ndarray:
-        """``(B * repeats, 2**n)`` counts from one vectorized multinomial.
-
-        ``repeats > 1`` tiles each row's distribution that many times
-        (row-major) before the single draw — the shape the ZNE fast
-        path needs to sample one state once per noise scale.
-        """
-        probabilities = self.probabilities()
-        if repeats > 1:
-            probabilities = np.repeat(probabilities, repeats, axis=0)
-        totals = probabilities.sum(axis=1)
-        if not np.allclose(totals, 1.0, rtol=0.0, atol=1e-9):
-            probabilities = np.clip(probabilities, 0.0, None)
-            probabilities /= probabilities.sum(axis=1, keepdims=True)
-        return rng.multinomial(shots, probabilities)
-
     def sample_counts(
-        self,
-        shots: int,
-        rng: np.random.Generator | None = None,
-        rng_parity: bool = True,
+        self, shots: int, rng: np.random.Generator | None = None
     ) -> list[dict[int, int]]:
         """Per-row measurement counts, ``[{basis_index: count}, ...]``.
 
-        The default path loops rows through
-        :meth:`Statevector.sample_counts` so the shared ``rng`` is
-        consumed in exactly the order a serial loop would consume it
-        (one ``choice`` draw block per row, batch order).  Passing
-        ``rng_parity=False`` opts into one vectorized multinomial over
-        the whole stack — statistically identical per row but a
-        *different draw order*, so seeded results no longer reproduce
-        the serial engine draw for draw.
+        Rows loop through :meth:`Statevector.sample_counts` so the shared
+        ``rng`` is consumed in exactly the order a serial loop would
+        consume it (one ``choice`` draw block per row, batch order).
         """
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         rng = ensure_rng(rng)
-        if rng_parity:
-            return [
-                self.row(index).sample_counts(shots, rng)
-                for index in range(self.batch_size)
-            ]
-        counts = self._multinomial_counts(shots, rng)
         return [
-            {int(index): int(row[index]) for index in np.flatnonzero(row)}
-            for row in counts
+            self.row(index).sample_counts(shots, rng)
+            for index in range(self.batch_size)
         ]
 
     def sample_expectation_diagonal(
@@ -370,29 +338,22 @@ class BatchedStatevector:
         diagonal_values: np.ndarray,
         shots: int,
         rng: np.random.Generator | None = None,
-        rng_parity: bool = True,
     ) -> np.ndarray:
         """Per-row shot-noise estimates of a diagonal observable.
 
-        By default rows consume the shared ``rng`` in batch order, one
-        draw per row, so a serial loop of
+        Rows consume the shared ``rng`` in batch order, one draw per
+        row, so a serial loop of
         :meth:`Statevector.sample_expectation_diagonal` over the same
         states with the same generator sees identical draws.
-        ``rng_parity=False`` trades that parity for one vectorized
-        multinomial per stack (same per-row statistics, different draw
-        order, markedly faster for wide shot budgets).
         """
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         rng = ensure_rng(rng)
-        if rng_parity:
-            return np.array(
-                [
-                    self.row(index).sample_expectation_diagonal(
-                        diagonal_values, shots, rng
-                    )
-                    for index in range(self.batch_size)
-                ]
-            )
-        counts = self._multinomial_counts(shots, rng)
-        return (counts @ np.asarray(diagonal_values, dtype=float)) / shots
+        return np.array(
+            [
+                self.row(index).sample_expectation_diagonal(
+                    diagonal_values, shots, rng
+                )
+                for index in range(self.batch_size)
+            ]
+        )

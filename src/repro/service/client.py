@@ -54,7 +54,7 @@ import numpy as np
 
 from ..ansatz.base import Ansatz
 from ..landscape.landscape import Landscape
-from .daemon import decode_blob, read_response, write_message
+from .daemon import _parse_tcp, decode_blob, read_response, write_message
 from .protocol import (
     PROTOCOL_VERSION,
     ansatz_to_spec,
@@ -97,13 +97,7 @@ class DaemonError(RuntimeError):
 def _parse_target(target: str | Path) -> tuple[Path | None, tuple[str, int] | None]:
     """``(socket_path, tcp_address)`` — exactly one is non-``None``."""
     if isinstance(target, str) and target.startswith("tcp://"):
-        rest = target[len("tcp://") :]
-        host, separator, port = rest.rpartition(":")
-        if not separator or not port.isdigit():
-            raise ValueError(
-                f"TCP target must look like tcp://host:port, got {target!r}"
-            )
-        return None, (host or "127.0.0.1", int(port))
+        return None, _parse_tcp(target)
     return Path(target), None
 
 

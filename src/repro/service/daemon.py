@@ -46,13 +46,13 @@ op                  meaning
                     the reconstructed landscape (plus its store key
                     when reproducible) and the full optimizer
                     trajectory with per-stage timings
-``get``             store lookup by spec key (no computation)
+``get``             store lookup by a 32-hex store key (no computation)
 ``evaluate``        raw (uncached) batch evaluation of an ansatz spec;
                     threads the caller's rng state through and returns
                     its final state, which is what lets the
                     daemon-backed engines register in
                     ``tests/equivalence/harness.py``
-``invalidate``      drop one store entry by key
+``invalidate``      drop one store entry by its 32-hex store key
 ``index``           list cached entries (key, label, bytes, access)
 ``stats``           per-op counters (dense hits, sparse read-through
                     hits, pipeline runs, dedups, errors) + store summary
@@ -110,7 +110,7 @@ from .protocol import (
     rng_from_state,
 )
 from .shards import ShardedExecutor, create_pool, plan_shards
-from .store import LandscapeStore, TenantStores
+from .store import LandscapeStore, TenantStores, is_store_key
 
 __all__ = ["LandscapeDaemon", "DEFAULT_SOCKET", "DEFAULT_MAX_PAYLOAD_BYTES"]
 
@@ -135,10 +135,13 @@ def decode_blob(text: str) -> bytes:
 
 
 def _parse_tcp(value: str | int | tuple) -> tuple[str, int]:
-    """Normalize a ``tcp=`` setting to ``(host, port)``.
+    """Normalize a TCP address to ``(host, port)``.
 
-    Accepts ``(host, port)``, a bare port, ``"host:port"``, ``":port"``
-    (localhost) and the client's ``tcp://host:port`` scheme.
+    The one address parser: the daemon's ``tcp=`` setting, ``serve
+    --tcp`` and the client's ``tcp://`` targets all go through it.
+    Accepts ``(host, port)``, a bare port (``7421`` or ``"7421"``),
+    ``"host:port"``, ``":port"`` (localhost) and ``"tcp://host:port"``.
+    A missing or non-numeric port raises ``ValueError``.
     """
     if isinstance(value, int):
         return ("127.0.0.1", value)
@@ -149,8 +152,11 @@ def _parse_tcp(value: str | int | tuple) -> tuple[str, int]:
     if text.startswith("tcp://"):
         text = text[len("tcp://") :]
     host, _, port = text.rpartition(":")
-    if not port:
-        raise ValueError(f"tcp address {value!r} needs a port (host:port)")
+    if not port.isdigit():
+        raise ValueError(
+            f"tcp address {value!r} needs a numeric port (host:port), "
+            f"got {port!r}"
+        )
     return (host or "127.0.0.1", int(port))
 
 
@@ -201,10 +207,8 @@ class LandscapeDaemon:
             :func:`~repro.service.shards.create_pool` says why).
         cache_dir: directory for the daemon's
             :class:`~repro.service.store.LandscapeStore`.  ``None``
-            (and no ``store``) disables caching: every ``compute``
-            computes, but identical concurrent requests still
-            single-flight.
-        store: an existing store instance (overrides ``cache_dir``).
+            disables caching: every ``compute`` computes, but identical
+            concurrent requests still single-flight.
         max_bytes: LRU byte budget passed to the store built from
             ``cache_dir``.
         shard_points: default shard layout for requests that do not
@@ -249,7 +253,6 @@ class LandscapeDaemon:
         socket_path: str | Path,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        store: LandscapeStore | None = None,
         max_bytes: int | None = None,
         shard_points: int | None = None,
         tcp: str | int | tuple | None = None,
@@ -266,19 +269,20 @@ class LandscapeDaemon:
         self.socket_path = Path(socket_path)
         self.workers = int(workers)
         self.shard_points = shard_points
-        if store is None and cache_dir is not None:
-            store = LandscapeStore(cache_dir, max_bytes=max_bytes)
-        self.store = store
+        self.store = (
+            None
+            if cache_dir is None
+            else LandscapeStore(cache_dir, max_bytes=max_bytes)
+        )
         self.credentials = () if tokens_file is None else load_tokens(tokens_file)
         self.tenants = TenantStores(
-            default_store=store,
+            default_store=self.store,
             quotas={
                 credential.tenant: credential.quota_bytes
                 for credential in self.credentials
                 if credential.quota_bytes is not None
             },
             default_quota=tenant_quota_bytes,
-            default_tenant=DEFAULT_TENANT,
         )
         self._tcp_config = None if tcp is None else _parse_tcp(tcp)
         if self._tcp_config is not None and not self.credentials:
@@ -526,14 +530,19 @@ class LandscapeDaemon:
     # -- request fields ----------------------------------------------------
 
     @staticmethod
-    def _int_field(request: dict[str, Any], name: str) -> int | None:
-        """An optional integer field, strictly typed (bools rejected)."""
+    def _int_field(request: dict[str, Any], name: str, minimum: int) -> int | None:
+        """An optional integer field, strictly typed (bools rejected)
+        and at least ``minimum`` (1 for sizes and shots, 0 for seeds)."""
         value = request.get(name)
         if value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, int):
             raise ProtocolError(
                 "malformed", f"{name!r} must be an integer or null"
+            )
+        if value < minimum:
+            raise ProtocolError(
+                "invalid-spec", f"{name!r} must be >= {minimum}, got {value}"
             )
         return value
 
@@ -544,7 +553,7 @@ class LandscapeDaemon:
         caller did not choose a layout, so a plain ``dict.get`` default
         would never apply ``--shard-points``.
         """
-        shard_points = request.get("shard_points")
+        shard_points = self._int_field(request, "shard_points", 1)
         return self.shard_points if shard_points is None else shard_points
 
     def _v2_rng(self, request: dict[str, Any]) -> np.random.Generator | None:
@@ -572,10 +581,10 @@ class LandscapeDaemon:
         return LandscapeGenerator(
             function,
             grid,
-            batch_size=self._int_field(request, "batch_size"),
+            batch_size=self._int_field(request, "batch_size", 1),
             workers=self.workers,
             shard_points=self._resolve_shard_points(request),
-            seed=self._int_field(request, "seed"),
+            seed=self._int_field(request, "seed", 0),
             executor_pool=self._pool,
         )
 
@@ -754,8 +763,8 @@ class LandscapeDaemon:
     def _v2_get(self, request: dict[str, Any], tenant: str) -> dict[str, Any]:
         """Raw-key lookup — namespaced, never crosses tenants."""
         key = request.get("key")
-        if not isinstance(key, str):
-            raise ProtocolError("malformed", "get needs a string 'key'")
+        if not is_store_key(key):
+            raise ProtocolError("malformed", "get needs a 32-hex store 'key'")
         store = self.tenants.store_for(tenant)
         landscape = None
         if store is not None:
@@ -772,8 +781,8 @@ class LandscapeDaemon:
     ) -> dict[str, Any]:
         """Raw-key invalidation — namespaced, never crosses tenants."""
         key = request.get("key")
-        if not isinstance(key, str):
-            raise ProtocolError("malformed", "invalidate needs a string 'key'")
+        if not is_store_key(key):
+            raise ProtocolError("malformed", "invalidate needs a 32-hex store 'key'")
         store = self.tenants.store_for(tenant)
         removed = False
         if store is not None:
@@ -807,14 +816,14 @@ class LandscapeDaemon:
         executor = ShardedExecutor(
             workers=self.workers,
             shard_points=self._resolve_shard_points(request),
-            seed=self._int_field(request, "seed"),
+            seed=self._int_field(request, "seed", 0),
             pool=self._pool,
         )
         values = executor.run_ansatz(
             ansatz,
             batch,
             noise=noise_from_spec(request.get("noise")),
-            shots=self._int_field(request, "shots"),
+            shots=self._int_field(request, "shots", 1),
             rng=rng,
         )
         self._bump("evaluations")

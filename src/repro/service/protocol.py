@@ -533,7 +533,6 @@ def _ansatz_function_from_spec(
         noise=noise_from_spec(spec.get("noise")),
         shots=None if shots is None else int(shots),
         rng=rng,
-        sampler=str(spec.get("sampler", "parity")),
     )
 
 
@@ -564,7 +563,6 @@ def _zne_function_from_spec(
         config=config,
         shots=None if shots is None else int(shots),
         rng=rng,
-        sampler=str(spec.get("sampler", "parity")),
     )
 
 
@@ -630,12 +628,6 @@ def function_from_spec(spec: Any, rng: np.random.Generator | None = None):
             f"unknown cost-function kind {kind!r}; registered: "
             f"{sorted(FUNCTION_BUILDERS)}",
         )
-    try:
-        sampler = spec.get("sampler", "parity")
-        if not isinstance(sampler, str):
-            raise ProtocolError("invalid-spec", "sampler must be a string")
-    except AttributeError:  # pragma: no cover - Mapping guarantees .get
-        raise ProtocolError("invalid-spec", "function spec must be an object")
     return builder(spec, rng)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,12 +39,33 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..landscape.grid import ParameterGrid
 from ..landscape.landscape import Landscape
+from .protocol import DEFAULT_TENANT
 
-__all__ = ["LandscapeSpec", "LandscapeStore", "StoreEntry", "TenantStores"]
+__all__ = [
+    "LandscapeSpec",
+    "LandscapeStore",
+    "StoreEntry",
+    "TenantStores",
+    "is_store_key",
+]
 
 #: Hex characters of the sha256 digest used as the cache key (128 bits:
 #: collision-safe for any realistic store size, short enough for ls).
 _KEY_HEX = 32
+
+_KEY_PATTERN = re.compile(rf"[0-9a-f]{{{_KEY_HEX}}}\Z")
+
+
+def is_store_key(key: Any) -> bool:
+    """Whether ``key`` has the shape of a store key (:data:`_KEY_HEX`
+    lowercase hex characters).
+
+    Keys become file names under the store root, so a raw key from
+    outside the program (a daemon request, a CLI argument) must pass
+    this check before it reaches a path: ``"../bob/<key>"`` would
+    otherwise name another tenant's entry.
+    """
+    return isinstance(key, str) and _KEY_PATTERN.match(key) is not None
 
 
 def _canonical(value: Any) -> Any:
@@ -238,7 +260,12 @@ class LandscapeStore:
     def _resolve_key(spec_or_key: LandscapeSpec | str) -> str:
         if isinstance(spec_or_key, LandscapeSpec):
             return spec_or_key.key()
-        return str(spec_or_key)
+        if not is_store_key(spec_or_key):
+            raise ValueError(
+                f"not a store key: {spec_or_key!r} (expected {_KEY_HEX} "
+                "lowercase hex characters)"
+            )
+        return spec_or_key
 
     def _read_manifest(self, path: Path) -> dict[str, Any] | None:
         try:
@@ -369,9 +396,9 @@ class LandscapeStore:
             if ".tmp-" in manifest_path.name:
                 continue  # an in-flight write
             manifest = self._read_manifest(manifest_path)
-            if manifest is None or "key" not in manifest:
+            key = manifest.get("key") if isinstance(manifest, dict) else None
+            if not is_store_key(key):
                 continue
-            key = str(manifest["key"])
             payload_path = self._payload_path(key)
             try:
                 payload = payload_path.stat()
@@ -436,8 +463,9 @@ class TenantStores:
     Isolation and sharing rules:
 
     - **raw keys never cross namespaces**: ``get`` / ``invalidate`` /
-      ``entries`` operate on the named tenant's store only, so tenant A
-      cannot read or drop tenant B's entries by key;
+      ``entries`` operate on the named tenant's store only, and a raw
+      key must pass :func:`is_store_key`, so tenant A cannot read or
+      drop tenant B's entries by key (``"../bob/<key>"`` is refused);
     - **byte quotas are per tenant**: each namespace store carries its
       own ``max_bytes`` (the credential's ``quota_bytes``, else the
       daemon-wide default quota), so one tenant filling its budget
@@ -456,16 +484,11 @@ class TenantStores:
     def __init__(
         self,
         default_store: LandscapeStore | None = None,
-        root: str | Path | None = None,
         quotas: Mapping[str, int | None] | None = None,
         default_quota: int | None = None,
-        default_tenant: str = "local",
     ):
-        if root is None and default_store is not None:
-            root = default_store.root / "tenants"
-        self.root = None if root is None else Path(root)
+        self.root = None if default_store is None else default_store.root / "tenants"
         self.default_store = default_store
-        self.default_tenant = default_tenant
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota
         self._stores: dict[str, LandscapeStore] = {}
@@ -473,7 +496,7 @@ class TenantStores:
     def store_for(self, tenant: str) -> LandscapeStore | None:
         """The tenant's namespace store (created lazily), or ``None``
         when the daemon runs without a cache."""
-        if tenant == self.default_tenant:
+        if tenant == DEFAULT_TENANT:
             return self.default_store
         if self.root is None:
             return None
@@ -489,13 +512,13 @@ class TenantStores:
         process or persisted on disk), default tenant first."""
         names = []
         if self.default_store is not None:
-            names.append(self.default_tenant)
+            names.append(DEFAULT_TENANT)
         on_disk = set(self._stores)
         if self.root is not None and self.root.exists():
             on_disk.update(
                 path.name for path in self.root.iterdir() if path.is_dir()
             )
-        names.extend(sorted(on_disk - {self.default_tenant}))
+        names.extend(sorted(on_disk - {DEFAULT_TENANT}))
         return names
 
     def read_through(

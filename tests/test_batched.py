@@ -196,9 +196,9 @@ def test_batched_sampling_shares_rng_draw_order_with_serial():
 
 
 def test_sample_counts_default_pins_serial_draw_order():
-    """The default (rng_parity=True) batched sampler must consume the
-    shared generator exactly like a serial loop of
-    ``Statevector.sample_counts`` — identical dicts, draw for draw."""
+    """The batched sampler must consume the shared generator exactly
+    like a serial loop of ``Statevector.sample_counts`` — identical
+    dicts, draw for draw."""
     data = _random_batch(3, 5, seed=12)
     batched = BatchedStatevector(3, data=data)
     batched_rng = np.random.default_rng(21)
@@ -211,51 +211,6 @@ def test_sample_counts_default_pins_serial_draw_order():
     assert batched_counts == serial_counts
     # Both generators sit at the same stream position afterwards.
     assert batched_rng.integers(1 << 63) == serial_rng.integers(1 << 63)
-
-
-def test_sample_counts_vectorized_multinomial_opt_in():
-    """rng_parity=False trades draw-order parity for one vectorized
-    multinomial: same per-row statistics, different draws."""
-    data = _random_batch(3, 4, seed=13)
-    batched = BatchedStatevector(3, data=data)
-    counts = batched.sample_counts(4096, np.random.default_rng(3), rng_parity=False)
-    assert len(counts) == 4
-    for row, row_counts in enumerate(counts):
-        assert sum(row_counts.values()) == 4096
-        probabilities = np.abs(data[row]) ** 2
-        for index, count in row_counts.items():
-            assert abs(count / 4096 - probabilities[index]) < 0.05
-    # Deterministic under a fixed seed.
-    again = batched.sample_counts(4096, np.random.default_rng(3), rng_parity=False)
-    assert counts == again
-    with pytest.raises(ValueError):
-        batched.sample_counts(0, rng_parity=False)
-
-
-def test_sample_expectation_diagonal_vectorized_is_unbiased():
-    data = _random_batch(3, 6, seed=14)
-    diagonal = np.random.default_rng(15).normal(size=8)
-    batched = BatchedStatevector(3, data=data)
-    exact = batched.expectation_diagonal(diagonal)
-    sampled = batched.sample_expectation_diagonal(
-        diagonal, 8192, np.random.default_rng(4), rng_parity=False
-    )
-    assert sampled.shape == exact.shape
-    bound = 6.0 * float(np.ptp(diagonal)) / np.sqrt(8192)
-    assert np.all(np.abs(sampled - exact) < bound)
-    assert not np.allclose(sampled, exact)  # genuinely stochastic
-    with pytest.raises(ValueError):
-        batched.sample_expectation_diagonal(
-            diagonal, -1, np.random.default_rng(0), rng_parity=False
-        )
-
-
-def test_vectorized_sampler_renormalizes_unnormalized_rows():
-    data = np.array([[2.0, 0.0], [1.0, 1.0]], dtype=complex)  # unnormalized
-    batched = BatchedStatevector(1, data=data)
-    counts = batched.sample_counts(512, np.random.default_rng(5), rng_parity=False)
-    assert counts[0] == {0: 512}
-    assert sum(counts[1].values()) == 512 and set(counts[1]) == {0, 1}
 
 
 def test_copy_is_independent():
@@ -453,6 +408,11 @@ def test_sample_counts_rejects_non_positive_shots():
             state.sample_counts(shots)
     with pytest.raises(ValueError):
         state.sample_expectation_diagonal(np.ones(4), 0)
+    batched = BatchedStatevector(2, data=np.array([state.data] * 2))
+    with pytest.raises(ValueError):
+        batched.sample_counts(0)
+    with pytest.raises(ValueError):
+        batched.sample_expectation_diagonal(np.ones(4), -1, np.random.default_rng(0))
 
 
 def test_sample_counts_skips_renormalization_when_normalized(monkeypatch):

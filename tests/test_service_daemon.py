@@ -754,6 +754,72 @@ def test_tcp_requires_tokens_file(tmp_path):
         LandscapeDaemon(tmp_path / "d.sock", tcp=("127.0.0.1", 0))
 
 
+def test_one_tcp_address_parser():
+    """``_parse_tcp`` reads every address form; the client's ``tcp://``
+    targets go through it too."""
+    from repro.service.daemon import _parse_tcp
+
+    assert _parse_tcp(7421) == ("127.0.0.1", 7421)
+    assert _parse_tcp("7421") == ("127.0.0.1", 7421)
+    assert _parse_tcp(":7421") == ("127.0.0.1", 7421)
+    assert _parse_tcp("tcp://h:7421") == ("h", 7421)
+    for bad in ("h:", "h:x"):
+        with pytest.raises(ValueError, match="numeric port"):
+            _parse_tcp(bad)
+    with pytest.raises(ValueError, match="numeric port"):
+        LandscapeClient("tcp://h:x")
+
+
+def test_cli_serve_rejects_a_bad_tcp_port_without_binding(tmp_path, capsys):
+    from repro.cli import main
+
+    socket_path = tmp_path / "serve.sock"
+    code = main(
+        [
+            "serve",
+            "--socket", str(socket_path),
+            "--tcp", "127.0.0.1:http",
+            "--tokens-file", str(_tcp_tokens(tmp_path)),
+        ]
+    )
+    assert code == 2
+    assert "serve:" in capsys.readouterr().out
+    assert not socket_path.exists()
+
+
+def test_cli_token_reaches_a_tcp_daemon(tmp_path, capsys):
+    """``--token`` travels with ``--daemon tcp://``: the right token is
+    served as its tenant; a wrong one is the daemon's ``auth`` error,
+    not an in-process fallback."""
+    from repro.cli import main
+
+    daemon = _tcp_daemon(tmp_path)
+    try:
+        host, port = daemon.tcp_address
+        target = f"tcp://{host}:{port}"
+        args = [
+            "reconstruct",
+            "--qubits", "6",
+            "--resolution", "6", "12",
+            "--fraction", "0.3",
+            "--daemon", target,
+        ]
+        assert main(args + ["--token", "tok-alice"]) == 0
+        assert "NRMSE" in capsys.readouterr().out
+        stats = LandscapeClient(target, token="tok-alice").stats()
+        ops = stats["tenants"]["alice"]["ops"]
+        assert ops["compute"] == 1 and ops["compute_indices"] == 1
+        assert stats["counters"]["computed"] == 1
+
+        with pytest.raises(DaemonError) as denied:
+            main(args + ["--token", "wrong-token"])
+        assert denied.value.code == "auth"
+        stats = LandscapeClient(target, token="tok-alice").stats()
+        assert stats["counters"]["computed"] == 1
+    finally:
+        daemon.close()
+
+
 @pytest.mark.parametrize(
     "token, detail",
     [

@@ -473,6 +473,87 @@ def test_fuzz_daemon_counters_saw_the_abuse():
     assert stats["counters"]["errors"] >= 100
 
 
+# -- raw keys and request integers at the wire boundary -----------------------
+
+
+def test_raw_keys_cannot_leave_the_tenant_namespace(tmp_path):
+    """``get``/``invalidate`` take only store keys: a path-shaped key is
+    ``malformed``, so alice can neither read nor drop bob's entry and
+    cannot delete a file outside the cache."""
+    tokens = tmp_path / "tenants.json"
+    tokens.write_text(json.dumps({"alice": "tok-alice", "bob": "tok-bob"}))
+    daemon = _start_daemon(tmp_path, tokens_file=tokens)
+    victim = tmp_path / "victim.json"
+    victim.write_text("{}")
+    try:
+        computed = _request(
+            daemon.tcp_address,
+            {
+                "version": 2,
+                "op": "compute",
+                "token": "tok-bob",
+                "function": GOLDEN_FUNCTION,
+                "grid": GOLDEN_GRID,
+            },
+        )
+        key = computed["key"]
+        for op, probe in (
+            ("get", f"../bob/{key}"),
+            ("invalidate", f"../bob/{key}"),
+            ("invalidate", "../../../victim"),
+        ):
+            response = _request(
+                daemon.tcp_address,
+                {"version": 2, "op": op, "token": "tok-alice", "key": probe},
+            )
+            assert response["ok"] is False, (op, probe, response)
+            assert response["error"]["code"] == "malformed", (op, probe)
+        kept = _request(
+            daemon.tcp_address,
+            {"version": 2, "op": "get", "token": "tok-bob", "key": key},
+        )
+        assert kept["landscape"] is not None, "bob's entry must survive"
+        assert victim.exists(), "a file outside the cache was deleted"
+    finally:
+        daemon.close()
+
+
+@pytest.mark.parametrize("op", ["compute", "compute_indices"])
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("batch_size", 0, "invalid-spec"),
+        ("shard_points", "x", "malformed"),
+        ("shard_points", 0, "invalid-spec"),
+        ("shard_points", 2.5, "malformed"),
+        ("seed", -1, "invalid-spec"),
+    ],
+)
+def test_request_integers_are_checked_at_the_wire(tmp_path, op, field, value, code):
+    """Sizes must be integers >= 1 and seeds integers >= 0: anything
+    else is the client's error (``malformed`` for a wrong type,
+    ``invalid-spec`` below the bound), never ``internal`` and never
+    silently truncated, and it leaves no in-flight entry behind."""
+    daemon = _start_daemon(tmp_path)
+    try:
+        request = {
+            "version": 2,
+            "op": op,
+            "token": GOLDEN_TOKEN,
+            "function": GOLDEN_FUNCTION,
+            "grid": GOLDEN_GRID,
+            field: value,
+        }
+        if op == "compute_indices":
+            request["indices"] = [0, 3, 7]
+        response = _request(daemon.tcp_address, request)
+        assert response["ok"] is False, response
+        assert response["error"]["code"] == code, response["error"]
+        assert daemon._inflight == {}
+    finally:
+        daemon.close()
+
+
 # -- the no-pickle gate -------------------------------------------------------
 
 SERVICE_DIR = Path(protocol_module.__file__).parent
