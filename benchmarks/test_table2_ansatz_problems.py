@@ -21,7 +21,7 @@ PAPER_VALUES = {
 
 
 def test_table2(benchmark):
-    rows = once(benchmark, run_table2, repeats=3, sampling_fraction=0.35, seed=0)
+    rows = once(benchmark, run_table2, repeats=3, seed=0)
     table_rows = []
     for row in rows:
         paper = PAPER_VALUES[(row.problem, row.num_qubits, row.ansatz)]

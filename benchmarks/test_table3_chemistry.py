@@ -17,7 +17,7 @@ PAPER_VALUES = [
 
 
 def test_table3(benchmark):
-    rows = once(benchmark, run_table3, repeats=3, sampling_fraction=0.35, seed=0)
+    rows = once(benchmark, run_table3, repeats=3, seed=0)
     table_rows = []
     for row, (molecule, ansatz, points, paper) in zip(rows, PAPER_VALUES):
         assert row.problem == molecule and row.ansatz == ansatz

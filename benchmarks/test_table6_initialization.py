@@ -28,7 +28,6 @@ def test_table6(benchmark):
         noisy_settings=(False, True),
         num_qubits=8,
         num_instances=3,
-        resolution=(16, 32),
         sampling_fraction=0.08,
         seed=0,
     )

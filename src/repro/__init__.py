@@ -23,7 +23,7 @@ Quickstart::
 Subpackage map (the service stack is laid out in ``docs/architecture.md``):
 
 - :mod:`repro.quantum` — simulation substrate (circuits, statevector,
-  density matrix, trajectories, noise),
+  density matrix, noise),
 - :mod:`repro.problems` — MaxCut / SK / Ising / chemistry Hamiltonians,
 - :mod:`repro.ansatz` — QAOA / Two-local / UCCSD,
 - :mod:`repro.cs` — DCT basis, L1 solvers, sampling,

@@ -42,7 +42,6 @@ from ..quantum.circuit import QuantumCircuit
 from ..quantum.gates import rx as rx_matrix
 from ..quantum.noise import NoiseModel, global_depolarizing_factor
 from ..quantum.statevector import Statevector
-from ..quantum.trajectories import trajectory_expectation_diagonal
 from ..utils import ensure_rng
 from .base import Ansatz
 
@@ -126,8 +125,7 @@ class QaoaAnsatz(Ansatz):
         (calibrated on the explicit gate circuit) — the regime the
         paper's Fig. 4(b)/(d) experiments probe — with optional shot
         noise layered on top.  For exact per-gate noisy simulation use
-        :func:`repro.quantum.density.simulate_density` or the trajectory
-        engine directly.
+        :func:`repro.quantum.density.simulate_density`.
         """
         state = self.statevector(parameters)
         exact = state.expectation_diagonal(self._cost_diagonal)
@@ -355,24 +353,6 @@ class QaoaAnsatz(Ansatz):
             values[:, noisy] - self._cost_mean
         )
         return values
-
-    def expectation_trajectory(
-        self,
-        parameters: Sequence[float],
-        noise: NoiseModel,
-        num_trajectories: int = 32,
-        shots_per_trajectory: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> float:
-        """Per-gate stochastic noisy estimate (the trajectory engine)."""
-        return trajectory_expectation_diagonal(
-            self.circuit(parameters),
-            self._cost_diagonal,
-            noise,
-            num_trajectories=num_trajectories,
-            shots_per_trajectory=shots_per_trajectory,
-            rng=rng,
-        )
 
     @property
     def cost_diagonal(self) -> np.ndarray:

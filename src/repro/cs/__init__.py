@@ -21,7 +21,7 @@ from .dct import (
     sparsity_fraction_for_energy,
     transform,
 )
-from .engine import ReconstructionEngine, reconstruct_signals
+from .engine import ReconstructionEngine
 from .reconstruct import (
     ReconstructionConfig,
     available_solvers,
@@ -29,7 +29,6 @@ from .reconstruct import (
     reconstruction_operators,
 )
 from .sampling import (
-    flat_to_grid_indices,
     sample_count_for_fraction,
     stratified_indices,
     uniform_random_indices,
@@ -58,9 +57,7 @@ __all__ = [
     "ReconstructionEngine",
     "available_solvers",
     "reconstruct_signal",
-    "reconstruct_signals",
     "reconstruction_operators",
-    "flat_to_grid_indices",
     "sample_count_for_fraction",
     "stratified_indices",
     "uniform_random_indices",

@@ -47,7 +47,7 @@ from .reconstruct import (
 )
 from .solvers import SolverResult, auto_lambda
 
-__all__ = ["ReconstructionEngine", "reconstruct_signals"]
+__all__ = ["ReconstructionEngine"]
 
 
 class ReconstructionEngine:
@@ -309,18 +309,3 @@ class ReconstructionEngine:
                 )
             )
         return results
-
-
-def reconstruct_signals(
-    shape: tuple[int, ...],
-    problems: Sequence[tuple[np.ndarray, np.ndarray]],
-    config: ReconstructionConfig | None = None,
-    warm_starts: Sequence[np.ndarray | None] | None = None,
-) -> list[tuple[np.ndarray, SolverResult]]:
-    """Batched counterpart of :func:`~repro.cs.reconstruct.reconstruct_signal`.
-
-    Convenience wrapper constructing a one-shot
-    :class:`ReconstructionEngine`; prefer holding an engine instance
-    when solving several stacks over the same grid.
-    """
-    return ReconstructionEngine(shape, config).solve(problems, warm_starts)

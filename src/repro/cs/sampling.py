@@ -17,7 +17,6 @@ __all__ = [
     "sample_count_for_fraction",
     "uniform_random_indices",
     "stratified_indices",
-    "flat_to_grid_indices",
 ]
 
 
@@ -58,11 +57,3 @@ def stratified_indices(
     # so strata are disjoint, non-empty, and tile [0, grid_size).
     edges = (np.arange(count + 1) * grid_size) // count
     return rng.integers(edges[:-1], edges[1:])
-
-
-def flat_to_grid_indices(
-    flat_indices: np.ndarray, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Convert flat indices to an ``(m, ndim)`` array of grid indices."""
-    unraveled = np.unravel_index(np.asarray(flat_indices, dtype=int), shape)
-    return np.stack(unraveled, axis=1)

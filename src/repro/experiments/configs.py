@@ -18,7 +18,16 @@ from dataclasses import dataclass, field
 
 from ..quantum.noise import NoiseModel
 
-__all__ = ["ExperimentScale", "SMOKE", "DEFAULT", "FIG4_NOISE", "FIG9_NOISE", "NCM_QPU1", "NCM_QPU2"]
+__all__ = [
+    "ExperimentScale",
+    "SMOKE",
+    "DEFAULT",
+    "FIG4_NOISE",
+    "FIG9_NOISE",
+    "NCM_QPU1",
+    "NCM_QPU2",
+    "NCM_TRAINING_FRACTION",
+]
 
 
 @dataclass(frozen=True)
@@ -67,3 +76,6 @@ FIG9_NOISE = NoiseModel(p1=0.001, p2=0.02)
 # Sec. 5.1's two-QPU NCM study: QPU-1 (0.1%, 0.5%), QPU-2 (0.3%, 0.7%).
 NCM_QPU1 = NoiseModel(p1=0.001, p2=0.005)
 NCM_QPU2 = NoiseModel(p1=0.003, p2=0.007)
+
+# Fig. 8 trains the NCM on 1% of the grid.
+NCM_TRAINING_FRACTION = 0.01

@@ -24,7 +24,7 @@ from ..landscape.reconstructor import OscarReconstructor
 from ..parallel.scheduler import ParallelSampler
 from ..problems.maxcut import random_3_regular_maxcut
 from ..quantum.noise import NoiseModel
-from .configs import NCM_QPU1, NCM_QPU2
+from .configs import NCM_QPU1, NCM_QPU2, NCM_TRAINING_FRACTION
 
 __all__ = ["NcmSweepPoint", "run_fig8_sweep", "Table5Row", "run_table5"]
 
@@ -46,9 +46,7 @@ def _mixed_reconstruction_error(
     qpu2_noise: NoiseModel,
     resolution: tuple[int, int],
     total_fraction: float,
-    training_fraction: float,
     seed: int,
-    batch_size: int | None = None,
 ) -> tuple[float, float]:
     """NRMSE (uncompensated, compensated) for one device pair/split."""
     problem = random_3_regular_maxcut(num_qubits, seed=seed)
@@ -57,7 +55,7 @@ def _mixed_reconstruction_error(
 
     # QPU-1's true landscape is the reference (exact noisy expectation).
     reference_generator = LandscapeGenerator(
-        cost_function(ansatz, noise=qpu1_noise), grid, batch_size=batch_size
+        cost_function(ansatz, noise=qpu1_noise), grid
     )
     reference = reference_generator.grid_search(label="qpu1-truth")
 
@@ -80,7 +78,7 @@ def _mixed_reconstruction_error(
             indices,
             fractions=fractions,
             compensate=compensate,
-            ncm_training_fraction=training_fraction,
+            ncm_training_fraction=NCM_TRAINING_FRACTION,
             rng=rng,
         )
         sample_sets.append((batch.flat_indices, batch.values))
@@ -97,9 +95,7 @@ def run_fig8_sweep(
     qpu1_shares: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
     resolution: tuple[int, int] = (30, 60),
     total_fraction: float = 0.10,
-    training_fraction: float = 0.01,
     seed: int = 0,
-    batch_size: int | None = None,
 ) -> list[NcmSweepPoint]:
     """Fig. 8: NRMSE vs QPU-1 sample share, +/- compensation.
 
@@ -116,9 +112,7 @@ def run_fig8_sweep(
                 NCM_QPU2,
                 resolution,
                 total_fraction,
-                training_fraction,
                 seed,
-                batch_size=batch_size,
             )
             points.append(
                 NcmSweepPoint(
@@ -158,18 +152,16 @@ def run_table5(
     splits: tuple[float, ...] = (0.2, 0.5, 0.8),
     total_fraction: float = 0.10,
     shots: int | None = 2048,
-    ncm_training_fraction: float = 0.04,
     seed: int = 0,
-    batch_size: int | None = None,
 ) -> list[Table5Row]:
     """Table 5: device/simulator source combinations, +/- NCM.
 
     Uses named device profiles; shot noise is applied on the "hardware"
     devices (profiles with a readout entry) to mimic real sampling.
-    The NCM training share defaults to 4% of the grid: with shot noise
-    on both devices the regression needs a few dozen pairs to average
-    the measurement noise out (the paper trains on 1% of a 5k grid =
-    50 pairs; 4% of our scaled 800-point grid = 32 pairs).
+    The NCM trains on 4% of the grid: with shot noise on both devices
+    the regression needs a few dozen pairs to average the measurement
+    noise out (the paper trains on 1% of a 5k grid = 50 pairs; 4% of
+    our scaled 800-point grid = 32 pairs).
     """
     rows = []
     for pair_index, (name1, name2) in enumerate(pairs):
@@ -183,7 +175,7 @@ def run_table5(
             return shots if profile_name.startswith("ibm") else None
 
         reference_generator = LandscapeGenerator(
-            cost_function(ansatz, noise=noise1), grid, batch_size=batch_size
+            cost_function(ansatz, noise=noise1), grid
         )
         reference = reference_generator.grid_search()
 
@@ -216,7 +208,7 @@ def run_table5(
                     indices,
                     fractions=[share, 1.0 - share],
                     compensate=compensate,
-                    ncm_training_fraction=ncm_training_fraction,
+                    ncm_training_fraction=0.04,
                     rng=rng,
                 )
                 sample_sets.append((batch.flat_indices, batch.values))

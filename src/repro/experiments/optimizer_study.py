@@ -28,8 +28,7 @@ from ..optimizers.adam import Adam
 from ..optimizers.base import CountingObjective, OptimizationResult, Optimizer
 from ..optimizers.scipy_wrappers import Cobyla
 from ..problems.maxcut import random_3_regular_maxcut
-from ..quantum.noise import NoiseModel
-from .configs import FIG4_NOISE
+from .configs import FIG4_NOISE, FIG9_NOISE
 from .mitigation_study import RICHARDSON
 
 __all__ = [
@@ -72,7 +71,6 @@ def run_endpoint_distance_study(
     resolution: tuple[int, int] = (20, 40),
     sampling_fraction: float = 0.10,
     seed: int = 0,
-    batch_size: int | None = None,
 ) -> list[EndpointDistance]:
     """Fig. 12: endpoint distance, surrogate vs circuit optimization.
 
@@ -89,7 +87,7 @@ def run_endpoint_distance_study(
             grid = qaoa_grid(p=1, resolution=resolution)
             active_noise = noise if noisy else None
             generator = LandscapeGenerator(
-                cost_function(ansatz, noise=active_noise), grid, batch_size=batch_size
+                cost_function(ansatz, noise=active_noise), grid
             )
             reconstructor = OscarReconstructor(grid, rng=instance_seed)
             reconstruction, _ = reconstructor.reconstruct(generator, sampling_fraction)
@@ -135,29 +133,26 @@ class OptimizerChoiceResult:
 def run_optimizer_choice(
     num_qubits: int = 8,
     resolution: tuple[int, int] = (20, 40),
-    noise: NoiseModel | None = None,
     shots: int = 512,
     sampling_fraction: float = 0.15,
     num_starts: int = 1,
     seed: int = 0,
-    batch_size: int | None = None,
 ) -> list[OptimizerChoiceResult]:
     """Fig. 13: ADAM vs COBYLA on a Richardson-mitigated landscape.
 
-    The Richardson landscape's salt noise defeats finite-difference
-    gradients, so the gradient-free COBYLA reaches a lower final value
-    — the paper's optimizer-selection takeaway.  The paper shows one
-    illustrative run; pass ``num_starts > 1`` to aggregate the
-    comparison over several random initial points (both optimizers
-    always share each start).
+    The landscape is Fig. 9's Richardson configuration (``FIG9_NOISE``),
+    whose salt noise defeats finite-difference gradients, so the
+    gradient-free COBYLA reaches a lower final value — the paper's
+    optimizer-selection takeaway.  The paper shows one illustrative run;
+    pass ``num_starts > 1`` to aggregate the comparison over several
+    random initial points (both optimizers always share each start).
     """
-    noise = noise or NoiseModel(p1=0.001, p2=0.02)
     problem = random_3_regular_maxcut(num_qubits, seed=seed)
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=resolution)
     rng = np.random.default_rng(seed)
-    function = zne_cost_function(ansatz, noise, RICHARDSON, shots=shots, rng=rng)
-    generator = LandscapeGenerator(function, grid, batch_size=batch_size)
+    function = zne_cost_function(ansatz, FIG9_NOISE, RICHARDSON, shots=shots, rng=rng)
+    generator = LandscapeGenerator(function, grid)
     reconstructor = OscarReconstructor(grid, rng=seed)
     reconstruction, _ = reconstructor.reconstruct(generator, sampling_fraction)
     start_rng = np.random.default_rng(seed + 1)
@@ -198,12 +193,12 @@ def run_table6_initialization(
     noisy_settings: tuple[bool, ...] = (False, True),
     num_qubits: int = 8,
     num_instances: int = 4,
-    resolution: tuple[int, int] = (16, 32),
     sampling_fraction: float = 0.08,
     seed: int = 0,
-    batch_size: int | None = None,
 ) -> list[Table6Row]:
     """Table 6: QPU queries with random vs OSCAR initialization.
+
+    Every instance runs on a 16 x 32 p=1 grid.
 
     For each instance: (a) run the optimizer on the circuit objective
     from a random point; (b) reconstruct the landscape with OSCAR,
@@ -222,10 +217,10 @@ def run_table6_initialization(
                 instance_seed = seed + instance
                 problem = random_3_regular_maxcut(num_qubits, seed=instance_seed)
                 ansatz = QaoaAnsatz(problem, p=1)
-                grid = qaoa_grid(p=1, resolution=resolution)
+                grid = qaoa_grid(p=1, resolution=(16, 32))
                 active_noise = FIG4_NOISE if noisy else None
                 generator = LandscapeGenerator(
-                    cost_function(ansatz, noise=active_noise), grid, batch_size=batch_size
+                    cost_function(ansatz, noise=active_noise), grid
                 )
                 rng = np.random.default_rng(instance_seed + 13)
 

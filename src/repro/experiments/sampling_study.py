@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ansatz.qaoa import QaoaAnsatz
-from ..datasets.sycamore import sycamore_landscape
+from ..datasets.sycamore import SYCAMORE_PROBLEMS, sycamore_landscape
 from ..landscape.generator import LandscapeGenerator, cost_function
 from ..landscape.grid import qaoa_grid
 from ..landscape.metrics import nrmse
@@ -79,7 +79,6 @@ def run_fig4_sweep(
     noisy: bool,
     scale: ExperimentScale = DEFAULT,
     qubit_counts: tuple[int, ...] | None = None,
-    shots: int | None = 4096,
     seed: int = 0,
 ) -> list[FractionSweepPoint]:
     """One panel of Fig. 4: quartile NRMSE vs sampling fraction.
@@ -87,14 +86,13 @@ def run_fig4_sweep(
     Args:
         p: QAOA depth (1 or 2).
         noisy: apply the Fig. 4 depolarizing model if True.  Noisy
-            execution also samples ``shots`` measurement shots per point
+            execution also samples 4096 measurement shots per point
             (pure analytic depolarizing is an affine landscape transform
             that the scale-invariant NRMSE cannot see; shot statistics
-            are what make noisy reconstruction genuinely harder).
+            are what make noisy reconstruction genuinely harder).  Ideal
+            panels use exact expectations, as in the paper.
         scale: experiment sizing (resolutions, instance counts).
         qubit_counts: overrides the scale's qubit list.
-        shots: shots per expectation in the noisy setting (ideal panels
-            always use exact expectations, as in the paper).
         seed: base seed; instances use ``seed + i``.
     """
     noise = FIG4_NOISE if noisy else None
@@ -111,7 +109,7 @@ def run_fig4_sweep(
                 scale.num_instances,
                 scale,
                 seed,
-                shots if noisy else None,
+                4096 if noisy else None,
             )
             q1, median, q3 = np.percentile(errors, (25, 50, 75))
             points.append(
@@ -130,16 +128,15 @@ def run_fig4_sweep(
 
 def run_fig6_sycamore(
     fractions: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
-    kinds: tuple[str, ...] = ("mesh", "3-regular", "sk"),
     seed: int = 0,
 ) -> dict[str, list[tuple[float, float]]]:
     """Fig. 6: reconstruction error vs sampling fraction, per problem.
 
-    Returns ``{kind: [(fraction, nrmse), ...]}`` over the synthetic
-    Sycamore landscapes.
+    Returns ``{kind: [(fraction, nrmse), ...]}`` over the three synthetic
+    Sycamore landscapes (``SYCAMORE_PROBLEMS``).
     """
     curves: dict[str, list[tuple[float, float]]] = {}
-    for kind in kinds:
+    for kind in SYCAMORE_PROBLEMS:
         hardware, _ = sycamore_landscape(kind, seed=seed)
         grid = hardware.grid
         rng = np.random.default_rng(seed + 17)

@@ -88,15 +88,12 @@ def slice_reconstruction_error(
     return float(np.median(errors)), float(np.median(sparsities))
 
 
-def run_table2(
-    repeats: int = 3,
-    sampling_fraction: float = 0.35,
-    seed: int = 0,
-) -> list[SliceReconstructionRow]:
+def run_table2(repeats: int = 3, seed: int = 0) -> list[SliceReconstructionRow]:
     """Table 2: QAOA vs Two-local on 4/6-qubit MaxCut and SK problems.
 
     Configuration mirrors the paper: 8 parameters and 7 points/axis at
-    n=4; 6 parameters and 14 points/axis at n=6.
+    n=4; 6 parameters and 14 points/axis at n=6.  Every slice is
+    reconstructed from 35% of its points.
     """
     rows = []
     cases = [
@@ -116,7 +113,7 @@ def run_table2(
             ("Two-local", _twolocal_for_params(hamiltonian, num_parameters)),
         ):
             error, sparsity = slice_reconstruction_error(
-                ansatz, points, sampling_fraction, repeats, seed
+                ansatz, points, repeats=repeats, seed=seed
             )
             rows.append(
                 SliceReconstructionRow(
@@ -132,16 +129,13 @@ def run_table2(
     return rows
 
 
-def run_table3(
-    repeats: int = 3,
-    sampling_fraction: float = 0.35,
-    seed: int = 0,
-) -> list[SliceReconstructionRow]:
+def run_table3(repeats: int = 3, seed: int = 0) -> list[SliceReconstructionRow]:
     """Table 3: H2 and LiH with Two-local and UCCSD ansatzes.
 
     Mirrors the paper's five rows, including the high-resolution
     H2/UCCSD row (50 points per axis) that shows error collapsing with
-    a denser slice grid.
+    a denser slice grid.  Every slice is reconstructed from 35% of its
+    points.
     """
     h2 = h2_hamiltonian()
     lih = lih_hamiltonian()
@@ -155,7 +149,7 @@ def run_table3(
     rows = []
     for molecule, ansatz_name, ansatz, points in cases:
         error, sparsity = slice_reconstruction_error(
-            ansatz, points, sampling_fraction, repeats, seed
+            ansatz, points, repeats=repeats, seed=seed
         )
         rows.append(
             SliceReconstructionRow(

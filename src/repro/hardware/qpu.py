@@ -65,23 +65,6 @@ class SimulatedQPU:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
 
-    @classmethod
-    def from_profile(
-        cls,
-        name: str,
-        shots: int | None = None,
-        latency: LatencyModel | None = None,
-        seed: int = 0,
-    ) -> "SimulatedQPU":
-        """Build a QPU from a named device profile."""
-        return cls(
-            name=name,
-            noise=device_profile(name),
-            shots=shots,
-            latency=latency or LatencyModel(),
-            seed=seed,
-        )
-
     def execute(self, ansatz: Ansatz, parameters: np.ndarray) -> float:
         """One expectation estimate under this device's noise/shots."""
         return ansatz.expectation(
@@ -95,10 +78,6 @@ class SimulatedQPU:
     def sample_latencies(self, count: int) -> np.ndarray:
         """Per-job completion latencies for ``count`` jobs."""
         return self.latency.sample(count, self._rng)
-
-    def reseed(self, seed: int) -> None:
-        """Reset the device RNG (for independent experiment repeats)."""
-        self._rng = np.random.default_rng(seed)
 
 
 class QpuPool:

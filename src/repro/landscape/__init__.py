@@ -21,14 +21,12 @@ from .analysis import (
     InitialPointReport,
     barren_plateau_fraction,
     basin_labels,
-    basin_of,
     check_convergence,
     find_local_minima,
     gradient_field,
     gradient_magnitudes,
     initial_point_quality,
 )
-from .compare import LandscapeComparison, compare_landscapes
 from .generator import AnsatzCostFunction, LandscapeGenerator, cost_function
 from .grid import GridAxis, ParameterGrid, qaoa_grid, validate_flat_indices
 from .interpolate import InterpolatedLandscape
@@ -59,13 +57,10 @@ __all__ = [
     "AdaptiveOutcome",
     "adaptive_reconstruct",
     "holdout_error_estimate",
-    "LandscapeComparison",
-    "compare_landscapes",
     "ConvergenceReport",
     "InitialPointReport",
     "barren_plateau_fraction",
     "basin_labels",
-    "basin_of",
     "check_convergence",
     "find_local_minima",
     "gradient_field",

@@ -39,7 +39,7 @@ def holdout_error_estimate(
     holdout_fraction: float = 0.25,
     rng: np.random.Generator | None = None,
     warm_start: np.ndarray | None = None,
-) -> float:
+) -> tuple[float, Landscape]:
     """Cross-validated NRMSE-style error estimate from samples alone.
 
     Reconstructs from a random ``1 - holdout_fraction`` subset and
@@ -47,27 +47,11 @@ def holdout_error_estimate(
     interquartile range of the held-out values (mirroring Eq. 1's
     normalisation so estimates are comparable to true NRMSE values).
 
-    ``warm_start`` (a coefficient array from a previous round's
-    reconstruction) seeds the internal solve; the adaptive loop uses it
-    to make its repeated holdout solves converge in far fewer FISTA
-    iterations.
+    Returns ``(estimate, landscape)``: the landscape is the internal
+    reconstruction, which the adaptive loop reuses as the next round's
+    ``warm_start`` (a coefficient array) so its repeated holdout solves
+    converge in far fewer FISTA iterations.
     """
-    estimate, _ = _holdout_estimate_with_landscape(
-        reconstructor, flat_indices, values, holdout_fraction, rng, warm_start
-    )
-    return estimate
-
-
-def _holdout_estimate_with_landscape(
-    reconstructor: OscarReconstructor,
-    flat_indices: np.ndarray,
-    values: np.ndarray,
-    holdout_fraction: float = 0.25,
-    rng: np.random.Generator | None = None,
-    warm_start: np.ndarray | None = None,
-) -> tuple[float, Landscape]:
-    """Holdout estimate plus the internal reconstruction (for reuse as
-    the next round's warm start)."""
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout fraction must be in (0, 1)")
     rng = ensure_rng(rng)
@@ -179,7 +163,7 @@ def adaptive_reconstruct(
             sampled = sampled[order]
             values = values[order]
 
-        estimate, holdout_landscape = _holdout_estimate_with_landscape(
+        estimate, holdout_landscape = holdout_error_estimate(
             reconstructor, sampled, values, config.holdout_fraction, rng, warm_start
         )
         warm_start = reconstructor.coefficients_of(holdout_landscape)

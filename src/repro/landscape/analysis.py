@@ -12,8 +12,8 @@ analyses on :class:`~repro.landscape.landscape.Landscape` objects:
   gradient magnitude is negligible (the barren-plateau probe),
 - :func:`find_local_minima` — all strict local minima on the grid
   (local-trap census),
-- :func:`basin_labels` / :func:`basin_of` — steepest-descent basin
-  decomposition of the grid,
+- :func:`basin_labels` — steepest-descent basin decomposition of the
+  grid,
 - :func:`initial_point_quality` — percentile rank + basin check for a
   candidate initial point,
 - :func:`check_convergence` — did an optimizer path end in the global
@@ -34,7 +34,6 @@ __all__ = [
     "barren_plateau_fraction",
     "find_local_minima",
     "basin_labels",
-    "basin_of",
     "InitialPointReport",
     "initial_point_quality",
     "ConvergenceReport",
@@ -149,13 +148,6 @@ def basin_labels(landscape: Landscape) -> np.ndarray:
     for flat in range(values.size):
         descend(flat)
     return labels.reshape(shape)
-
-
-def basin_of(landscape: Landscape, parameters: np.ndarray) -> int:
-    """Basin label (flat index of the attracting minimum) of a point."""
-    labels = basin_labels(landscape)
-    flat = landscape.grid.nearest_flat_index(parameters)
-    return int(labels.reshape(-1)[flat])
 
 
 @dataclass(frozen=True)

@@ -80,25 +80,3 @@ class InterpolatedLandscape:
             backward[i] -= step
             grad[i] = (self(forward) - self(backward)) / (2.0 * step)
         return grad
-
-    def dense_resample(self, factor: int = 4) -> np.ndarray:
-        """Evaluate the interpolant on a ``factor``-times denser grid.
-
-        This is the "make the grid dense by using interpolation" step of
-        Sec. 7; useful for plotting and for seeding optimizers.
-        """
-        if factor < 1:
-            raise ValueError("densification factor must be >= 1")
-        grid = self.landscape.grid
-        dense_axes = [
-            np.linspace(axis.low, axis.high, axis.num_points * factor)
-            for axis in grid.axes
-        ]
-        mesh = np.meshgrid(*dense_axes, indexing="ij")
-        points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        if self._spline is not None:
-            values = self._spline(dense_axes[0], dense_axes[1])
-            self.query_count += points.shape[0]
-            return values
-        self.query_count += points.shape[0]
-        return self._generic(points).reshape([len(a) for a in dense_axes])

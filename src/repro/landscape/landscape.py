@@ -73,10 +73,6 @@ class Landscape:
 
     # -- metrics -------------------------------------------------------------
 
-    def nrmse_against(self, reference: "Landscape") -> float:
-        """NRMSE of this landscape against a reference (true) one."""
-        return _metrics.nrmse(reference.values, self.values)
-
     def second_derivative(self) -> float:
         """Roughness D2 (paper Eq. 2)."""
         return _metrics.second_derivative(self.values)

@@ -20,7 +20,7 @@ from .cdr import (
     cdr_cost_function,
     snap_to_clifford_angles,
 )
-from .dd import idle_dephasing_survival, insert_dynamical_decoupling, schedule_layers
+from .dd import insert_dynamical_decoupling, schedule_layers
 from .pec import PecEstimator, inverse_depolarizing_quasiprobability, pec_gamma_factor
 from .readout import ReadoutMitigator
 from .zne import (
@@ -44,7 +44,6 @@ __all__ = [
     "PecEstimator",
     "inverse_depolarizing_quasiprobability",
     "pec_gamma_factor",
-    "idle_dephasing_survival",
     "insert_dynamical_decoupling",
     "schedule_layers",
     "ReadoutMitigator",

@@ -92,11 +92,6 @@ class CliffordDataRegression:
         self._coefficients: np.ndarray | None = None
 
     @property
-    def is_trained(self) -> bool:
-        """True once :meth:`train` has run."""
-        return self._coefficients is not None
-
-    @property
     def coefficients(self) -> tuple[float, float]:
         """The fitted ``(slope, intercept)``."""
         if self._coefficients is None:

@@ -11,20 +11,13 @@ that defines circuit depth) and every qubit idle in a layer receives an
 ``X``-``X`` pair.  The pair multiplies to identity, so the transformed
 circuit is logically equivalent — verified by the test suite — while a
 dephasing-during-idle error model sees its idle windows refocused.
-
-:func:`idle_dephasing_survival` provides a minimal analytic model of
-why DD helps: a qubit idling for ``k`` layers under per-layer dephasing
-rate ``phi`` retains coherence ``cos(k * phi)`` without DD but
-``cos(phi)**k``-ish residual (echoed each layer) with DD.
 """
 
 from __future__ import annotations
 
-import math
-
 from ..quantum.circuit import Instruction, QuantumCircuit
 
-__all__ = ["insert_dynamical_decoupling", "schedule_layers", "idle_dephasing_survival"]
+__all__ = ["insert_dynamical_decoupling", "schedule_layers"]
 
 
 def schedule_layers(circuit: QuantumCircuit) -> list[list[Instruction]]:
@@ -58,22 +51,3 @@ def insert_dynamical_decoupling(circuit: QuantumCircuit) -> QuantumCircuit:
                 out.x(qubit)
                 out.x(qubit)
     return out
-
-
-def idle_dephasing_survival(
-    idle_layers: int, phase_per_layer: float, decoupled: bool
-) -> float:
-    """Coherence retained by a qubit idling under slow dephasing.
-
-    Without DD the phase accumulates coherently over the idle window:
-    ``cos(k * phi)``.  With DD each layer's phase is echoed away up to
-    second order; we model the residual per layer as ``cos(phi^2 / 2)``.
-    This is the standard first-order spin-echo suppression picture and
-    is enough to quantify the DD benefit in the mitigation benchmarks.
-    """
-    if idle_layers < 0:
-        raise ValueError("idle_layers must be >= 0")
-    if not decoupled:
-        return float(abs(math.cos(idle_layers * phase_per_layer)))
-    residual = math.cos(phase_per_layer**2 / 2.0)
-    return float(abs(residual) ** idle_layers)

@@ -18,10 +18,9 @@ standard deviation grows as ``gamma^G`` over ``G`` noisy gates — the
 well-known exponential cost of PEC that makes it impractical for whole
 landscapes, which is exactly why OSCAR-style benchmarking matters.
 
-Implementation strategy: simulate the target circuit with the
-trajectory engine, inserting after each gate (a) a sampled Pauli error
-(the device noise) and (b) a sampled inverse-channel operation with its
-sign.  Averaging sign-weighted expectations converges to the ideal
+Implementation strategy: simulate the target circuit on a statevector,
+inserting after each gate (a) a sampled Pauli error (the device noise)
+and (b) a sampled inverse-channel operation with its sign.  Averaging sign-weighted expectations converges to the ideal
 value.
 """
 
@@ -80,7 +79,7 @@ def pec_gamma_factor(probability: float) -> float:
 
 @dataclass
 class PecEstimator:
-    """Sign-weighted Monte-Carlo PEC estimator on the trajectory engine.
+    """Sign-weighted Monte-Carlo PEC estimator over sampled statevector runs.
 
     Attributes:
         noise: device noise model.  Single-qubit channels are inverted
@@ -130,7 +129,7 @@ class PecEstimator:
     def _sample_once(
         self, circuit: QuantumCircuit, rng: np.random.Generator
     ) -> tuple[float, Statevector]:
-        """One quasi-probability trajectory: noise + sampled inverse."""
+        """One quasi-probability sample: noise + sampled inverse."""
         state = Statevector(circuit.num_qubits)
         sign = 1.0
         for name, qubits, matrix in circuit.resolved_operations(None):

@@ -73,16 +73,6 @@ class ReadoutMitigator:
                 recovered = recovered / total
         return recovered
 
-    def mitigate_counts(self, counts: dict[int, int]) -> np.ndarray:
-        """Counts dictionary -> mitigated probability distribution."""
-        shots = sum(counts.values())
-        if shots <= 0:
-            raise ValueError("counts must contain at least one shot")
-        observed = np.zeros(1 << self.num_qubits)
-        for outcome, count in counts.items():
-            observed[outcome] = count / shots
-        return self.mitigate_probabilities(observed)
-
     def mitigate_expectation_diagonal(
         self, observed: np.ndarray, diagonal_values: np.ndarray
     ) -> float:

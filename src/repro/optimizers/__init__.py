@@ -1,7 +1,7 @@
 """Classical optimizers with query counting and path recording.
 
-- :class:`~repro.optimizers.adam.Adam` — gradient-based (Qiskit-default
-  hyperparameters), the paper's gradient-based reference,
+- :class:`~repro.optimizers.adam.Adam` — gradient-based (Qiskit's update
+  rule), the paper's gradient-based reference,
 - :class:`~repro.optimizers.scipy_wrappers.Cobyla` — the paper's
   gradient-free reference,
 - :class:`~repro.optimizers.adam.GradientDescent`,

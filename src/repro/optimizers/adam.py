@@ -1,11 +1,16 @@
 """ADAM with finite-difference gradients.
 
-This mirrors Qiskit's ``ADAM`` optimizer (the gradient-based optimizer
-of the paper's Secs. 7-8): first-order moments ``m``, second-order
-moments ``v``, bias correction, and central finite-difference gradients
-when no analytic gradient is available.  Default hyperparameters match
-Qiskit's defaults (lr=1e-3, beta1=0.9, beta2=0.99, eps=1e-8, tol=1e-6),
-so query counts are comparable with the paper's Table 6.
+This follows the update rule of Qiskit's ``ADAM`` optimizer (the
+gradient-based optimizer of the paper's Secs. 7-8): first-order moments
+``m``, second-order moments ``v``, bias correction, and central
+finite-difference gradients when no analytic gradient is available.
+
+The defaults are ``maxiter=150``, ``learning_rate=0.05``, ``beta1=0.9``,
+``beta2=0.99``, ``eps=1e-8``, ``tolerance=1e-6`` on the step norm and
+``gradient_tolerance=1e-3`` on the gradient norm.  They differ from
+Qiskit's: the learning rate is 50x Qiskit's ``lr=1e-3``, and Qiskit has
+no gradient-norm stop.  Table 6 runs
+``Adam(maxiter=300, tolerance=1e-3, gradient_tolerance=5e-3)``.
 """
 
 from __future__ import annotations

@@ -40,11 +40,6 @@ class NoiseCompensationModel:
         self._coefficients: np.ndarray | None = None
 
     @property
-    def is_trained(self) -> bool:
-        """True once :meth:`train` has been called."""
-        return self._coefficients is not None
-
-    @property
     def coefficients(self) -> np.ndarray:
         """Fitted polynomial coefficients (highest degree first)."""
         if self._coefficients is None:

@@ -56,11 +56,6 @@ class PauliString:
         return len(self.label)
 
     @property
-    def is_identity(self) -> bool:
-        """True for a pure identity string."""
-        return set(self.label) == {"I"}
-
-    @property
     def is_diagonal(self) -> bool:
         """True if the string is diagonal in the computational basis."""
         return all(ch in "IZ" for ch in self.label)

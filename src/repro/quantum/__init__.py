@@ -12,7 +12,6 @@ OSCAR implementation with a self-contained simulator stack:
 - :mod:`~repro.quantum.density` — exact noisy engine (Kraus channels),
 - :mod:`~repro.quantum.batched_density` — batched exact noisy engine
   (many noisy rows per vectorized pass, per-row noise models),
-- :mod:`~repro.quantum.trajectories` — scalable Monte-Carlo noisy engine,
 - :mod:`~repro.quantum.noise` — depolarizing/readout noise models.
 """
 
@@ -22,8 +21,7 @@ from .circuit import CircuitError, Instruction, QuantumCircuit
 from .density import DensityMatrix, simulate_density
 from .noise import IDEAL, NoiseModel, global_depolarizing_factor
 from .parameters import Parameter, ParameterExpression
-from .statevector import Statevector, expectation_of_diagonal, simulate
-from .trajectories import trajectory_expectation_diagonal
+from .statevector import Statevector, simulate
 
 __all__ = [
     "BatchedStatevector",
@@ -41,7 +39,5 @@ __all__ = [
     "Parameter",
     "ParameterExpression",
     "Statevector",
-    "expectation_of_diagonal",
     "simulate",
-    "trajectory_expectation_diagonal",
 ]

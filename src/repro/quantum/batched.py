@@ -316,23 +316,6 @@ class BatchedStatevector:
         transformed = self._data @ observable.T
         return np.real(np.einsum("bi,bi->b", np.conj(self._data), transformed))
 
-    def sample_counts(
-        self, shots: int, rng: np.random.Generator | None = None
-    ) -> list[dict[int, int]]:
-        """Per-row measurement counts, ``[{basis_index: count}, ...]``.
-
-        Rows loop through :meth:`Statevector.sample_counts` so the shared
-        ``rng`` is consumed in exactly the order a serial loop would
-        consume it (one ``choice`` draw block per row, batch order).
-        """
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        rng = ensure_rng(rng)
-        return [
-            self.row(index).sample_counts(shots, rng)
-            for index in range(self.batch_size)
-        ]
-
     def sample_expectation_diagonal(
         self,
         diagonal_values: np.ndarray,

@@ -10,8 +10,9 @@ It supports everything the rest of the library needs:
 - structural queries (depth, gate counts, two-qubit gate count) used by
   the noise model and latency model.
 
-The IR is deliberately simulator-agnostic: the statevector, density
-matrix and trajectory engines all consume the same instruction list.
+The IR is deliberately simulator-agnostic: the statevector and density
+matrix engines (serial and batched) all consume the same instruction
+list.
 """
 
 from __future__ import annotations
@@ -247,19 +248,6 @@ class QuantumCircuit:
                 )
             )
         return bound
-
-    def bind_list(self, values: Sequence[float]) -> "QuantumCircuit":
-        """Bind parameters by sorted-name order (stable convention).
-
-        Ansatz factories name parameters so that sorted-name order is the
-        natural semantic order (``beta_00``, ... then ``gamma_00``, ...).
-        """
-        ordered = sorted(self.parameters, key=lambda prm: (prm.name, prm.uid))
-        if len(values) != len(ordered):
-            raise CircuitError(
-                f"expected {len(ordered)} parameter values, got {len(values)}"
-            )
-        return self.bind(dict(zip(ordered, (float(v) for v in values))))
 
     def compose(self, other: "QuantumCircuit") -> "QuantumCircuit":
         """Concatenate ``other`` after this circuit."""

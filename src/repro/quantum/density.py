@@ -5,7 +5,8 @@ unitary conjugation and, when a :class:`~repro.quantum.noise.NoiseModel`
 is supplied, follows it with the corresponding depolarizing channel on
 the touched qubits.  Memory is ``O(4**n)`` so it is intended for the
 small-n experiments (Tables 2-3 run at 4-6 qubits) and as the oracle
-that the scalable trajectory simulator is validated against.
+that the batched engines and the analytic QAOA noise contraction are
+validated against.
 
 Operator application delegates to the local-contraction kernels shared
 with :class:`~repro.quantum.batched_density.BatchedDensityMatrix`

@@ -7,10 +7,9 @@ plus device configurations for the NCM study (QPU-1: 0.1%/0.5%, QPU-2:
 depolarizing probabilities plus an optional symmetric readout-flip
 probability.
 
-Three consumers share this model:
+Two consumers share this model:
 
 - :mod:`repro.quantum.density` applies the exact Kraus channels,
-- :mod:`repro.quantum.trajectories` samples Pauli-error trajectories,
 - :func:`global_depolarizing_factor` gives the analytic contraction of a
   traceless observable's expectation under the model, which is how large
   landscapes are made noisy without exponential density matrices.

@@ -23,7 +23,7 @@ from ..utils import ensure_rng
 from .circuit import QuantumCircuit
 from .parameters import Parameter
 
-__all__ = ["Statevector", "simulate", "expectation_of_diagonal"]
+__all__ = ["Statevector", "simulate"]
 
 _DIAGONAL_GATES = {"i", "id", "z", "s", "sdg", "t", "tdg", "rz", "p", "cz", "rzz", "cp", "crz"}
 
@@ -199,12 +199,3 @@ def simulate(
 ) -> Statevector:
     """Run a circuit from ``|0...0>`` and return the final state."""
     return Statevector(circuit.num_qubits).evolve(circuit, bindings)
-
-
-def expectation_of_diagonal(
-    circuit: QuantumCircuit,
-    diagonal_values: np.ndarray,
-    bindings: Mapping[Parameter, float] | None = None,
-) -> float:
-    """Convenience: simulate then take a diagonal expectation."""
-    return simulate(circuit, bindings).expectation_diagonal(diagonal_values)

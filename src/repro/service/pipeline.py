@@ -35,6 +35,7 @@ request wall clock against the sum of the actual work.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -45,7 +46,7 @@ from ..cs.reconstruct import ReconstructionConfig
 from ..landscape.interpolate import InterpolatedLandscape
 from ..landscape.landscape import Landscape
 from ..landscape.reconstructor import OscarReconstructor, ReconstructionReport
-from ..optimizers import OptimizationResult, available_optimizers, make_optimizer
+from ..optimizers import OptimizationResult, make_optimizer
 from ..utils import ensure_rng
 
 __all__ = ["PipelineConfig", "PipelineOutcome", "run_pipeline"]
@@ -66,7 +67,10 @@ class PipelineConfig:
         optimizer: registry name (see
             :func:`~repro.optimizers.available_optimizers`).
         optimizer_options: constructor kwargs for the optimizer
-            (``maxiter``, ``tolerance``, ...).
+            (``maxiter``, ``tolerance``, ...).  The optimizer is built
+            when the config is, so an unknown optimizer, an unknown
+            keyword or a non-mapping raises ``ValueError`` before any
+            circuit runs.
         initial_point: optimizer start; ``None`` starts from the
             reconstructed landscape's grid minimum (the OSCAR
             initialization idiom).
@@ -90,11 +94,16 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown sampler {self.sampler!r}; choose from {_SAMPLERS}"
             )
-        if self.optimizer.lower() not in available_optimizers():
+        options = self.optimizer_options
+        if options is not None and not isinstance(options, Mapping):
             raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; choose from "
-                f"{available_optimizers()}"
+                f"optimizer_options must be a mapping, got {type(options).__name__}"
             )
+        try:
+            optimizer = make_optimizer(self.optimizer, **dict(options or {}))
+        except TypeError as error:
+            raise ValueError(f"invalid optimizer_options: {error}") from None
+        object.__setattr__(self, "_optimizer", optimizer)
 
 
 @dataclass
@@ -179,9 +188,9 @@ def run_pipeline(
         initial_point = np.asarray(config.initial_point, dtype=float)
     else:
         initial_point = landscape.minimum()[1]
-    optimizer = make_optimizer(
-        config.optimizer, **dict(config.optimizer_options or {})
-    )
+    # A fresh copy per run, so a seeded SPSA replays the same draws each
+    # time the config runs.
+    optimizer = copy.deepcopy(config._optimizer)
     optimization = optimizer.minimize(surrogate, initial_point)
     timings["optimize"] = time.perf_counter() - start
 

@@ -1,15 +1,5 @@
 """Terminal visualisation (ASCII heatmaps and path overlays)."""
 
-from .ascii import (
-    render_error_map,
-    render_heatmap,
-    render_path_overlay,
-    render_side_by_side,
-)
+from .ascii import render_path_overlay, render_side_by_side
 
-__all__ = [
-    "render_error_map",
-    "render_heatmap",
-    "render_path_overlay",
-    "render_side_by_side",
-]
+__all__ = ["render_path_overlay", "render_side_by_side"]

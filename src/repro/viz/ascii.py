@@ -13,12 +13,7 @@ import numpy as np
 
 from ..landscape.landscape import Landscape
 
-__all__ = [
-    "render_heatmap",
-    "render_side_by_side",
-    "render_path_overlay",
-    "render_error_map",
-]
+__all__ = ["render_side_by_side", "render_path_overlay"]
 
 _RAMP = " .:-=+*#%@"
 
@@ -35,24 +30,6 @@ def _to_characters(values: np.ndarray, lo: float, hi: float) -> list[str]:
     normalised = np.clip((values - lo) / span, 0.0, 1.0)
     levels = (normalised * (len(_RAMP) - 1)).astype(int)
     return ["".join(_RAMP[level] for level in row) for row in levels]
-
-
-def render_heatmap(
-    landscape: Landscape,
-    max_rows: int = 24,
-    max_cols: int = 60,
-    title: str | None = None,
-) -> str:
-    """Render a 2-D landscape as an ASCII heatmap string."""
-    values = landscape.reshaped_2d()
-    sampled = _downsample(values, max_rows, max_cols)
-    lo, hi = float(values.min()), float(values.max())
-    lines = _to_characters(sampled, lo, hi)
-    header = title or landscape.label
-    ruler = "-" * len(lines[0]) if lines else ""
-    body = "\n".join(lines)
-    footer = f"min={lo:.3f}  max={hi:.3f}  ramp='{_RAMP}'"
-    return f"{header}\n{ruler}\n{body}\n{ruler}\n{footer}"
 
 
 def render_side_by_side(
@@ -79,32 +56,6 @@ def render_side_by_side(
     rows = [f"{a}   |   {b}" for a, b in zip(left_lines, right_lines)]
     footer = f"shared scale: min={lo:.3f} max={hi:.3f}"
     return "\n".join([header, *rows, footer])
-
-
-def render_error_map(
-    reference: Landscape,
-    candidate: Landscape,
-    max_rows: int = 24,
-    max_cols: int = 60,
-    title: str | None = None,
-) -> str:
-    """Heatmap of the absolute pointwise error between two landscapes.
-
-    The debugging companion to
-    :func:`~repro.landscape.compare.compare_landscapes`: shows *where*
-    a reconstruction (or a second device's landscape) deviates, not
-    just by how much.
-    """
-    if reference.values.shape != candidate.values.shape:
-        raise ValueError("landscapes must share a shape for an error map")
-    error = np.abs(reference.reshaped_2d() - candidate.reshaped_2d())
-    sampled = _downsample(error, max_rows, max_cols)
-    lo, hi = 0.0, float(error.max()) or 1.0
-    lines = _to_characters(sampled, lo, hi)
-    header = title or f"|{reference.label} - {candidate.label}|"
-    body = "\n".join(lines)
-    footer = f"max abs error = {error.max():.4f}, mean = {error.mean():.4f}"
-    return f"{header}\n{body}\n{footer}"
 
 
 def render_path_overlay(

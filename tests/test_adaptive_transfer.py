@@ -32,7 +32,7 @@ def test_holdout_estimate_tracks_true_error(ideal_generator, medium_grid):
         values = ideal_generator.evaluate_indices(indices)
         reconstruction, _ = oscar.reconstruct_from_samples(indices, values)
         true_error = nrmse(truth.values, reconstruction.values)
-        estimate = holdout_error_estimate(
+        estimate, _ = holdout_error_estimate(
             oscar, indices, values, rng=np.random.default_rng(1)
         )
         # Same order of magnitude; the estimate must not be wildly off.

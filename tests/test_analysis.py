@@ -12,7 +12,6 @@ from repro.landscape import (
     ParameterGrid,
     barren_plateau_fraction,
     basin_labels,
-    basin_of,
     check_convergence,
     find_local_minima,
     gradient_field,
@@ -102,13 +101,6 @@ def test_basin_labels_bowl_single_basin(bowl):
 def test_basin_labels_double_well_two_basins(double_well):
     labels = basin_labels(double_well)
     assert len(np.unique(labels)) == 2
-
-
-def test_basin_of_assigns_sides(double_well):
-    left = basin_of(double_well, np.array([-1.5, 0.0]))
-    right = basin_of(double_well, np.array([1.5, 0.0]))
-    assert left != right
-    assert basin_of(double_well, np.array([-0.8, 0.3])) == left
 
 
 def test_initial_point_quality_at_optimum(bowl):

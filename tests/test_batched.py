@@ -5,8 +5,8 @@ Covers the ``BatchedStatevector`` gate semantics against the serial
 ``Ansatz.expectation_many`` interface for all three ansatzes (ideal
 exactly, shots statistically with a shared seeded rng, and the noisy
 QAOA contraction path), the batched ``LandscapeGenerator`` chunking,
-the cached QAOA noise contraction, the ``sample_counts`` validation
-fix, and the centralized ``ensure_rng`` seeding policy.
+the cached QAOA noise contraction, the shot-count validation of the
+samplers, and the centralized ``ensure_rng`` seeding policy.
 """
 
 from __future__ import annotations
@@ -203,9 +203,22 @@ def test_sample_counts_default_pins_serial_draw_order():
     batched = BatchedStatevector(3, data=data)
     batched_rng = np.random.default_rng(21)
     serial_rng = np.random.default_rng(21)
-    batched_counts = batched.sample_counts(48, batched_rng)
+    # Base-49 digits: with 48 shots each estimate * 48 encodes the whole
+    # counts dict exactly, so equal estimates mean equal dicts.
+    shots, base = 48, 49
+    diagonal = np.array([float(base**index) for index in range(8)])
+    estimates = batched.sample_expectation_diagonal(diagonal, shots, batched_rng)
+    batched_counts = []
+    for estimate in estimates:
+        code = round(estimate * shots)
+        counts = {}
+        for index in range(8):
+            code, count = divmod(code, base)
+            if count:
+                counts[index] = count
+        batched_counts.append(counts)
     serial_counts = [
-        Statevector(3, data[row]).sample_counts(48, serial_rng)
+        Statevector(3, data[row]).sample_counts(shots, serial_rng)
         for row in range(5)
     ]
     assert batched_counts == serial_counts
@@ -409,8 +422,6 @@ def test_sample_counts_rejects_non_positive_shots():
     with pytest.raises(ValueError):
         state.sample_expectation_diagonal(np.ones(4), 0)
     batched = BatchedStatevector(2, data=np.array([state.data] * 2))
-    with pytest.raises(ValueError):
-        batched.sample_counts(0)
     with pytest.raises(ValueError):
         batched.sample_expectation_diagonal(np.ones(4), -1, np.random.default_rng(0))
 

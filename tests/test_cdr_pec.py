@@ -48,7 +48,6 @@ def test_cdr_config_validation():
 def test_cdr_requires_training():
     problem = random_3_regular_maxcut(6, seed=0)
     model = CliffordDataRegression(QaoaAnsatz(problem, p=1), NoiseModel(p1=0.01))
-    assert not model.is_trained
     with pytest.raises(RuntimeError):
         model.mitigate(0.5)
     with pytest.raises(RuntimeError):

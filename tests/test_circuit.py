@@ -93,22 +93,6 @@ def test_bind_resolves_all_parameters():
     assert qc.is_parameterized
 
 
-def test_bind_list_sorted_name_order():
-    a = Parameter("a_param")
-    z = Parameter("z_param")
-    qc = QuantumCircuit(1).rx(z, 0).ry(a, 0)
-    bound = qc.bind_list([1.0, 2.0])  # a_param=1.0, z_param=2.0
-    assert bound.instructions[0].params == (2.0,)  # rx got z_param
-    assert bound.instructions[1].params == (1.0,)  # ry got a_param
-
-
-def test_bind_list_wrong_length_raises():
-    theta = Parameter("theta")
-    qc = QuantumCircuit(1).rx(theta, 0)
-    with pytest.raises(CircuitError):
-        qc.bind_list([1.0, 2.0])
-
-
 def test_compose_concatenates():
     left = QuantumCircuit(2).h(0)
     right = QuantumCircuit(2).cx(0, 1)

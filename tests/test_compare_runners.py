@@ -1,78 +1,19 @@
-"""Tests for the landscape-comparison API and remaining experiment
-runner branches."""
+"""Tests for the remaining experiment runner branches."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.experiments.ncm_study import run_table5
 from repro.experiments.speedup import measure_speedup
 from repro.landscape import (
     LandscapeGenerator,
     OscarReconstructor,
-    compare_landscapes,
     cost_function,
     qaoa_grid,
 )
 from repro.ansatz import QaoaAnsatz
 from repro.problems import random_3_regular_maxcut
-
-
-# -- compare_landscapes ----------------------------------------------------------
-
-
-def test_compare_identical_landscapes(ideal_generator):
-    truth = ideal_generator.grid_search()
-    report = compare_landscapes(truth, truth)
-    assert report.nrmse == 0.0
-    assert report.correlation == pytest.approx(1.0)
-    assert report.minimum_distance == 0.0
-    assert report.minimum_value_gap == 0.0
-    assert report.d2_ratio == pytest.approx(1.0)
-    assert report.vog_ratio == pytest.approx(1.0)
-    assert report.variance_ratio == pytest.approx(1.0)
-
-
-def test_compare_reconstruction_against_truth(ideal_generator, medium_grid):
-    truth = ideal_generator.grid_search()
-    oscar = OscarReconstructor(medium_grid, rng=0)
-    reconstruction, _ = oscar.reconstruct(ideal_generator, 0.12)
-    report = compare_landscapes(truth, reconstruction)
-    assert report.nrmse < 0.1
-    assert report.correlation > 0.99
-    assert 0.5 < report.variance_ratio < 1.5
-    # Argmin agreement: same basin or symmetric twin.
-    assert report.minimum_value_gap < 0.2
-
-
-def test_compare_shape_mismatch_raises(ideal_generator, small_grid):
-    truth = ideal_generator.grid_search()
-    import numpy as np
-    from repro.landscape import Landscape
-
-    other = Landscape(small_grid, np.zeros(small_grid.shape))
-    with pytest.raises(ValueError):
-        compare_landscapes(truth, other)
-
-
-def test_compare_constant_landscapes():
-    from repro.landscape import Landscape
-
-    grid = qaoa_grid(p=1, resolution=(4, 6))
-    flat_a = Landscape(grid, np.full(grid.shape, 2.0))
-    flat_b = Landscape(grid, np.full(grid.shape, 2.0))
-    report = compare_landscapes(flat_a, flat_b)
-    assert report.correlation == 1.0
-    assert report.d2_ratio == 1.0
-
-
-def test_compare_summary_is_readable(ideal_generator, medium_grid):
-    truth = ideal_generator.grid_search()
-    oscar = OscarReconstructor(medium_grid, rng=1)
-    reconstruction, _ = oscar.reconstruct(ideal_generator, 0.1)
-    text = compare_landscapes(truth, reconstruction).summary()
-    assert "NRMSE" in text and "correlation" in text and "D2" in text
 
 
 # -- runner branches ----------------------------------------------------------------

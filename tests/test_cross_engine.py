@@ -1,9 +1,9 @@
 """Cross-engine consistency tests.
 
-The repo has three execution engines (statevector, density matrix,
-Pauli trajectories) plus an analytic noise channel; these tests pin
-them against each other on random circuits, and pin circuit folding
-against noise scaling — the identity ZNE relies on.
+The repo has two serial execution engines (statevector, density
+matrix) plus an analytic noise channel; these tests pin them against
+each other on random circuits, and pin circuit folding against noise
+scaling — the identity ZNE relies on.
 """
 
 from __future__ import annotations
@@ -52,22 +52,6 @@ def test_density_matches_statevector_on_random_circuits(seed):
     rho = simulate_density(qc)
     reference = np.outer(state.data, state.data.conj())
     assert np.allclose(rho.data, reference, atol=1e-9)
-
-
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(0, 50))
-def test_trajectories_match_density_on_random_circuits(seed):
-    from repro.quantum.trajectories import trajectory_expectation_diagonal
-
-    qc = random_circuit(3, depth=8, seed=seed)
-    diagonal = np.linspace(-1, 1, 8)
-    noise = NoiseModel(p1=0.03, p2=0.06)
-    exact = simulate_density(qc, noise).expectation_diagonal(diagonal)
-    rng = np.random.default_rng(seed)
-    estimate = trajectory_expectation_diagonal(
-        qc, diagonal, noise, num_trajectories=800, rng=rng
-    )
-    assert estimate == pytest.approx(exact, abs=0.08)
 
 
 def test_folding_multiplies_depolarizing_factor():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.datasets import SYCAMORE_PROBLEMS, SycamoreConfig, sycamore_landscape
 from repro.landscape import Landscape, OscarReconstructor, nrmse, qaoa_grid
-from repro.viz import render_heatmap, render_path_overlay, render_side_by_side
+from repro.viz import render_path_overlay, render_side_by_side
 
 
 # -- sycamore dataset ------------------------------------------------------------
@@ -78,23 +78,6 @@ def tiny_landscape():
     grid = qaoa_grid(p=1, resolution=(8, 12))
     values = np.outer(np.linspace(0, 1, 8), np.linspace(-1, 1, 12))
     return Landscape(grid, values, label="tiny")
-
-
-def test_render_heatmap_contains_label_and_stats(tiny_landscape):
-    output = render_heatmap(tiny_landscape)
-    assert "tiny" in output
-    assert "min=" in output and "max=" in output
-    assert len(output.splitlines()) >= 8
-
-
-def test_render_heatmap_downsamples(tiny_landscape):
-    output = render_heatmap(tiny_landscape, max_rows=4, max_cols=6)
-    body_rows = [
-        line
-        for line in output.splitlines()
-        if line and set(line) <= set(" .:-=+*#%@") and set(line) != {"-"}
-    ]
-    assert len(body_rows) <= 4
 
 
 def test_render_side_by_side_shared_scale(tiny_landscape):

@@ -11,7 +11,6 @@ from repro.cs import (
     available_solvers,
     idct_transform,
     reconstruct_signal,
-    reconstruct_signals,
 )
 from repro.landscape import (
     LandscapeGenerator,
@@ -73,7 +72,7 @@ def test_batched_handles_unequal_sample_counts():
     for count in (20, 55, 90, 140):
         indices = np.sort(rng.choice(size, size=count, replace=False))
         problems.append((indices, signal.reshape(-1)[indices]))
-    batched = reconstruct_signals(shape, problems)
+    batched = ReconstructionEngine(shape).solve(problems)
     serial = [reconstruct_signal(shape, i, v) for i, v in problems]
     for (s_signal, _), (b_signal, _) in zip(serial, batched):
         assert np.allclose(s_signal, b_signal, atol=1e-9)

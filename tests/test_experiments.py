@@ -201,7 +201,6 @@ def test_table6_runs_and_oscar_helps_adam():
         noisy_settings=(False,),
         num_qubits=6,
         num_instances=2,
-        resolution=(16, 32),
         sampling_fraction=0.1,
         seed=0,
     )

@@ -109,18 +109,6 @@ def test_gradient_of_smooth_function(smooth_landscape):
     assert np.allclose(gradient, expected, atol=5e-3)
 
 
-def test_dense_resample_shape(smooth_landscape):
-    surrogate = InterpolatedLandscape(smooth_landscape)
-    dense = surrogate.dense_resample(factor=2)
-    assert dense.shape == (40, 50)
-
-
-def test_dense_resample_validation(smooth_landscape):
-    surrogate = InterpolatedLandscape(smooth_landscape)
-    with pytest.raises(ValueError):
-        surrogate.dense_resample(factor=0)
-
-
 def test_interpolation_wrong_arity_raises(smooth_landscape):
     surrogate = InterpolatedLandscape(smooth_landscape)
     with pytest.raises(ValueError):

@@ -75,7 +75,7 @@ def test_perth_noisier_than_lagos():
 def test_qpu_execute_ideal_matches_ansatz():
     problem = random_3_regular_maxcut(4, seed=0)
     ansatz = QaoaAnsatz(problem, p=1)
-    qpu = SimulatedQPU.from_profile("ideal-sim")
+    qpu = SimulatedQPU("ideal-sim", noise=device_profile("ideal-sim"))
     params = np.array([0.2, 0.4])
     assert qpu.execute(ansatz, params) == pytest.approx(ansatz.expectation(params))
 
@@ -83,27 +83,16 @@ def test_qpu_execute_ideal_matches_ansatz():
 def test_qpu_noise_changes_result():
     problem = random_3_regular_maxcut(4, seed=0)
     ansatz = QaoaAnsatz(problem, p=1)
-    ideal = SimulatedQPU.from_profile("ideal-sim")
-    noisy = SimulatedQPU.from_profile("noisy-sim-ii")
+    ideal = SimulatedQPU("ideal-sim", noise=device_profile("ideal-sim"))
+    noisy = SimulatedQPU("noisy-sim-ii", noise=device_profile("noisy-sim-ii"))
     params = np.array([0.2, 0.4])
     assert ideal.execute(ansatz, params) != noisy.execute(ansatz, params)
-
-
-def test_qpu_shots_reproducible_after_reseed():
-    problem = random_3_regular_maxcut(4, seed=0)
-    ansatz = QaoaAnsatz(problem, p=1)
-    qpu = SimulatedQPU("dev", shots=256, seed=5)
-    params = np.array([0.1, 0.3])
-    first = qpu.execute(ansatz, params)
-    qpu.reseed(5)
-    second = qpu.execute(ansatz, params)
-    assert first == second
 
 
 def test_qpu_execute_batch():
     problem = random_3_regular_maxcut(4, seed=0)
     ansatz = QaoaAnsatz(problem, p=1)
-    qpu = SimulatedQPU.from_profile("ideal-sim")
+    qpu = SimulatedQPU("ideal-sim", noise=device_profile("ideal-sim"))
     points = np.array([[0.1, 0.2], [0.3, 0.4]])
     values = qpu.execute_batch(ansatz, points)
     assert values.shape == (2,)
@@ -116,8 +105,8 @@ def test_qpu_execute_batch():
 def make_pool():
     return QpuPool(
         [
-            SimulatedQPU.from_profile("ideal-sim", seed=0),
-            SimulatedQPU.from_profile("noisy-sim-i", seed=1),
+            SimulatedQPU("ideal-sim", noise=device_profile("ideal-sim"), seed=0),
+            SimulatedQPU("noisy-sim-i", noise=device_profile("noisy-sim-i"), seed=1),
         ]
     )
 

@@ -50,10 +50,6 @@ def test_metric_delegation(landscape):
     assert 0.0 < landscape.dct_sparsity() <= 1.0
 
 
-def test_nrmse_against_self_is_zero(landscape):
-    assert landscape.nrmse_against(landscape) == pytest.approx(0.0)
-
-
 def test_save_load_roundtrip(landscape, tmp_path):
     path = tmp_path / "landscape.npz"
     landscape.save(path)

@@ -53,7 +53,6 @@ def test_ncm_degree_validation():
 
 def test_ncm_requires_training_before_use():
     model = NoiseCompensationModel()
-    assert not model.is_trained
     with pytest.raises(RuntimeError):
         model.transform(np.array([1.0]))
     with pytest.raises(RuntimeError):

@@ -32,10 +32,8 @@ def test_basic_properties():
     term = PauliString("XZI", 0.5)
     assert term.num_qubits == 3
     assert term.weight == 2
-    assert not term.is_identity
     assert not term.is_diagonal
     assert PauliString("IZI").is_diagonal
-    assert PauliString("III").is_identity
 
 
 @given(a=LABELS_2Q, b=LABELS_2Q)

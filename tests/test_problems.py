@@ -210,6 +210,6 @@ def test_lih_ground_energy_below_identity_shift():
     """The correlated ground state must be below the bare core energy."""
     hamiltonian = lih_hamiltonian()
     identity_coefficient = next(
-        term.coefficient for term in hamiltonian if term.is_identity
+        term.coefficient for term in hamiltonian if term.weight == 0
     )
     assert hamiltonian.ground_energy() < np.real(identity_coefficient)

@@ -117,17 +117,6 @@ def test_shot_noise_converges(rng):
     assert sampled == pytest.approx(exact, abs=0.05)
 
 
-def test_trajectory_path_runs():
-    problem = random_3_regular_maxcut(4, seed=6)
-    ansatz = QaoaAnsatz(problem, p=1)
-    rng = np.random.default_rng(0)
-    value = ansatz.expectation_trajectory(
-        np.array([0.2, 0.4]), NoiseModel(p1=0.01, p2=0.02),
-        num_trajectories=16, rng=rng,
-    )
-    assert np.isfinite(value)
-
-
 def test_parameter_names_layout():
     ansatz = QaoaAnsatz(random_3_regular_maxcut(4, seed=0), p=2)
     assert ansatz.parameter_names() == ["beta_0", "beta_1", "gamma_0", "gamma_1"]

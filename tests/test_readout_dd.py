@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.mitigation import (
     ReadoutMitigator,
-    idle_dephasing_survival,
     insert_dynamical_decoupling,
     schedule_layers,
 )
@@ -60,17 +59,6 @@ def test_mitigate_clips_and_renormalises():
     recovered = mitigator.mitigate_probabilities(observed)
     assert np.all(recovered >= 0.0)
     assert recovered.sum() == pytest.approx(1.0)
-
-
-def test_mitigate_counts():
-    mitigator = ReadoutMitigator(1, 0.1)
-    recovered = mitigator.mitigate_counts({0: 900, 1: 100})
-    assert recovered[0] > 0.95
-
-
-def test_mitigate_counts_requires_shots():
-    with pytest.raises(ValueError):
-        ReadoutMitigator(1, 0.1).mitigate_counts({})
 
 
 def test_mitigated_expectation_closer_to_truth():
@@ -128,21 +116,3 @@ def test_dd_no_idle_no_insertion():
     qc.h(1)
     decoupled = insert_dynamical_decoupling(qc)
     assert len(decoupled) == len(qc)
-
-
-def test_idle_survival_dd_beats_free_evolution():
-    phase = 0.15
-    for idle in (4, 8, 16):
-        assert idle_dephasing_survival(idle, phase, decoupled=True) > (
-            idle_dephasing_survival(idle, phase, decoupled=False) - 1e-12
-        )
-
-
-def test_idle_survival_validation():
-    with pytest.raises(ValueError):
-        idle_dephasing_survival(-1, 0.1, True)
-
-
-def test_idle_survival_zero_layers_is_one():
-    assert idle_dephasing_survival(0, 0.3, True) == pytest.approx(1.0)
-    assert idle_dephasing_survival(0, 0.3, False) == pytest.approx(1.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.cs import (
     ReconstructionConfig,
-    flat_to_grid_indices,
     idct_transform,
     reconstruct_signal,
     reconstruction_operators,
@@ -77,14 +76,6 @@ def test_stratified_indices_full_fraction_is_permutation_free():
     """fraction=1.0 must return every grid index exactly once."""
     indices = stratified_indices(64, 1.0, np.random.default_rng(1))
     assert np.array_equal(indices, np.arange(64))
-
-
-def test_flat_to_grid_indices_roundtrip():
-    shape = (6, 9)
-    flat = np.array([0, 5, 17, 53])
-    grid_indices = flat_to_grid_indices(flat, shape)
-    back = np.ravel_multi_index((grid_indices[:, 0], grid_indices[:, 1]), shape)
-    assert np.array_equal(back, flat)
 
 
 # -- reconstruction operators ---------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.quantum import QuantumCircuit, Statevector
 from repro.quantum.gates import CX, CZ, H, X, rx, ry, rzz
-from repro.quantum.statevector import expectation_of_diagonal, simulate
+from repro.quantum.statevector import simulate
 
 
 def random_state(num_qubits: int, seed: int) -> Statevector:
@@ -178,9 +178,3 @@ def test_fidelity_of_orthogonal_states():
     one = Statevector.from_label("1")
     assert zero.fidelity(one) == pytest.approx(0.0)
     assert zero.fidelity(zero) == pytest.approx(1.0)
-
-
-def test_expectation_of_diagonal_helper():
-    qc = QuantumCircuit(1).x(0)
-    value = expectation_of_diagonal(qc, np.array([1.0, -1.0]))
-    assert value == pytest.approx(-1.0)

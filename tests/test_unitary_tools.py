@@ -1,5 +1,6 @@
-"""Tests for the dense unitary builder, Pauli-sum trajectory estimation
-and the error-map renderer."""
+"""Tests for ``circuit_unitary`` and ``circuits_equivalent``: an
+independent Kronecker construction of a circuit's unitary that
+statevector evolution and the gate identities are checked against."""
 
 from __future__ import annotations
 
@@ -8,9 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.problems import h2_hamiltonian
-from repro.quantum import Parameter, QuantumCircuit, simulate, simulate_density, NoiseModel
-from repro.quantum.trajectories import trajectory_expectation_observable
+from repro.quantum import Parameter, QuantumCircuit, simulate
 from repro.quantum.unitary import circuit_unitary, circuits_equivalent
 
 
@@ -81,57 +80,3 @@ def test_circuits_equivalent_detects_difference():
 
 def test_circuits_equivalent_width_mismatch():
     assert not circuits_equivalent(QuantumCircuit(1).x(0), QuantumCircuit(2).x(0))
-
-
-# -- Pauli-sum trajectory estimation ------------------------------------------------
-
-
-def test_trajectory_observable_ideal_is_exact():
-    hamiltonian = h2_hamiltonian()
-    qc = QuantumCircuit(2).ry(0.3, 0).cx(0, 1)
-    state = simulate(qc)
-    exact = hamiltonian.expectation(state)
-    value = trajectory_expectation_observable(
-        qc, hamiltonian, NoiseModel(), num_trajectories=1
-    )
-    assert value == pytest.approx(exact, abs=1e-10)
-
-
-def test_trajectory_observable_matches_density_matrix():
-    hamiltonian = h2_hamiltonian()
-    qc = QuantumCircuit(2).ry(0.7, 0).cx(0, 1).rx(0.2, 1)
-    noise = NoiseModel(p1=0.03, p2=0.06)
-    exact = simulate_density(qc, noise).expectation_matrix(hamiltonian.matrix())
-    rng = np.random.default_rng(0)
-    estimate = trajectory_expectation_observable(
-        qc, hamiltonian, noise, num_trajectories=1200, rng=rng
-    )
-    assert estimate == pytest.approx(exact, abs=0.05)
-
-
-# -- error map ------------------------------------------------------------------------
-
-
-def test_render_error_map():
-    from repro.landscape import Landscape, qaoa_grid
-    from repro.viz import render_error_map
-
-    grid = qaoa_grid(p=1, resolution=(8, 12))
-    rng = np.random.default_rng(0)
-    truth = Landscape(grid, rng.normal(size=(8, 12)), label="truth")
-    candidate = truth.with_values(
-        truth.values + 0.1 * rng.normal(size=(8, 12)), label="recon"
-    )
-    output = render_error_map(truth, candidate)
-    assert "max abs error" in output
-    assert "truth" in output and "recon" in output
-
-
-def test_render_error_map_shape_mismatch():
-    from repro.landscape import Landscape, qaoa_grid
-    from repro.viz import render_error_map
-
-    a = Landscape(qaoa_grid(p=1, resolution=(4, 6)), np.zeros((4, 6)))
-    b = Landscape(qaoa_grid(p=1, resolution=(6, 4)), np.zeros((6, 4)))
-    with pytest.raises(ValueError):
-        render_error_map(a, b)

@@ -554,6 +554,31 @@ def test_request_integers_are_checked_at_the_wire(tmp_path, op, field, value, co
         daemon.close()
 
 
+@pytest.mark.parametrize("options", [{"bogus": 1}, [1, 2]])
+def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, options):
+    """A ``pipeline`` request whose ``optimizer_options`` the optimizer
+    cannot take (an unknown keyword, a non-mapping) is ``invalid-spec``,
+    answered before sampling, evaluation or reconstruction run: no work
+    counter moves."""
+    (pipeline,) = [r for r in golden_requests() if r["op"] == "pipeline"]
+    config = {**pipeline["config"], "optimizer_options": options}
+    request = {**pipeline, "config": config}
+    stats = {"version": 2, "op": "stats", "token": GOLDEN_TOKEN}
+    daemon = _start_daemon(tmp_path)
+    try:
+        before = _request(daemon.tcp_address, stats)["counters"]
+        response = _request(daemon.tcp_address, request)
+        assert response["ok"] is False, response
+        assert response["error"]["code"] == "invalid-spec", response["error"]
+        after = _request(daemon.tcp_address, stats)["counters"]
+        for counter in ("requests", "errors"):
+            before.pop(counter)
+            after.pop(counter)
+        assert after == before
+    finally:
+        daemon.close()
+
+
 # -- the no-pickle gate -------------------------------------------------------
 
 SERVICE_DIR = Path(protocol_module.__file__).parent

@@ -107,19 +107,25 @@ def test_config_validation():
         ZneConfig(method="quartic")
 
 
+def _noise_amplification(config: ZneConfig) -> float:
+    """L2 norm of the extrapolation weights: the factor by which
+    independent per-scale shot noise grows in the mitigated value.
+    Both methods are linear in the values, so the weights are the
+    extrapolations of the unit vectors."""
+    scales = config.scale_factors
+    weights = [extrapolate(config.method, scales, unit) for unit in np.eye(len(scales))]
+    return float(np.linalg.norm(weights))
+
+
 def test_richardson_noise_amplification_sqrt19():
     config = ZneConfig(scale_factors=(1.0, 2.0, 3.0), method="richardson")
-    assert config.noise_amplification == pytest.approx(np.sqrt(19.0))
+    assert _noise_amplification(config) == pytest.approx(np.sqrt(19.0))
 
 
 def test_linear_noise_amplification_smaller_than_richardson():
     richardson = ZneConfig((1.0, 2.0, 3.0), "richardson")
     linear = ZneConfig((1.0, 3.0), "linear")
-    assert linear.noise_amplification < richardson.noise_amplification
-
-
-def test_circuit_overhead():
-    assert ZneConfig((1.0, 2.0, 3.0), "richardson").circuit_overhead == 3.0
+    assert _noise_amplification(linear) < _noise_amplification(richardson)
 
 
 # -- end-to-end ZNE ---------------------------------------------------------------------
