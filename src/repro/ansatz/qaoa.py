@@ -11,7 +11,7 @@ transverse-field mixer ``U_B(beta) = exp(-i beta sum_i X_i)``, i.e.
 Two execution paths are provided:
 
 - :meth:`QaoaAnsatz.circuit` emits an explicit gate circuit (H + RZZ/RZ
-  + RX), used by the noisy simulators and by ZNE folding;
+  + RX), whose gate counts set the analytic depolarizing contraction;
 - the expectation fast path exploits that ``U_P`` is an elementwise
   phase multiply on the statevector, making a full dense landscape grid
   (Table 1: 5k-32k points) tractable on one CPU core.

@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="content-addressed landscape store directory; repeated "
             "identical requests become file loads (see `oscar-repro cache`). "
-            "NOTE: with --shots, either --workers > 1 or --cache-dir "
-            "switches execution to the seeded per-shard rng plan "
+            "NOTE: with --shots, any of --workers > 1, --cache-dir or "
+            "--daemon switches execution to the seeded per-shard rng plan "
             "(reproducible for any worker count, but a different draw "
             "order than the default single-process path)",
         )

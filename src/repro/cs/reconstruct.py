@@ -22,6 +22,7 @@ which runs one vectorized FISTA loop over a whole stack of problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -80,6 +81,10 @@ def validate_sample_set(
 class ReconstructionConfig:
     """Knobs of the CS reconstruction.
 
+    Every field is checked when the config is built, so a bad value
+    (an unknown solver, a non-positive iteration cap, a negative
+    ``lam``, ...) raises ``ValueError`` before any sample is drawn.
+
     Attributes:
         solver: ``"fista"`` (default), ``"omp"`` or ``"bp"`` (see
             :func:`available_solvers`).
@@ -112,8 +117,34 @@ class ReconstructionConfig:
     lipschitz: float | None = 1.0
 
     def __post_init__(self) -> None:
+        if self.solver not in _SOLVERS:
+            raise ValueError(
+                f"unknown solver {self.solver!r}; choose from {available_solvers()}"
+            )
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}; choose from {BASES}")
+        iterations = self.max_iterations
+        if (
+            isinstance(iterations, bool)
+            or not isinstance(iterations, Integral)
+            or iterations < 1
+        ):
+            raise ValueError(
+                f"max_iterations must be a positive integer, got {iterations!r}"
+            )
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
+        lam = self.lam
+        if lam is not None and (
+            isinstance(lam, bool) or not isinstance(lam, Real) or not lam >= 0
+        ):
+            raise ValueError(f"lam must be a number >= 0 or None, got {lam!r}")
+        if self.max_atoms is not None and self.max_atoms < 1:
+            raise ValueError(f"max_atoms must be >= 1, got {self.max_atoms!r}")
+        if self.penalize_dc is not None and not isinstance(self.penalize_dc, bool):
+            raise ValueError(
+                f"penalize_dc must be a bool or None, got {self.penalize_dc!r}"
+            )
 
     def resolved_penalize_dc(self) -> bool:
         """The effective DC-penalty choice (basis-dependent default)."""
@@ -183,14 +214,7 @@ def reconstruct_signal(
     values = np.asarray(values, dtype=float).reshape(-1)
     if flat_indices.shape[0] != values.shape[0]:
         raise ValueError("indices and values must have matching lengths")
-    try:
-        solve = _SOLVERS[config.solver]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver {config.solver!r}; "
-            f"choose from {available_solvers()}"
-        ) from None
-    result = solve(shape, flat_indices, values, config, warm_start)
+    result = _SOLVERS[config.solver](shape, flat_indices, values, config, warm_start)
     signal = inverse_transform(result.coefficients.reshape(shape), config.basis)
     return signal, result
 

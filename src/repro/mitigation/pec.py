@@ -132,7 +132,7 @@ class PecEstimator:
         """One quasi-probability sample: noise + sampled inverse."""
         state = Statevector(circuit.num_qubits)
         sign = 1.0
-        for name, qubits, matrix in circuit.resolved_operations(None):
+        for name, qubits, matrix in circuit.resolved_operations():
             state.apply_gate(name, qubits, matrix)
             probability = self._effective_probability(len(qubits))
             if probability <= 0.0:

@@ -2,16 +2,14 @@
 
 ZNE estimates the noiseless expectation value by measuring at several
 amplified noise levels and extrapolating back to zero noise (Li &
-Benjamin 2017; Temme et al. 2017).  Two noise-scaling mechanisms are
-provided:
-
-- **unitary folding** — replace the circuit ``U`` by ``U (U^dag U)^k``
-  (:meth:`repro.quantum.circuit.QuantumCircuit.folded`), which triples,
-  quintuples, ... the physical gate count;
-- **error-rate scaling** — multiply the depolarizing probabilities of
-  the noise model (:meth:`repro.quantum.noise.NoiseModel.scaled`);
-  exactly equivalent to folding for small depolarizing rates and much
-  cheaper to simulate.
+Benjamin 2017; Temme et al. 2017).  Noise is amplified by
+**error-rate scaling**: the depolarizing probabilities of the noise
+model are multiplied by each scale factor
+(:meth:`repro.quantum.noise.NoiseModel.scaled`).  For small
+depolarizing rates this is equivalent to unitary folding ``U -> U
+(U^dag U)^k`` and much cheaper to simulate;
+:meth:`repro.quantum.circuit.QuantumCircuit.folded` is the oracle the
+test suite checks that equivalence against.
 
 Extrapolation models (the paper's configuration knob, Sec. 6):
 

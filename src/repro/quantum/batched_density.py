@@ -1,13 +1,14 @@
-"""Batched exact density-matrix simulation with Kraus noise channels.
+"""Batched exact density-matrix simulation with depolarizing noise.
 
 :class:`BatchedDensityMatrix` holds ``B`` density operators as one
-``(B, 2**n, 2**n)`` complex stack and applies gates and noise channels
-to all of them in a single vectorized pass — the noisy twin of
-:class:`~repro.quantum.batched.BatchedStatevector`.  It exists to close
-the last serial island in the execution stack: mitigation studies (ZNE
-folds, CDR training, noisy Table-2/Table-3 slices) fan out into many
-noisy rows, and before this module each row paid a Python-level
-``simulate_density`` loop.
+``(B, 2**n, 2**n)`` complex stack and replays ``B`` structurally
+identical circuits on it in a single vectorized pass
+(:meth:`BatchedDensityMatrix.evolve_circuits`) — the noisy twin of
+:class:`~repro.quantum.batched.BatchedStatevector`.  It serves the
+noisy rows of the Two-local and UCCSD ansatzes, batched ZNE (scale
+factors folded into the batch axis as per-row noise models) and CDR
+training, which would otherwise each pay a Python-level
+``simulate_density`` loop per row.
 
 Operator application mirrors the batched statevector engine — reshape
 to a rank-``2n`` tensor behind the leading batch axis, move the target
@@ -19,11 +20,10 @@ which a conjugation ``U rho U^dag`` is one matmul with the
 ``(d**2, d**2)`` superoperator ``U (x) conj(U)`` and a whole Kraus
 channel is one matmul with ``sum_k E_k (x) conj(E_k)``.  Circuit
 replay composes each gate's superoperator with its noise channel's, so
-a (gate, channel) pair costs a single contraction pass.  Every
-operation accepts a shared ``(d, d)`` operand or a per-row ``(B, d, d)``
-stack, and Kraus channels accept shared ``(K, d, d)`` or per-row
-``(B, K, d, d)`` stacks — the shape per-row noise models (batched
-ZNE's scale factors) fold into.
+a (gate, channel) pair costs a single contraction pass.  A parameterless
+gate is one shared operator; a parameterized position becomes a
+per-row ``(B, d, d)`` stack, and rows that disagree on the depolarizing
+probability get a per-row channel.
 
 The serial :class:`~repro.quantum.density.DensityMatrix` delegates to
 the same kernels (:func:`conjugate_stack` / :func:`apply_kraus_stack`
@@ -279,16 +279,6 @@ class BatchedDensityMatrix:
         """Hilbert-space dimension ``2**n``."""
         return self._data.shape[1]
 
-    def copy(self) -> "BatchedDensityMatrix":
-        """An independent copy of the stacked operators."""
-        return BatchedDensityMatrix(self.num_qubits, data=self._data)
-
-    def row(self, index: int):
-        """The single-operator view of row ``index`` (as a copy)."""
-        from .density import DensityMatrix
-
-        return DensityMatrix(self.num_qubits, self._data[index])
-
     def traces(self) -> np.ndarray:
         """Per-row real trace (stays 1 for valid evolution)."""
         return np.real(np.einsum("bii->b", self._data))
@@ -297,54 +287,7 @@ class BatchedDensityMatrix:
         """Per-row ``Tr(rho^2)``; 1 for pure, ``2**-n`` for maximally mixed."""
         return np.real(np.einsum("bij,bji->b", self._data, self._data))
 
-    # -- channel application --------------------------------------------
-
-    def _validate_operand(self, matrix: np.ndarray, arity: int, kraus: bool) -> None:
-        d = 1 << arity
-        if kraus:
-            shared = matrix.ndim == 3 and matrix.shape[1:] == (d, d)
-            per_row = (
-                matrix.ndim == 4
-                and matrix.shape[0] == self.batch_size
-                and matrix.shape[2:] == (d, d)
-            )
-            expected = f"(K, {d}, {d}) or ({self.batch_size}, K, {d}, {d})"
-        else:
-            shared = matrix.shape == (d, d)
-            per_row = matrix.shape == (self.batch_size, d, d)
-            expected = f"({d}, {d}) or ({self.batch_size}, {d}, {d})"
-        if not (shared or per_row):
-            raise ValueError(
-                f"operand must have shape {expected}, got {matrix.shape}"
-            )
-
-    def apply_unitary(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        """Conjugate every row by a local unitary in place.
-
-        ``matrix`` is one shared ``(d, d)`` unitary or a per-row
-        ``(B, d, d)`` stack (the parameter-broadcasting path), in the
-        ``|q1 q0>`` basis for pairs (``qubits[1]`` is the high bit).
-        """
-        matrix = np.asarray(matrix, dtype=complex)
-        self._validate_operand(matrix, len(qubits), kraus=False)
-        self._data = conjugate_stack(
-            self._data, matrix, tuple(qubits), self.num_qubits
-        )
-
-    def apply_kraus(
-        self, kraus_operators: Sequence[np.ndarray] | np.ndarray, qubits: Sequence[int]
-    ) -> None:
-        """Apply a quantum channel to every row in place.
-
-        ``kraus_operators`` is a sequence of ``(d, d)`` operators, a
-        shared ``(K, d, d)`` stack, or a per-row ``(B, K, d, d)`` stack
-        applying a different channel instance to every row.
-        """
-        stack = np.asarray(kraus_operators, dtype=complex)
-        self._validate_operand(stack, len(qubits), kraus=True)
-        self._data = apply_kraus_stack(
-            self._data, stack, tuple(qubits), self.num_qubits
-        )
+    # -- circuit replay ---------------------------------------------------
 
     def evolve_circuits(
         self,
@@ -354,8 +297,8 @@ class BatchedDensityMatrix:
         """Replay ``B`` structurally identical circuits, one per row.
 
         The circuits must share their gate skeleton — same names and
-        operands at every position — and may differ only in bound
-        parameter values: parameterless gates apply as one shared
+        operands at every position — and may differ only in their
+        angles: parameterless gates apply as one shared
         operator, parameterized positions stack into per-row operands.
         After each gate, rows whose noise model attaches a depolarizing
         probability get the corresponding Kraus channel.  Each gate's
@@ -410,13 +353,13 @@ class BatchedDensityMatrix:
                 matrix = gate_matrix_many(
                     name,
                     [
-                        instructions[position].bound_params(None)
+                        instructions[position].params[0]
                         for instructions in instruction_rows
                     ],
                 )
             else:
                 matrix = np.asarray(reference[position][2], dtype=complex)
-            if name in ("cx", "cnot"):
+            if name == "cx":
                 operands = (qubits[1], qubits[0])  # control is the high bit
             else:
                 operands = tuple(qubits)

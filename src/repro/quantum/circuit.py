@@ -1,12 +1,14 @@
-"""A minimal but complete parameterized quantum circuit IR.
+"""The circuit IR every engine consumes.
 
-:class:`QuantumCircuit` stores a flat list of :class:`Instruction` items.
-It supports everything the rest of the library needs:
+:class:`QuantumCircuit` stores a flat list of :class:`Instruction` items
+with concrete float angles.  It supports everything the rest of the
+library needs:
 
-- appending named gates (validated against the gate table in
-  :mod:`repro.quantum.gates`),
-- symbolic parameters and :meth:`QuantumCircuit.bind`,
-- composition, inversion and unitary-folding (used by ZNE noise scaling),
+- appending named gates (validated against the 12-gate table the
+  ansatz builders and the dynamical-decoupling pass emit),
+- composition, inversion and global unitary folding (the test oracle
+  for ZNE's noise scaling, which scales the
+  :class:`~repro.quantum.noise.NoiseModel` instead of folding),
 - structural queries (depth, gate counts, two-qubit gate count) used by
   the noise model and latency model.
 
@@ -22,26 +24,18 @@ from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
 from .gates import gate_matrix
-from .parameters import Parameter, ParameterExpression, resolve_value
 
 __all__ = ["Instruction", "QuantumCircuit", "CircuitError"]
 
-ParamLike = "Parameter | ParameterExpression | Real"
-
 _GATE_ARITY = {
-    "i": 1, "id": 1, "x": 1, "y": 1, "z": 1, "h": 1, "s": 1, "sdg": 1,
-    "t": 1, "tdg": 1, "sx": 1, "rx": 1, "ry": 1, "rz": 1, "p": 1, "u": 1,
-    "cx": 2, "cnot": 2, "cz": 2, "swap": 2, "rxx": 2, "ryy": 2, "rzz": 2,
-    "crx": 2, "cry": 2, "crz": 2, "cp": 2,
+    "x": 1, "h": 1, "s": 1, "sdg": 1, "rx": 1, "ry": 1, "rz": 1,
+    "cx": 2, "cz": 2, "rxx": 2, "ryy": 2, "rzz": 2,
 }
 
-_PARAM_COUNT = {
-    "rx": 1, "ry": 1, "rz": 1, "p": 1, "u": 3, "rxx": 1, "ryy": 1,
-    "rzz": 1, "crx": 1, "cry": 1, "crz": 1, "cp": 1,
-}
+_PARAM_COUNT = {"rx": 1, "ry": 1, "rz": 1, "rxx": 1, "ryy": 1, "rzz": 1}
 
-_SELF_INVERSE = {"i", "id", "x", "y", "z", "h", "cx", "cnot", "cz", "swap"}
-_NAMED_INVERSE = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+_SELF_INVERSE = {"x", "h", "cx", "cz"}
+_NAMED_INVERSE = {"s": "sdg", "sdg": "s"}
 
 
 class CircuitError(ValueError):
@@ -50,23 +44,11 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class Instruction:
-    """One gate application: a name, qubit operands and (possibly
-    symbolic) parameters."""
+    """One gate application: a name, qubit operands and float angles."""
 
     name: str
     qubits: tuple[int, ...]
-    params: tuple[object, ...] = ()
-
-    @property
-    def is_parameterized(self) -> bool:
-        """True if any parameter is still symbolic."""
-        return any(
-            isinstance(value, (Parameter, ParameterExpression)) for value in self.params
-        )
-
-    def bound_params(self, bindings: dict[Parameter, float] | None) -> tuple[float, ...]:
-        """Resolve all parameters to floats using ``bindings``."""
-        return tuple(resolve_value(value, bindings) for value in self.params)
+    params: tuple[float, ...] = ()
 
 
 class QuantumCircuit:
@@ -85,9 +67,13 @@ class QuantumCircuit:
         self,
         name: str,
         qubits: Sequence[int] | int,
-        params: Sequence[object] | object = (),
+        params: Sequence[float] | float = (),
     ) -> "QuantumCircuit":
-        """Append a gate by name; returns ``self`` for chaining."""
+        """Append a gate by name; returns ``self`` for chaining.
+
+        Angles are stored as ``float``; a non-numeric angle raises
+        :class:`CircuitError` here rather than at simulation time.
+        """
         key = name.lower()
         if key not in _GATE_ARITY:
             raise CircuitError(f"unknown gate {name!r}")
@@ -107,27 +93,25 @@ class QuantumCircuit:
                 )
         if not isinstance(params, (tuple, list)):
             params = (params,)
-        params = tuple(params)
         expected = _PARAM_COUNT.get(key, 0)
         if len(params) != expected:
             raise CircuitError(
                 f"gate {name!r} takes {expected} parameter(s), got {len(params)}"
             )
-        self._instructions.append(Instruction(key, qubits, params))
+        for value in params:
+            if not isinstance(value, Real):
+                raise CircuitError(
+                    f"gate {name!r} needs a numeric angle, got {value!r}"
+                )
+        self._instructions.append(
+            Instruction(key, qubits, tuple(float(value) for value in params))
+        )
         return self
 
     # Convenience wrappers so ansatz code reads like textbook circuits.
     def x(self, q: int) -> "QuantumCircuit":
         """Pauli-X gate."""
         return self.append("x", q)
-
-    def y(self, q: int) -> "QuantumCircuit":
-        """Pauli-Y gate."""
-        return self.append("y", q)
-
-    def z(self, q: int) -> "QuantumCircuit":
-        """Pauli-Z gate."""
-        return self.append("z", q)
 
     def h(self, q: int) -> "QuantumCircuit":
         """Hadamard gate."""
@@ -141,23 +125,15 @@ class QuantumCircuit:
         """Adjoint phase gate S-dagger."""
         return self.append("sdg", q)
 
-    def t(self, q: int) -> "QuantumCircuit":
-        """T gate (pi/8)."""
-        return self.append("t", q)
-
-    def tdg(self, q: int) -> "QuantumCircuit":
-        """Adjoint T gate."""
-        return self.append("tdg", q)
-
-    def rx(self, theta: ParamLike, q: int) -> "QuantumCircuit":
+    def rx(self, theta: float, q: int) -> "QuantumCircuit":
         """X-rotation by ``theta``."""
         return self.append("rx", q, (theta,))
 
-    def ry(self, theta: ParamLike, q: int) -> "QuantumCircuit":
+    def ry(self, theta: float, q: int) -> "QuantumCircuit":
         """Y-rotation by ``theta``."""
         return self.append("ry", q, (theta,))
 
-    def rz(self, theta: ParamLike, q: int) -> "QuantumCircuit":
+    def rz(self, theta: float, q: int) -> "QuantumCircuit":
         """Z-rotation by ``theta``."""
         return self.append("rz", q, (theta,))
 
@@ -169,19 +145,15 @@ class QuantumCircuit:
         """Controlled-Z (symmetric in its operands)."""
         return self.append("cz", (a, b))
 
-    def swap(self, a: int, b: int) -> "QuantumCircuit":
-        """SWAP gate."""
-        return self.append("swap", (a, b))
-
-    def rzz(self, theta: ParamLike, a: int, b: int) -> "QuantumCircuit":
+    def rzz(self, theta: float, a: int, b: int) -> "QuantumCircuit":
         """ZZ-rotation ``exp(-i theta ZZ / 2)`` (QAOA cost gate)."""
         return self.append("rzz", (a, b), (theta,))
 
-    def rxx(self, theta: ParamLike, a: int, b: int) -> "QuantumCircuit":
+    def rxx(self, theta: float, a: int, b: int) -> "QuantumCircuit":
         """XX-rotation ``exp(-i theta XX / 2)``."""
         return self.append("rxx", (a, b), (theta,))
 
-    def ryy(self, theta: ParamLike, a: int, b: int) -> "QuantumCircuit":
+    def ryy(self, theta: float, a: int, b: int) -> "QuantumCircuit":
         """YY-rotation ``exp(-i theta YY / 2)``."""
         return self.append("ryy", (a, b), (theta,))
 
@@ -197,21 +169,6 @@ class QuantumCircuit:
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self._instructions)
-
-    @property
-    def parameters(self) -> frozenset[Parameter]:
-        """All free symbolic parameters, as a set."""
-        found: set[Parameter] = set()
-        for instruction in self._instructions:
-            for value in instruction.params:
-                if isinstance(value, (Parameter, ParameterExpression)):
-                    found.update(value.parameters)
-        return frozenset(found)
-
-    @property
-    def is_parameterized(self) -> bool:
-        """True if the circuit still has unbound parameters."""
-        return any(instr.is_parameterized for instr in self._instructions)
 
     def count_gates(self) -> dict[str, int]:
         """Histogram of gate names."""
@@ -236,19 +193,6 @@ class QuantumCircuit:
 
     # -- transformation ------------------------------------------------
 
-    def bind(self, bindings: dict[Parameter, float]) -> "QuantumCircuit":
-        """Return a copy with all symbolic parameters resolved."""
-        bound = QuantumCircuit(self.num_qubits, name=self.name)
-        for instruction in self._instructions:
-            bound._instructions.append(
-                Instruction(
-                    instruction.name,
-                    instruction.qubits,
-                    instruction.bound_params(bindings),
-                )
-            )
-        return bound
-
     def compose(self, other: "QuantumCircuit") -> "QuantumCircuit":
         """Concatenate ``other`` after this circuit."""
         if other.num_qubits != self.num_qubits:
@@ -264,11 +208,7 @@ class QuantumCircuit:
         return out
 
     def inverse(self) -> "QuantumCircuit":
-        """The adjoint circuit.
-
-        Requires all parameters to be bound for rotation gates, since the
-        inverse negates angles numerically.
-        """
+        """The adjoint circuit (rotation angles negated)."""
         out = QuantumCircuit(self.num_qubits, name=f"{self.name}_dg")
         for instruction in reversed(self._instructions):
             name = instruction.name
@@ -279,22 +219,14 @@ class QuantumCircuit:
                     Instruction(_NAMED_INVERSE[name], instruction.qubits)
                 )
             elif name in _PARAM_COUNT:
-                if instruction.is_parameterized:
-                    raise CircuitError(
-                        "cannot invert a circuit with unbound parameters"
-                    )
-                if name == "u":
-                    theta, phi, lam = instruction.params
-                    params: tuple[object, ...] = (-theta, -lam, -phi)
-                else:
-                    params = tuple(-float(v) for v in instruction.params)
+                params = tuple(-value for value in instruction.params)
                 out._instructions.append(Instruction(name, instruction.qubits, params))
             else:  # pragma: no cover - defensive; every gate is categorized
                 raise CircuitError(f"cannot invert gate {name!r}")
         return out
 
     def folded(self, scale_factor: int) -> "QuantumCircuit":
-        """Global unitary folding ``U -> U (U^dagger U)^k`` for ZNE.
+        """Global unitary folding ``U -> U (U^dagger U)^k``.
 
         ``scale_factor`` must be an odd positive integer ``2k + 1``; the
         folded circuit is logically identical but executes
@@ -309,18 +241,15 @@ class QuantumCircuit:
         out.name = f"{self.name}_x{scale_factor}"
         return out
 
-    def resolved_operations(
-        self, bindings: dict[Parameter, float] | None = None
-    ) -> Iterable[tuple[str, tuple[int, ...], "object"]]:
-        """Yield ``(name, qubits, matrix)`` with all parameters bound.
+    def resolved_operations(self) -> Iterable[tuple[str, tuple[int, ...], "object"]]:
+        """Yield ``(name, qubits, matrix)`` for every instruction.
 
         This is the single entry point simulators use, so gate semantics
         live in exactly one place.
         """
         for instruction in self._instructions:
-            params = instruction.bound_params(bindings)
             yield instruction.name, instruction.qubits, gate_matrix(
-                instruction.name, params
+                instruction.name, instruction.params
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -18,7 +18,7 @@ one shared implementation.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .noise import (
     apply_readout_noise_to_probabilities,
     kraus_stack,
 )
-from .parameters import Parameter
 
 __all__ = ["DensityMatrix", "simulate_density"]
 
@@ -101,7 +100,6 @@ class DensityMatrix:
         self,
         circuit: QuantumCircuit,
         noise: NoiseModel | None = None,
-        bindings: Mapping[Parameter, float] | None = None,
     ) -> "DensityMatrix":
         """Apply the circuit, inserting noise channels after each gate.
 
@@ -110,10 +108,8 @@ class DensityMatrix:
         gates at the same error rate share one stack.
         """
         noise = noise or NoiseModel()
-        for name, qubits, matrix in circuit.resolved_operations(
-            dict(bindings) if bindings else None
-        ):
-            if name in ("cx", "cnot"):
+        for name, qubits, matrix in circuit.resolved_operations():
+            if name == "cx":
                 operands = (qubits[1], qubits[0])  # control is the high bit
             else:
                 operands = tuple(qubits)
@@ -159,9 +155,7 @@ class DensityMatrix:
 
 
 def simulate_density(
-    circuit: QuantumCircuit,
-    noise: NoiseModel | None = None,
-    bindings: Mapping[Parameter, float] | None = None,
+    circuit: QuantumCircuit, noise: NoiseModel | None = None
 ) -> DensityMatrix:
     """Run a circuit from ``|0...0><0...0|`` under a noise model."""
-    return DensityMatrix(circuit.num_qubits).evolve(circuit, noise, bindings)
+    return DensityMatrix(circuit.num_qubits).evolve(circuit, noise)

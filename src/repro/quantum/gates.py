@@ -1,9 +1,9 @@
 """Quantum gate matrices and helpers.
 
 This module is the lowest layer of the simulation substrate: plain
-``numpy`` unitaries for the standard gate set used by the ansatz library
-(QAOA, Two-local, UCCSD-style) plus small utilities for validating and
-combining them.
+``numpy`` unitaries for the 12 gates the ansatz library (QAOA,
+Two-local, UCCSD-style) and the dynamical-decoupling pass emit, the
+Pauli matrices, and small utilities for validating them.
 
 All matrices use the little-endian qubit convention adopted throughout
 ``repro.quantum``: qubit 0 is the least significant bit of a basis-state
@@ -26,17 +26,11 @@ __all__ = [
     "H",
     "S",
     "SDG",
-    "T",
-    "TDG",
-    "SX",
     "CX",
     "CZ",
-    "SWAP",
     "rx",
     "ry",
     "rz",
-    "p",
-    "u",
     "rxx",
     "ryy",
     "rzz",
@@ -46,11 +40,6 @@ __all__ = [
     "rxx_many",
     "ryy_many",
     "rzz_many",
-    "crx",
-    "cry",
-    "crz",
-    "cp",
-    "controlled",
     "is_unitary",
     "is_hermitian",
     "gate_matrix",
@@ -67,14 +56,11 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 SDG = S.conj().T
-T = np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
-TDG = T.conj().T
-SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 PAULI_MATRICES = {"I": I, "X": X, "Y": Y, "Z": Z}
 
 # Two-qubit gates in little-endian |q1 q0> ordering.  For the symmetric
-# gates below (CZ, SWAP, RZZ, ...) endianness does not matter; for CX we
+# gates below (CZ, RZZ, ...) endianness does not matter; for CX we
 # fix the convention control = first operand, target = second operand and
 # build the matrix accordingly in ``Statevector.apply_two_qubit``.
 CX = np.array(
@@ -87,15 +73,6 @@ CX = np.array(
     dtype=complex,
 )
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
-SWAP = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
 
 
 def rx(theta: float) -> np.ndarray:
@@ -114,23 +91,6 @@ def rz(theta: float) -> np.ndarray:
     """Rotation around Z: ``exp(-i theta Z / 2)``."""
     phase = cmath.exp(-1j * theta / 2.0)
     return np.array([[phase, 0], [0, phase.conjugate()]], dtype=complex)
-
-
-def p(lam: float) -> np.ndarray:
-    """Phase gate ``diag(1, exp(i lam))``."""
-    return np.array([[1, 0], [0, cmath.exp(1j * lam)]], dtype=complex)
-
-
-def u(theta: float, phi: float, lam: float) -> np.ndarray:
-    """Generic single-qubit unitary (IBM ``U`` gate convention)."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
 
 
 def _two_qubit_pauli_rotation(pauli_pair: np.ndarray, theta: float) -> np.ndarray:
@@ -230,37 +190,6 @@ def rzz_many(thetas: np.ndarray) -> np.ndarray:
     return stack
 
 
-def controlled(unitary: np.ndarray) -> np.ndarray:
-    """Controlled version of a single-qubit unitary.
-
-    Control is the *second* operand qubit (the high bit of the 2-qubit
-    index), matching the ``|q1 q0>`` ordering used by :data:`CX`.
-    """
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = unitary
-    return out
-
-
-def crx(theta: float) -> np.ndarray:
-    """Controlled-RX rotation."""
-    return controlled(rx(theta))
-
-
-def cry(theta: float) -> np.ndarray:
-    """Controlled-RY rotation."""
-    return controlled(ry(theta))
-
-
-def crz(theta: float) -> np.ndarray:
-    """Controlled-RZ rotation."""
-    return controlled(rz(theta))
-
-
-def cp(lam: float) -> np.ndarray:
-    """Controlled-phase rotation."""
-    return controlled(p(lam))
-
-
 def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
     """Check ``M @ M.conj().T == I`` within ``atol``."""
     matrix = np.asarray(matrix)
@@ -279,36 +208,21 @@ def is_hermitian(matrix: np.ndarray, atol: float = 1e-10) -> bool:
 
 
 _FIXED_GATES = {
-    "i": I,
-    "id": I,
     "x": X,
-    "y": Y,
-    "z": Z,
     "h": H,
     "s": S,
     "sdg": SDG,
-    "t": T,
-    "tdg": TDG,
-    "sx": SX,
     "cx": CX,
-    "cnot": CX,
     "cz": CZ,
-    "swap": SWAP,
 }
 
 _PARAMETRIC_GATES = {
     "rx": rx,
     "ry": ry,
     "rz": rz,
-    "p": p,
-    "u": u,
     "rxx": rxx,
     "ryy": ryy,
     "rzz": rzz,
-    "crx": crx,
-    "cry": cry,
-    "crz": crz,
-    "cp": cp,
 }
 
 
@@ -323,7 +237,7 @@ _PARAMETRIC_GATES_MANY = {
 
 
 def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
-    """Resolve a gate name (and bound parameters) to its unitary matrix.
+    """Resolve a gate name (and its angles) to its unitary matrix.
 
     Raises:
         KeyError: if the gate name is unknown.
@@ -340,19 +254,12 @@ def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     raise KeyError(f"unknown gate {name!r}")
 
 
-def gate_matrix_many(
-    name: str, params_rows: "list[tuple[float, ...]]"
-) -> np.ndarray:
-    """``(B, d, d)`` stack of one parametric gate across per-row bindings.
+def gate_matrix_many(name: str, angles: "list[float]") -> np.ndarray:
+    """``(B, d, d)`` stack of one rotation gate, one matrix per angle.
 
-    Single-angle rotations vectorize through their ``*_many``
-    constructors; other parametric gates fall back to stacking
-    :func:`gate_matrix` per row.  This is what lets batched circuit
-    replay resolve a parameterized position for a whole batch without a
-    per-row Python matrix build.
+    Every parametric gate is a single-angle rotation with a ``*_many``
+    constructor, which is what lets batched circuit replay resolve a
+    parameterized position for a whole batch without a per-row Python
+    matrix build.
     """
-    key = name.lower()
-    many = _PARAMETRIC_GATES_MANY.get(key)
-    if many is not None and all(len(params) == 1 for params in params_rows):
-        return many(np.array([params[0] for params in params_rows]))
-    return np.stack([gate_matrix(name, params) for params in params_rows])
+    return _PARAMETRIC_GATES_MANY[name.lower()](angles)

@@ -9,7 +9,10 @@ probability.
 
 Two consumers share this model:
 
-- :mod:`repro.quantum.density` applies the exact Kraus channels,
+- the density engines (:mod:`repro.quantum.density`,
+  :mod:`repro.quantum.batched_density`) apply the exact depolarizing
+  Kraus channels, built and cached here by :func:`kraus_stack` and
+  :func:`kraus_superop`,
 - :func:`global_depolarizing_factor` gives the analytic contraction of a
   traceless observable's expectation under the model, which is how large
   landscapes are made noisy without exponential density matrices.
@@ -17,8 +20,9 @@ Two consumers share this model:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +33,6 @@ __all__ = [
     "NoiseModel",
     "depolarizing_kraus",
     "two_qubit_depolarizing_kraus",
-    "amplitude_damping_kraus",
-    "phase_damping_kraus",
     "kraus_stack",
     "kraus_superop",
     "global_depolarizing_factor",
@@ -74,78 +76,42 @@ def two_qubit_depolarizing_kraus(probability: float) -> list[np.ndarray]:
     return kraus
 
 
-def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    """Amplitude damping (T1 relaxation) Kraus operators.
-
-    With probability ``gamma`` an excited qubit decays to the ground
-    state.  Not part of the paper's depolarizing studies, but provided
-    so the density-matrix engine can model realistic relaxation; the
-    test suite validates trace preservation and the |1> decay rate.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be within [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return [k0, k1]
-
-
-def phase_damping_kraus(lam: float) -> list[np.ndarray]:
-    """Pure dephasing (T2) Kraus operators.
-
-    With probability ``lam`` the qubit's phase information is lost
-    (off-diagonal density-matrix elements scale by ``sqrt(1 - lam)``)
-    while populations are untouched.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be within [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex)
-    return [k0, k1]
-
-
 #: Channel builders addressable by :func:`kraus_stack`.
 _KRAUS_BUILDERS = {
     "depolarizing": depolarizing_kraus,
     "two_qubit_depolarizing": two_qubit_depolarizing_kraus,
-    "amplitude_damping": amplitude_damping_kraus,
-    "phase_damping": phase_damping_kraus,
 }
 
-#: (channel kind, probability) -> read-only ``(K, d, d)`` Kraus stack.
-_KRAUS_STACKS: dict[tuple[str, float], np.ndarray] = {}
+#: Entries each channel cache keeps.  A request touches at most the two
+#: kinds times its ZNE scale factors, so the bound only evicts when a
+#: long-lived process (the daemon) has seen many distinct noise models.
+_CHANNEL_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
 def kraus_stack(kind: str, probability: float) -> np.ndarray:
     """Cached, read-only ``(K, d, d)`` Kraus stack for a channel.
 
     The density engines apply the same channel after every gate of a
     circuit (and across every row of a batch), so the operator lists
-    are memoized per ``(kind, probability)`` — the channel analogue of
-    the per-(ansatz, noise) depolarizing-contraction cache in
-    :class:`repro.ansatz.qaoa.QaoaAnsatz`.  ``kind`` is one of
-    ``"depolarizing"``, ``"two_qubit_depolarizing"``,
-    ``"amplitude_damping"``, ``"phase_damping"``.  The returned array
-    is marked read-only; callers must not mutate it.
+    are memoized per ``(kind, probability)`` in a bounded LRU cache —
+    the channel analogue of the per-(ansatz, noise)
+    depolarizing-contraction cache in
+    :class:`repro.ansatz.qaoa.QaoaAnsatz`.  ``kind`` is
+    ``"depolarizing"`` or ``"two_qubit_depolarizing"``.  The returned
+    array is marked read-only; callers must not mutate it.
     """
-    key = (kind, float(probability))
-    stack = _KRAUS_STACKS.get(key)
-    if stack is None:
-        builder = _KRAUS_BUILDERS.get(kind)
-        if builder is None:
-            raise ValueError(
-                f"unknown channel kind {kind!r}; "
-                f"choose from {sorted(_KRAUS_BUILDERS)}"
-            )
-        stack = np.stack(builder(key[1])).astype(complex)
-        stack.setflags(write=False)
-        _KRAUS_STACKS[key] = stack
+    builder = _KRAUS_BUILDERS.get(kind)
+    if builder is None:
+        raise ValueError(
+            f"unknown channel kind {kind!r}; choose from {sorted(_KRAUS_BUILDERS)}"
+        )
+    stack = np.stack(builder(float(probability))).astype(complex)
+    stack.setflags(write=False)
     return stack
 
 
-#: (channel kind, probability) -> read-only ``(d**2, d**2)`` superoperator.
-_KRAUS_SUPEROPS: dict[tuple[str, float], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
 def kraus_superop(kind: str, probability: float) -> np.ndarray:
     """Cached ``sum_k E_k (x) conj(E_k)`` superoperator for a channel.
 
@@ -156,16 +122,12 @@ def kraus_superop(kind: str, probability: float) -> np.ndarray:
     contraction pass.  Cached per ``(kind, probability)`` like
     :func:`kraus_stack`; the returned array is read-only.
     """
-    key = (kind, float(probability))
-    superop = _KRAUS_SUPEROPS.get(key)
-    if superop is None:
-        stack = kraus_stack(kind, key[1])
-        dim = stack.shape[-1]
-        superop = np.einsum("kim,kjl->ijml", stack, np.conj(stack)).reshape(
-            dim * dim, dim * dim
-        )
-        superop.setflags(write=False)
-        _KRAUS_SUPEROPS[key] = superop
+    stack = kraus_stack(kind, probability)
+    dim = stack.shape[-1]
+    superop = np.einsum("kim,kjl->ijml", stack, np.conj(stack)).reshape(
+        dim * dim, dim * dim
+    )
+    superop.setflags(write=False)
     return superop
 
 

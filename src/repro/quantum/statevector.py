@@ -7,25 +7,23 @@ axes.  This is the standard dense simulation strategy; it is exact and,
 for the ≤ 20-qubit circuits this reproduction runs, fast enough on one
 CPU core.
 
-A fast path for *diagonal* unitaries (``rz``, ``rzz``, ``cz``, ``p``...)
-multiplies phases elementwise, which is what makes dense QAOA landscape
-grids cheap: the cost layer of QAOA is one elementwise multiply.
+Circuit gates always go through the tensor contraction.
+:meth:`Statevector.apply_diagonal` is the separate elementwise path QAOA
+uses for its cost layer: one multiply by a precomputed phase vector,
+which is what makes dense QAOA landscape grids cheap.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..utils import ensure_rng
 from .circuit import QuantumCircuit
-from .parameters import Parameter
 
 __all__ = ["Statevector", "simulate"]
-
-_DIAGONAL_GATES = {"i", "id", "z", "s", "sdg", "t", "tdg", "rz", "p", "cz", "rzz", "cp", "crz"}
 
 
 class Statevector:
@@ -126,7 +124,7 @@ class Statevector:
         if len(qubits) == 1:
             self.apply_one_qubit(matrix, qubits[0])
         elif len(qubits) == 2:
-            if name in ("cx", "cnot"):
+            if name == "cx":
                 # Operands are (control, target): control is the high bit.
                 self.apply_two_qubit(matrix, qubit0=qubits[1], qubit1=qubits[0])
             else:
@@ -134,15 +132,9 @@ class Statevector:
         else:  # pragma: no cover - the IR only emits 1q/2q gates
             raise ValueError(f"unsupported gate arity {len(qubits)}")
 
-    def evolve(
-        self,
-        circuit: QuantumCircuit,
-        bindings: Mapping[Parameter, float] | None = None,
-    ) -> "Statevector":
+    def evolve(self, circuit: QuantumCircuit) -> "Statevector":
         """Apply all circuit instructions in place; returns ``self``."""
-        for name, qubits, matrix in circuit.resolved_operations(
-            dict(bindings) if bindings else None
-        ):
+        for name, qubits, matrix in circuit.resolved_operations():
             self.apply_gate(name, qubits, matrix)
         return self
 
@@ -193,9 +185,6 @@ class Statevector:
         return float(abs(np.vdot(self._data, other._data)) ** 2)
 
 
-def simulate(
-    circuit: QuantumCircuit,
-    bindings: Mapping[Parameter, float] | None = None,
-) -> Statevector:
+def simulate(circuit: QuantumCircuit) -> Statevector:
     """Run a circuit from ``|0...0>`` and return the final state."""
-    return Statevector(circuit.num_qubits).evolve(circuit, bindings)
+    return Statevector(circuit.num_qubits).evolve(circuit)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import QuantumCircuit
-from .parameters import Parameter
 
 __all__ = ["circuit_unitary", "circuits_equivalent"]
 
@@ -45,16 +44,11 @@ def _embed_two(
     return out
 
 
-def circuit_unitary(
-    circuit: QuantumCircuit,
-    bindings: dict[Parameter, float] | None = None,
-    max_qubits: int = 10,
-) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = 10) -> np.ndarray:
     """The full unitary matrix implemented by a circuit.
 
     Args:
-        circuit: the circuit (bound, or with ``bindings`` supplied).
-        bindings: parameter values for symbolic circuits.
+        circuit: the circuit.
         max_qubits: safety cap — the matrix is ``4^n`` memory.
     """
     if circuit.num_qubits > max_qubits:
@@ -64,11 +58,11 @@ def circuit_unitary(
         )
     n = circuit.num_qubits
     total = np.eye(1 << n, dtype=complex)
-    for name, qubits, matrix in circuit.resolved_operations(bindings):
+    for name, qubits, matrix in circuit.resolved_operations():
         if len(qubits) == 1:
             full = _embed_one(matrix, qubits[0], n)
         else:
-            if name in ("cx", "cnot"):
+            if name == "cx":
                 low, high = qubits[1], qubits[0]  # control is the high bit
             else:
                 low, high = qubits[0], qubits[1]
@@ -83,7 +77,7 @@ def circuits_equivalent(
     up_to_global_phase: bool = True,
     atol: float = 1e-9,
 ) -> bool:
-    """Check whether two (bound) circuits implement the same unitary.
+    """Check whether two circuits implement the same unitary.
 
     Args:
         left, right: circuits of equal width.

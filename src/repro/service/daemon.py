@@ -53,7 +53,8 @@ op                  meaning
                     daemon-backed engines register in
                     ``tests/equivalence/harness.py``
 ``invalidate``      drop one store entry by its 32-hex store key
-``index``           list cached entries (key, label, bytes, access)
+``index``           list cached entries (key, label, payload_bytes,
+                    access, created)
 ``stats``           per-op counters (dense hits, sparse read-through
                     hits, pipeline runs, dedups, errors) + store summary
                     + per-tenant accounting
@@ -948,9 +949,10 @@ class LandscapeDaemon:
             )
         reconstruction = payload.get("reconstruction")
         initial_point = payload.get("initial_point")
+        generator = self._v2_generator(request, rng=self._v2_rng(request))
         try:
             config = PipelineConfig(
-                fraction=float(payload["fraction"]),
+                fraction=payload["fraction"],
                 sampler=str(payload.get("sampler", "uniform")),
                 reconstruction=None
                 if reconstruction is None
@@ -962,12 +964,17 @@ class LandscapeDaemon:
                 else tuple(float(x) for x in initial_point),
                 label=str(payload.get("label", "oscar-pipeline")),
             )
+            point, dimension = config.initial_point, generator.grid.ndim
+            if point is not None and len(point) != dimension:
+                raise ValueError(
+                    f"initial_point has {len(point)} coordinates for a "
+                    f"{dimension}-D grid"
+                )
         except (KeyError, TypeError, ValueError) as error:
             raise ProtocolError(
                 "invalid-spec", f"invalid pipeline config: {error}"
             )
 
-        generator = self._v2_generator(request, rng=self._v2_rng(request))
         sample_payload = request.get("sample_rng")
         if sample_payload is None:
             sample_rng: Any = None

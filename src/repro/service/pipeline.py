@@ -86,9 +86,9 @@ class PipelineConfig:
     label: str = "oscar-pipeline"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
+        if isinstance(self.fraction, bool) or not 0.0 < self.fraction <= 1.0:
             raise ValueError(
-                f"fraction must be in (0, 1], got {self.fraction}"
+                f"fraction must be a number in (0, 1], got {self.fraction!r}"
             )
         if self.sampler not in _SAMPLERS:
             raise ValueError(

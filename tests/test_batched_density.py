@@ -1,12 +1,13 @@
 """Unit and property tests for the batched density engine.
 
-Covers :mod:`repro.quantum.batched_density` (kernels, circuit replay,
-per-row noise/readout, memory-capped sizing), the per-(kind,
-probability) Kraus-stack cache in :mod:`repro.quantum.noise`, and the
+Covers :mod:`repro.quantum.batched_density` (circuit replay, per-row
+noise/readout, memory-capped sizing), the bounded per-(kind,
+probability) channel caches in :mod:`repro.quantum.noise`, and the
 density-aware chunk sizing threaded through the ansatz/mitigation/
 landscape layers.  The hypothesis section asserts the physical channel
-invariants — trace preserved, purity bounded — across depolarizing,
-amplitude-damping and phase-damping channels, shared and per-row.
+invariants — trace preserved, purity bounded — on the path the program
+runs, :meth:`~repro.quantum.batched_density.BatchedDensityMatrix.evolve_circuits`,
+with hypothesis-drawn depolarizing noise models, shared and per-row.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from repro.quantum import (
     simulate_density,
 )
 from repro.quantum.noise import (
-    amplitude_damping_kraus,
     depolarizing_kraus,
     kraus_stack,
-    phase_damping_kraus,
+    kraus_superop,
     two_qubit_depolarizing_kraus,
 )
 
@@ -88,15 +88,6 @@ def test_from_statevectors_is_pure():
     np.testing.assert_allclose(rho.purities(), 1.0, atol=1e-12)
 
 
-def test_row_extracts_serial_density():
-    rho = _random_pure_stack(2, 3, seed=1)
-    single = rho.row(1)
-    assert np.allclose(single.data, rho.data[1])
-    # row() is a copy: mutating it leaves the stack untouched.
-    single.data[0, 0] = 99.0
-    assert rho.data[1, 0, 0] != 99.0
-
-
 # -- circuit replay vs the serial oracle --------------------------------------
 
 
@@ -134,31 +125,6 @@ def test_evolve_circuits_rejects_wrong_batch_length():
     qc = QuantumCircuit(2).h(0)
     with pytest.raises(ValueError, match="one per row"):
         BatchedDensityMatrix(2, batch_size=3).evolve_circuits([qc, qc])
-
-
-def test_apply_unitary_per_row_stack_matches_loop():
-    rho = _random_pure_stack(3, 4, seed=2)
-    reference = [rho.row(index) for index in range(4)]
-    rng = np.random.default_rng(3)
-    thetas = rng.uniform(-np.pi, np.pi, size=4)
-    from repro.quantum.gates import ry, ry_many
-
-    rho.apply_unitary(ry_many(thetas), (1,))
-    for index, single in enumerate(reference):
-        single.apply_unitary(ry(thetas[index]), (1,))
-        np.testing.assert_allclose(rho.data[index], single.data, atol=1e-12)
-
-
-def test_operand_shape_validation():
-    rho = BatchedDensityMatrix(2, batch_size=3)
-    with pytest.raises(ValueError, match="operand"):
-        rho.apply_unitary(np.eye(3), (0,))
-    with pytest.raises(ValueError, match="operand"):
-        rho.apply_unitary(np.zeros((2, 2, 2)), (0,))  # wrong batch length
-    with pytest.raises(ValueError, match="operand"):
-        rho.apply_kraus(np.zeros((2, 2, 4, 4)), (0,))  # wrong batch length
-    with pytest.raises(ValueError, match="arity"):
-        rho.apply_unitary(np.eye(8), (0, 1, 2))
 
 
 # -- measurement --------------------------------------------------------------
@@ -207,6 +173,17 @@ def test_kraus_stack_is_cached_and_read_only():
     )
     with pytest.raises(ValueError, match="unknown channel kind"):
         kraus_stack("thermal", 0.1)
+
+
+def test_channel_caches_are_bounded():
+    """A long-lived process (the daemon) that meets many distinct noise
+    models keeps at most ``maxsize`` channels in each cache."""
+    bound = kraus_superop.cache_info().maxsize
+    assert bound is not None
+    for probability in np.linspace(0.0, 0.5, bound + 50):
+        kraus_superop("two_qubit_depolarizing", float(probability))
+    for cache in (kraus_stack, kraus_superop):
+        assert cache.cache_info().currsize <= bound
 
 
 # -- memory-capped sizing ------------------------------------------------------
@@ -284,61 +261,42 @@ def test_density_batch_rows_override_still_matches():
     np.testing.assert_allclose(chunked, reference, atol=1e-12)
 
 
-# -- hypothesis: channel invariants, shared and per-row ------------------------
-
-SINGLE_QUBIT_CHANNELS = {
-    "depolarizing": depolarizing_kraus,
-    "amplitude_damping": amplitude_damping_kraus,
-    "phase_damping": phase_damping_kraus,
-}
+# -- hypothesis: channel invariants through circuit replay ---------------------
 
 PROBS = st.floats(min_value=0.0, max_value=1.0)
+MODELS = st.builds(NoiseModel, p1=PROBS, p2=PROBS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), model=MODELS)
+def test_shared_kraus_preserves_trace_and_purity_bound(seed, model):
+    """Replaying circuits under one shared model — both depolarizing
+    kinds, as the circuits mix 1q and 2q gates — keeps every row a valid
+    state: trace ~ 1, purity <= 1."""
+    circuits = _random_circuits(3, 4, np.random.default_rng(seed))
+    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits, model)
+    np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
+    assert np.all(rho.purities() <= 1.0 + 1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    probability=PROBS,
-    kind=st.sampled_from(sorted(SINGLE_QUBIT_CHANNELS)),
-    qubit=st.integers(0, 2),
+    models=st.lists(st.none() | MODELS, min_size=4, max_size=4),
 )
-def test_shared_kraus_preserves_trace_and_purity_bound(
-    seed, probability, kind, qubit
-):
-    """A shared channel keeps every row a valid state: trace ~ 1,
-    purity <= 1."""
-    rho = _random_pure_stack(3, 4, seed)
-    rho.apply_kraus(
-        np.stack(SINGLE_QUBIT_CHANNELS[kind](probability)), (qubit,)
+def test_per_row_kraus_preserves_trace_and_purity_bound(seed, models):
+    """Per-row models — every row its own channels — keep every row a
+    valid state, and a ``None`` row keeps the purity of its noiseless
+    replay."""
+    circuits = _random_circuits(3, 4, np.random.default_rng(seed))
+    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits, models)
+    np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
+    assert np.all(rho.purities() <= 1.0 + 1e-9)
+    noiseless = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits)
+    untouched = np.array([model is None for model in models])
+    np.testing.assert_allclose(
+        rho.purities()[untouched], noiseless.purities()[untouched], atol=1e-10
     )
-    np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
-    assert np.all(rho.purities() <= 1.0 + 1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10**6),
-    kind=st.sampled_from(sorted(SINGLE_QUBIT_CHANNELS)),
-    qubit=st.integers(0, 2),
-)
-def test_per_row_kraus_preserves_trace_and_purity_bound(seed, kind, qubit):
-    """A per-row (B, K, d, d) stack — every row its own probability —
-    keeps every row a valid state."""
-    rng = np.random.default_rng(seed)
-    probabilities = rng.uniform(0.0, 1.0, size=4)
-    builder = SINGLE_QUBIT_CHANNELS[kind]
-    stack = np.stack([np.stack(builder(float(p))) for p in probabilities])
-    rho = _random_pure_stack(3, 4, seed)
-    before = rho.purities()
-    rho.apply_kraus(stack, (qubit,))
-    np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
-    assert np.all(rho.purities() <= 1.0 + 1e-9)
-    # Rows with probability zero stay exactly pure.
-    untouched = probabilities < 1e-12
-    if untouched.any():
-        np.testing.assert_allclose(
-            rho.purities()[untouched], before[untouched], atol=1e-10
-        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -346,17 +304,13 @@ def test_per_row_kraus_preserves_trace_and_purity_bound(seed, kind, qubit):
 def test_two_qubit_depolarizing_preserves_trace_shared_and_per_row(
     seed, probability
 ):
-    rho = _random_pure_stack(3, 3, seed)
-    rho.apply_kraus(kraus_stack("two_qubit_depolarizing", probability), (0, 2))
-    np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
-    assert np.all(rho.purities() <= 1.0 + 1e-9)
+    """The two-qubit channel alone (``p1 = 0``), shared and with a
+    different probability on every row."""
     rng = np.random.default_rng(seed)
-    per_row = np.stack(
-        [
-            kraus_stack("two_qubit_depolarizing", float(p))
-            for p in rng.uniform(0.0, 1.0, size=3)
-        ]
-    )
-    rho.apply_kraus(per_row, (1, 2))
-    np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
-    assert np.all(rho.purities() <= 1.0 + 1e-9)
+    circuits = _random_circuits(3, 3, rng)
+    shared = NoiseModel(p2=probability)
+    per_row = [NoiseModel(p2=float(p)) for p in rng.uniform(0.0, 1.0, size=3)]
+    for noise in (shared, per_row):
+        rho = BatchedDensityMatrix(3, batch_size=3).evolve_circuits(circuits, noise)
+        np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
+        assert np.all(rho.purities() <= 1.0 + 1e-9)

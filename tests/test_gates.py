@@ -14,7 +14,7 @@ from repro.quantum import gates
 ANGLES = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
 
 FIXED_GATES = [gates.I, gates.X, gates.Y, gates.Z, gates.H, gates.S, gates.SDG,
-               gates.T, gates.TDG, gates.SX, gates.CX, gates.CZ, gates.SWAP]
+               gates.CX, gates.CZ]
 
 
 @pytest.mark.parametrize("matrix", FIXED_GATES)
@@ -24,15 +24,9 @@ def test_fixed_gates_are_unitary(matrix):
 
 @given(theta=ANGLES)
 def test_rotation_gates_are_unitary(theta):
-    for factory in (gates.rx, gates.ry, gates.rz, gates.p,
-                    gates.rxx, gates.ryy, gates.rzz,
-                    gates.crx, gates.cry, gates.crz, gates.cp):
+    for factory in (gates.rx, gates.ry, gates.rz,
+                    gates.rxx, gates.ryy, gates.rzz):
         assert gates.is_unitary(factory(theta))
-
-
-@given(theta=ANGLES, phi=ANGLES, lam=ANGLES)
-def test_u_gate_is_unitary(theta, phi, lam):
-    assert gates.is_unitary(gates.u(theta, phi, lam))
 
 
 def test_pauli_matrices_are_hermitian_and_self_inverse():
@@ -93,11 +87,6 @@ def test_cx_action_on_basis_states():
     assert np.allclose(gates.CX @ basis[:, 3], basis[:, 2])
     assert np.allclose(gates.CX @ basis[:, 0], basis[:, 0])
     assert np.allclose(gates.CX @ basis[:, 1], basis[:, 1])
-
-
-def test_controlled_embeds_in_lower_right_block():
-    matrix = gates.controlled(gates.X)
-    assert np.allclose(matrix, gates.CX)
 
 
 def test_gate_matrix_dispatch_fixed():

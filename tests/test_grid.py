@@ -167,3 +167,9 @@ def test_nearest_flat_index_snaps():
     gamma = grid.axes[1].values[4] - 0.2 * grid.axes[1].step
     flat = grid.nearest_flat_index([beta, gamma])
     assert np.unravel_index(flat, grid.shape) == (2, 4)
+
+
+def test_p3_grid_reshape():
+    grid = qaoa_grid(p=3, resolution=(4, 5))
+    assert grid.shape == (4, 4, 4, 5, 5, 5)
+    assert grid.reshaped_2d_shape() == (64, 125)

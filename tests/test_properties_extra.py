@@ -13,28 +13,12 @@ from repro.hardware import QpuPool, SimulatedQPU
 from repro.landscape import qaoa_grid
 from repro.parallel import NoiseCompensationModel, ParallelSampler
 from repro.problems import IsingProblem
-from repro.quantum import Parameter, QuantumCircuit, Statevector, simulate
+from repro.quantum import QuantumCircuit, simulate
 
 ANGLES = st.floats(min_value=-2.0, max_value=2.0)
 
 
 # -- circuit algebra laws --------------------------------------------------------
-
-
-@settings(max_examples=15, deadline=None)
-@given(theta=ANGLES, phi=ANGLES)
-def test_bind_commutes_with_simulation(theta, phi):
-    """Binding then simulating == simulating with bindings supplied."""
-    a = Parameter("a")
-    b = Parameter("b")
-    qc = QuantumCircuit(2)
-    qc.rx(a, 0)
-    qc.rzz(b, 0, 1)
-    qc.ry(2 * a + 0.1, 1)
-    bindings = {a: theta, b: phi}
-    bound_first = simulate(qc.bind(bindings))
-    bound_late = Statevector(2).evolve(qc, bindings)
-    assert bound_first.fidelity(bound_late) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
@@ -73,7 +57,7 @@ def test_folding_action_invariant_any_scale(seed, scale):
 def test_instructions_are_immutable_snapshots():
     qc = QuantumCircuit(1).x(0)
     snapshot = qc.instructions
-    qc.y(0)
+    qc.h(0)
     assert len(snapshot) == 1  # earlier view unaffected
     with pytest.raises((TypeError, AttributeError)):
         snapshot[0].name = "z"  # frozen dataclass

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ansatz import QaoaAnsatz
 from repro.cs import ReconstructionConfig
@@ -110,3 +112,20 @@ def test_custom_config_omp_solver(ideal_generator, medium_grid):
     oscar = OscarReconstructor(medium_grid, config=config, rng=8)
     reconstruction, _ = oscar.reconstruct(ideal_generator, 0.15)
     assert nrmse(truth.values, reconstruction.values) < 0.3
+
+
+@settings(deadline=None, max_examples=1)
+@given(seed=st.integers(0, 3))
+def test_p3_reconstruction_runs(seed):
+    problem = random_3_regular_maxcut(4, seed=seed)
+    ansatz = QaoaAnsatz(problem, p=3)
+    grid = qaoa_grid(p=3, resolution=(4, 5))
+    generator = LandscapeGenerator(cost_function(ansatz), grid)
+    truth = generator.grid_search()
+    oscar = OscarReconstructor(grid, rng=seed)
+    reconstruction, report = oscar.reconstruct(generator, 0.3)
+    assert reconstruction.values.shape == grid.shape
+    error = nrmse(truth.values, reconstruction.values)
+    assert np.isfinite(error)
+    # 6-D reshaping is hard; just require an informative reconstruction.
+    assert error < 1.0

@@ -554,15 +554,12 @@ def test_request_integers_are_checked_at_the_wire(tmp_path, op, field, value, co
         daemon.close()
 
 
-@pytest.mark.parametrize("options", [{"bogus": 1}, [1, 2]])
-def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, options):
-    """A ``pipeline`` request whose ``optimizer_options`` the optimizer
-    cannot take (an unknown keyword, a non-mapping) is ``invalid-spec``,
-    answered before sampling, evaluation or reconstruction run: no work
-    counter moves."""
+def _assert_pipeline_refused_before_work(tmp_path: Path, **overrides) -> None:
+    """The golden ``pipeline`` request with ``overrides`` in its config
+    is ``invalid-spec``, answered before sampling, evaluation or
+    reconstruction run: no work counter moves."""
     (pipeline,) = [r for r in golden_requests() if r["op"] == "pipeline"]
-    config = {**pipeline["config"], "optimizer_options": options}
-    request = {**pipeline, "config": config}
+    request = {**pipeline, "config": {**pipeline["config"], **overrides}}
     stats = {"version": 2, "op": "stats", "token": GOLDEN_TOKEN}
     daemon = _start_daemon(tmp_path)
     try:
@@ -577,6 +574,45 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, option
         assert after == before
     finally:
         daemon.close()
+
+
+@pytest.mark.parametrize("options", [{"bogus": 1}, [1, 2]])
+def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, options):
+    """``optimizer_options`` the optimizer cannot take (an unknown
+    keyword, a non-mapping) are refused before any work."""
+    _assert_pipeline_refused_before_work(tmp_path, optimizer_options=options)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"reconstruction": {"solver": "nope"}},
+        {"reconstruction": {"lam": "x"}},
+        {"reconstruction": {"lam": -1.0}},
+        {"reconstruction": {"max_iterations": 0}},
+        {"reconstruction": {"max_iterations": -3}},
+        {"reconstruction": {"penalize_dc": "yes"}},
+        {"initial_point": [0.1]},
+        {"initial_point": [0.1, 0.2, 0.3]},
+        {"fraction": True},
+    ],
+    ids=[
+        "unknown-solver",
+        "lam-not-a-number",
+        "negative-lam",
+        "zero-iterations",
+        "negative-iterations",
+        "penalize_dc-not-a-bool",
+        "initial_point-too-short",
+        "initial_point-too-long",
+        "bool-fraction",
+    ],
+)
+def test_pipeline_config_is_checked_before_any_work(tmp_path, overrides):
+    """Every field of the pipeline config — the reconstruction knobs,
+    the initial point's length against the grid, the fraction's type —
+    is checked before any sample is drawn."""
+    _assert_pipeline_refused_before_work(tmp_path, **overrides)
 
 
 # -- the no-pickle gate -------------------------------------------------------
