@@ -21,10 +21,9 @@ Key properties:
 - **Warm starts.**  Per-problem initial coefficients (e.g. the previous
   solution when re-solving with a grown sample set) cut iteration
   counts dramatically for repeated solves.
-- **Graceful fallback.**  Non-FISTA solvers ("omp", "bp") and the
-  backtracking line-search mode (``lipschitz=None``) have no batched
-  formulation; the engine transparently solves those problems serially
-  so callers can always batch.
+- **Graceful fallback.**  The non-FISTA solvers ("omp", "bp") have no
+  batched formulation; the engine transparently solves those problems
+  serially so callers can always batch.
 
 The per-sample measurement operator is expressed densely per problem:
 the measured values are embedded into a zero grid (``targets``) with a
@@ -108,9 +107,8 @@ class ReconstructionEngine:
         if not problems:
             return []
         # The batched loop replicates the serial FISTA exactly; a
-        # non-FISTA solver or the backtracking mode (lipschitz=None)
-        # routes serially.
-        if self.config.solver != "fista" or self.config.lipschitz is None:
+        # non-FISTA solver routes serially.
+        if self.config.solver != "fista":
             return self._solve_serial(problems, warm_starts)
         coefficients, iterations, converged, lambdas = self._solve_batched_fista(
             problems, warm_starts
@@ -129,8 +127,7 @@ class ReconstructionEngine:
         problems: list[tuple[np.ndarray, np.ndarray]],
         warm_starts: Sequence[np.ndarray | None] | None,
     ) -> list[tuple[np.ndarray, SolverResult]]:
-        """Fallback for solvers with no batched formulation (omp, bp,
-        or FISTA with a backtracking line search)."""
+        """Fallback for solvers with no batched formulation (omp, bp)."""
         output = []
         for position, (flat_indices, values) in enumerate(problems):
             warm = warm_starts[position] if warm_starts is not None else None
@@ -192,7 +189,6 @@ class ReconstructionEngine:
         axes = tuple(range(1, ndim + 1))
         column = (slice(None),) + (np.newaxis,) * ndim  # (A,) -> (A, 1, ..., 1)
         penalize_dc = config.resolved_penalize_dc()
-        step = 1.0 / config.lipschitz
 
         targets, masks = self._embed(problems)
         lambdas = self._lambdas(targets)
@@ -217,34 +213,25 @@ class ReconstructionEngine:
         # maps working positions back to input positions.
         rows = np.arange(batch)
 
-        # The iterates below mirror fista_lasso exactly but run the
-        # whole active stack through each numpy call, buffer-reusing to
-        # keep per-iteration allocations to four (B, *shape) arrays.
+        # The iterates below mirror fista_lasso exactly (unit step) but
+        # run the whole active stack through each numpy call,
+        # buffer-reusing to keep per-iteration allocations to four
+        # (B, *shape) arrays.
         for iteration in range(1, config.max_iterations + 1):
             active = rows.size
             residual = inverse_transform(momentum, config.basis, axes)
             residual *= masks
             residual -= targets
             candidate = transform(residual, config.basis, axes)
-            candidate *= -step
-            candidate += momentum
+            np.subtract(momentum, candidate, out=candidate)
             if not penalize_dc:
                 dc_values = candidate.reshape(active, -1)[:, 0].copy()
             updated = np.abs(candidate)
-            updated -= (lambdas * step)[column]
+            updated -= lambdas[column]
             np.maximum(updated, 0.0, out=updated)
             np.copysign(updated, candidate, out=updated)
             if not penalize_dc:
                 updated.reshape(active, -1)[:, 0] = dc_values
-            if config.adaptive_restart:
-                flat_momentum = momentum.reshape(active, -1)
-                flat_updated = updated.reshape(active, -1)
-                flat_previous = coefficients.reshape(active, -1)
-                alignment = np.einsum(
-                    "ab,ab->a", flat_momentum - flat_updated,
-                    flat_updated - flat_previous,
-                )
-                t_previous[alignment > 0.0] = 1.0
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_previous**2))
             difference = updated - coefficients
             flat_difference = difference.reshape(active, -1)

@@ -11,10 +11,9 @@ sampled indices and applies the forward DCT — both matrix-free.
 
 :attr:`ReconstructionConfig.solver` picks one of three built-in solvers
 (``fista``, ``omp``, ``bp``; see :func:`available_solvers`).  The
-FISTA path supports warm starts (``warm_start=`` on
-:func:`reconstruct_signal`), gradient-based adaptive momentum restart
-and a backtracking line search (``lipschitz=None``) — all exposed as
-:class:`ReconstructionConfig` fields.  Reconstructing *many* landscapes
+FISTA path takes the unit step that the orthonormal basis makes exact
+and supports warm starts (``warm_start=`` on
+:func:`reconstruct_signal`).  Reconstructing *many* landscapes
 at once goes through :class:`~repro.cs.engine.ReconstructionEngine`,
 which runs one vectorized FISTA loop over a whole stack of problems.
 """
@@ -99,11 +98,6 @@ class ReconstructionConfig:
             ``None`` (default) resolves by basis: the DCT's index 0 is
             the DC term carrying the landscape mean, so it is exempt;
             the DST has no DC component, so everything is penalized.
-        adaptive_restart: enable FISTA's gradient-based momentum
-            restart (off by default to match the paper's plain FISTA).
-        lipschitz: Lipschitz constant of the measurement operator —
-            exactly 1 for a subsampled orthonormal basis.  ``None``
-            enables the backtracking line search.
     """
 
     solver: str = "fista"
@@ -113,8 +107,6 @@ class ReconstructionConfig:
     max_atoms: int | None = None
     basis: str = "dct"
     penalize_dc: bool | None = None
-    adaptive_restart: bool = False
-    lipschitz: float | None = 1.0
 
     def __post_init__(self) -> None:
         if self.solver not in _SOLVERS:
@@ -139,8 +131,13 @@ class ReconstructionConfig:
             isinstance(lam, bool) or not isinstance(lam, Real) or not lam >= 0
         ):
             raise ValueError(f"lam must be a number >= 0 or None, got {lam!r}")
-        if self.max_atoms is not None and self.max_atoms < 1:
-            raise ValueError(f"max_atoms must be >= 1, got {self.max_atoms!r}")
+        atoms = self.max_atoms
+        if atoms is not None and (
+            isinstance(atoms, bool) or not isinstance(atoms, Integral) or atoms < 1
+        ):
+            raise ValueError(
+                f"max_atoms must be a positive integer or None, got {atoms!r}"
+            )
         if self.penalize_dc is not None and not isinstance(self.penalize_dc, bool):
             raise ValueError(
                 f"penalize_dc must be a bool or None, got {self.penalize_dc!r}"
@@ -236,10 +233,8 @@ def _solve_fista(
         lam=config.lam,
         max_iterations=config.max_iterations,
         tolerance=config.tolerance,
-        lipschitz=config.lipschitz,
         penalize_dc=config.resolved_penalize_dc(),
         initial=warm_start,
-        adaptive_restart=config.adaptive_restart,
     )
 
 

@@ -86,12 +86,13 @@ def fista_lasso(
     lam: float | None = None,
     max_iterations: int = 400,
     tolerance: float = 1e-6,
-    lipschitz: float | None = 1.0,
     penalize_dc: bool = False,
     initial: np.ndarray | None = None,
-    adaptive_restart: bool = False,
 ) -> SolverResult:
     """FISTA on the Lasso objective, matrix-free.
+
+    The step size is 1, the Lipschitz constant of ``A^T A`` when ``A``
+    restricts an orthonormal synthesis to the sampled indices.
 
     Args:
         forward: ``A``: coefficient array of ``shape`` -> measurement vector.
@@ -104,10 +105,6 @@ def fista_lasso(
             that tracks the measurement scale.
         max_iterations: iteration cap.
         tolerance: relative-change stopping tolerance on the iterate.
-        lipschitz: Lipschitz constant of ``A^T A`` — exactly 1 for a
-            subsampled orthonormal basis, the common case.  Pass
-            ``None`` when the constant is unknown to enable a
-            backtracking line search on the step size.
         penalize_dc: if False (default) the DC (all-zeros index)
             coefficient is not shrunk; landscapes have a large mean and
             shrinking it biases the reconstruction down.  Must be True
@@ -115,16 +112,10 @@ def fista_lasso(
         initial: warm-start coefficients of ``shape`` (default zeros).
             Repeated solves over growing sample sets converge in far
             fewer iterations when seeded with the previous solution.
-        adaptive_restart: enable the gradient-based momentum restart of
-            O'Donoghue & Candes — whenever the momentum direction
-            opposes the descent direction, the momentum weight resets,
-            avoiding FISTA's characteristic convergence ripples.
     """
     measurements = np.asarray(measurements, dtype=float).reshape(-1)
     if lam is None:
         lam = auto_lambda(adjoint(measurements), penalize_dc)
-    backtracking = lipschitz is None
-    step = 1.0 if backtracking else 1.0 / lipschitz
     if initial is None:
         coefficients = np.zeros(shape)
     else:
@@ -136,30 +127,10 @@ def fista_lasso(
     dc_index = (0,) * len(shape)
     for iteration in range(1, max_iterations + 1):
         residual = forward(momentum) - measurements
-        gradient = adjoint(residual)
-        while True:
-            candidate = momentum - step * gradient
-            updated = soft_threshold(candidate, lam * step)
-            if not penalize_dc:
-                updated[dc_index] = candidate[dc_index]
-            if not backtracking:
-                break
-            # Sufficient-decrease check: shrink the step until the
-            # quadratic model at `momentum` upper-bounds f(updated).
-            new_residual = forward(updated) - measurements
-            difference = updated - momentum
-            quadratic = (
-                0.5 * float(residual @ residual)
-                + float(np.sum(gradient * difference))
-                + 0.5 / step * float(np.sum(difference * difference))
-            )
-            if 0.5 * float(new_residual @ new_residual) <= quadratic + 1e-12:
-                break
-            step *= 0.5
-        if adaptive_restart and float(
-            np.sum((momentum - updated) * (updated - coefficients))
-        ) > 0.0:
-            t_previous = 1.0
+        candidate = momentum - adjoint(residual)
+        updated = soft_threshold(candidate, lam)
+        if not penalize_dc:
+            updated[dc_index] = candidate[dc_index]
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_previous**2))
         momentum = updated + ((t_previous - 1.0) / t_next) * (updated - coefficients)
         change = np.linalg.norm(updated - coefficients)

@@ -18,7 +18,6 @@ import numpy as np
 from ..ansatz.base import Ansatz
 from ..landscape.generator import LandscapeGenerator
 from ..landscape.grid import GridAxis, ParameterGrid
-from ..quantum.noise import NoiseModel
 from ..utils import ensure_rng
 
 __all__ = ["SliceSpec", "SliceCostFunction", "random_slice", "slice_generator"]
@@ -83,22 +82,14 @@ class SliceCostFunction:
     :meth:`~repro.ansatz.base.Ansatz.expectation_many`, so QAOA,
     Two-local and UCCSD slices all ride their native vectorized
     execution paths (custom ansatzes without one fall back to the base
-    class's serial loop with unchanged semantics).
+    class's serial loop with unchanged semantics).  Slices are exact and
+    have no ``cache_spec`` (no store key, no wire form), so they run
+    in-process.
     """
 
-    def __init__(
-        self,
-        ansatz: Ansatz,
-        spec: SliceSpec,
-        noise: NoiseModel | None = None,
-        shots: int | None = None,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, ansatz: Ansatz, spec: SliceSpec):
         self.ansatz = ansatz
         self.spec = spec
-        self.noise = noise
-        self.shots = shots
-        self.rng = rng
 
     @property
     def num_qubits(self) -> int:
@@ -106,12 +97,8 @@ class SliceCostFunction:
         return self.ansatz.num_qubits
 
     def batch_capacity(self) -> int:
-        """Memory-capped execution rows per chunk (noise-engine aware).
-
-        Noisy slices on density-engine ansatzes (the Tables 2-3 noisy
-        protocol) chunk to the ``4**n``-per-row density budget.
-        """
-        return self.ansatz.batch_capacity(self.noise)
+        """Memory-capped execution rows per chunk (the ideal budget)."""
+        return self.ansatz.batch_capacity()
 
     def _embed(self, slice_points: np.ndarray) -> np.ndarray:
         """Expand ``(m, 2)`` slice points into full parameter vectors."""
@@ -125,50 +112,15 @@ class SliceCostFunction:
         full = self.spec.fixed_values.copy()
         full[self.spec.varying[0]] = slice_point[0]
         full[self.spec.varying[1]] = slice_point[1]
-        return self.ansatz.expectation(
-            full, noise=self.noise, shots=self.shots, rng=self.rng
-        )
+        return self.ansatz.expectation(full)
 
     def many(self, slice_points: np.ndarray) -> np.ndarray:
         """Cost values for an ``(m, 2)`` batch of slice points."""
         return self.ansatz.expectation_many(
-            self._embed(np.asarray(slice_points, dtype=float)),
-            noise=self.noise,
-            shots=self.shots,
-            rng=self.rng,
+            self._embed(np.asarray(slice_points, dtype=float))
         )
 
-    def cache_spec(self) -> dict:
-        """Canonical content description for the landscape store/daemon.
 
-        A slice landscape is determined by the ansatz/problem content,
-        the slice geometry (which two parameters vary, what the frozen
-        coordinates are), the noise model and the shot budget; the grid
-        axes are added by the generator layer.
-        """
-        return {
-            "kind": "slice",
-            "ansatz": self.ansatz.cache_spec(),
-            "varying": [int(index) for index in self.spec.varying],
-            "fixed_values": [float(v) for v in self.spec.fixed_values],
-            "noise": None if self.noise is None else self.noise.cache_spec(),
-            "shots": self.shots,
-        }
-
-
-def slice_generator(
-    ansatz: Ansatz,
-    spec: SliceSpec,
-    noise: NoiseModel | None = None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-    batch_size: int | None = None,
-    daemon=None,
-) -> LandscapeGenerator:
-    """A batch-capable :class:`LandscapeGenerator` over the slice's grid.
-
-    ``daemon`` serves the slice through a running landscape daemon
-    (with in-process fallback).
-    """
-    function = SliceCostFunction(ansatz, spec, noise=noise, shots=shots, rng=rng)
-    return LandscapeGenerator(function, spec.grid, batch_size=batch_size, daemon=daemon)
+def slice_generator(ansatz: Ansatz, spec: SliceSpec) -> LandscapeGenerator:
+    """A batch-capable :class:`LandscapeGenerator` over the slice's grid."""
+    return LandscapeGenerator(SliceCostFunction(ansatz, spec), spec.grid)

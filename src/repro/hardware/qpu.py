@@ -65,15 +65,13 @@ class SimulatedQPU:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
 
-    def execute(self, ansatz: Ansatz, parameters: np.ndarray) -> float:
-        """One expectation estimate under this device's noise/shots."""
-        return ansatz.expectation(
-            parameters, noise=self.noise, shots=self.shots, rng=self._rng
-        )
-
     def execute_batch(self, ansatz: Ansatz, points: np.ndarray) -> np.ndarray:
-        """Expectations for an ``(m, k)`` batch of parameter vectors."""
-        return np.array([self.execute(ansatz, point) for point in points])
+        """Expectations for an ``(m, k)`` batch of parameter vectors under
+        this device's noise and shots, in one batched engine call (the
+        same values and shot draws as a row-by-row loop)."""
+        return ansatz.expectation_many(
+            points, noise=self.noise, shots=self.shots, rng=self._rng
+        )
 
     def sample_latencies(self, count: int) -> np.ndarray:
         """Per-job completion latencies for ``count`` jobs."""

@@ -289,9 +289,6 @@ class LandscapeGenerator:
         self.daemon = daemon
         self.executor_pool = executor_pool
 
-    def _resolved_batch_size(self) -> int:
-        return resolve_batch_size(self.function, self.batch_size)
-
     def _sharded(self) -> bool:
         """Whether evaluation routes through the sharded executor.
 

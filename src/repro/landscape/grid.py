@@ -118,14 +118,6 @@ class ParameterGrid:
         """Physical parameter values at a flat (row-major) index."""
         return self.point(np.unravel_index(int(flat_index), self.shape))
 
-    def validate_flat_indices(
-        self, flat_indices: Sequence[int] | np.ndarray
-    ) -> np.ndarray:
-        """Flat indices as an int array, or ``ValueError`` if any index
-        is negative or beyond :attr:`size` (see
-        :func:`validate_flat_indices`)."""
-        return validate_flat_indices(self.size, flat_indices)
-
     def points_from_flat(self, flat_indices: np.ndarray) -> np.ndarray:
         """Vectorised ``(m, ndim)`` parameter values for flat indices."""
         unraveled = np.unravel_index(np.asarray(flat_indices, dtype=int), self.shape)

@@ -67,16 +67,3 @@ class InterpolatedLandscape:
             return float(self._spline(point[0], point[1])[0, 0])
         return float(self._generic(point[None, :])[0])
 
-    def gradient(self, parameters: np.ndarray, step: float | None = None) -> np.ndarray:
-        """Central finite-difference gradient of the interpolant."""
-        point = np.asarray(parameters, dtype=float).reshape(-1)
-        if step is None:
-            step = 1e-4 * float(np.max(self._highs - self._lows))
-        grad = np.empty_like(point)
-        for i in range(point.shape[0]):
-            forward = point.copy()
-            backward = point.copy()
-            forward[i] += step
-            backward[i] -= step
-            grad[i] = (self(forward) - self(backward)) / (2.0 * step)
-        return grad

@@ -62,28 +62,11 @@ class Landscape:
         flat_index = int(np.argmin(self.values))
         return float(self.flat()[flat_index]), self.grid.point_from_flat(flat_index)
 
-    def maximum(self) -> tuple[float, np.ndarray]:
-        """``(max value, parameter vector at the maximum grid point)``."""
-        flat_index = int(np.argmax(self.values))
-        return float(self.flat()[flat_index]), self.grid.point_from_flat(flat_index)
-
     def value_at(self, parameters: np.ndarray) -> float:
         """Value at the nearest grid point to a parameter vector."""
         return float(self.flat()[self.grid.nearest_flat_index(parameters)])
 
     # -- metrics -------------------------------------------------------------
-
-    def second_derivative(self) -> float:
-        """Roughness D2 (paper Eq. 2)."""
-        return _metrics.second_derivative(self.values)
-
-    def variance_of_gradient(self) -> float:
-        """Flatness VoG (paper Eq. 3)."""
-        return _metrics.variance_of_gradient(self.values)
-
-    def variance(self) -> float:
-        """Value variance (paper Eq. 4)."""
-        return _metrics.landscape_variance(self.values)
 
     def dct_sparsity(self, energy_fraction: float = 0.99) -> float:
         """Fraction of DCT coefficients carrying the energy share."""

@@ -3,7 +3,7 @@
 Mitigation with supplementary shots:
 
 - :mod:`~repro.mitigation.zne` — Zero-Noise Extrapolation with
-  Richardson / linear / exponential extrapolation,
+  Richardson or linear extrapolation,
 - :mod:`~repro.mitigation.cdr` — Clifford Data Regression,
 - :mod:`~repro.mitigation.pec` — Probabilistic Error Cancellation.
 
@@ -26,7 +26,6 @@ from .readout import ReadoutMitigator
 from .zne import (
     ZneConfig,
     ZneCostFunction,
-    exponential_extrapolate,
     extrapolate,
     extrapolate_many,
     linear_extrapolate,
@@ -49,7 +48,6 @@ __all__ = [
     "ReadoutMitigator",
     "ZneConfig",
     "ZneCostFunction",
-    "exponential_extrapolate",
     "extrapolate",
     "extrapolate_many",
     "linear_extrapolate",

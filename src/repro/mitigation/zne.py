@@ -19,8 +19,7 @@ Extrapolation models (the paper's configuration knob, Sec. 6):
   the "salt-like" jaggedness of Fig. 9(A);
 - **linear** — least-squares line, intercept at zero; with scales
   {1,3} the weights are [1.5, -0.5] (amplification ``~1.6x``), hence
-  the smoother Fig. 9(B);
-- **exponential** — ``y = a * exp(b * scale)`` fit, an extension knob.
+  the smoother Fig. 9(B).
 
 Execution is batch-capable: :class:`ZneCostFunction` folds the scale
 factors into the execution batch axis (one ``expectation_many`` call
@@ -43,7 +42,6 @@ from ..utils import ensure_rng
 __all__ = [
     "richardson_extrapolate",
     "linear_extrapolate",
-    "exponential_extrapolate",
     "extrapolate",
     "extrapolate_many",
     "ZneConfig",
@@ -95,29 +93,9 @@ def linear_extrapolate(scales: np.ndarray, values: np.ndarray) -> float:
     return float(intercept)
 
 
-def exponential_extrapolate(scales: np.ndarray, values: np.ndarray) -> float:
-    """Fit ``y = a exp(b s)`` (log-linear least squares) and evaluate a.
-
-    Falls back to linear extrapolation when values change sign, where
-    the log transform is undefined.
-    """
-    scales = np.asarray(scales, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if np.any(values <= 0) and np.any(values >= 0) and not (np.all(values > 0) or np.all(values < 0)):
-        return linear_extrapolate(scales, values)
-    sign = 1.0 if np.all(values > 0) else -1.0
-    magnitudes = np.abs(values)
-    if np.any(magnitudes <= 0):
-        return linear_extrapolate(scales, values)
-    slope, log_a = np.polyfit(scales, np.log(magnitudes), deg=1)
-    del slope
-    return float(sign * np.exp(log_a))
-
-
 _EXTRAPOLATORS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "richardson": richardson_extrapolate,
     "linear": linear_extrapolate,
-    "exponential": exponential_extrapolate,
 }
 
 
@@ -138,8 +116,7 @@ def extrapolate_many(
 
     Richardson is one matrix-vector product with the shared Lagrange
     weights, linear is one shared least-squares fit over all rows
-    (``np.polyfit`` accepts a 2-D ordinate); the exponential model's
-    sign-handling branches keep it a per-row loop.  Each row equals the
+    (``np.polyfit`` accepts a 2-D ordinate).  Each row equals the
     scalar :func:`extrapolate` on that row to machine precision.
     """
     scales = np.asarray(scales, dtype=float)
@@ -153,10 +130,6 @@ def extrapolate_many(
         return values @ _richardson_weights(scales)
     if method == "linear":
         return np.polyfit(scales, values.T, deg=1)[1]
-    if method == "exponential":
-        return np.array(
-            [exponential_extrapolate(scales, row) for row in values]
-        )
     raise ValueError(
         f"unknown extrapolation method {method!r}; "
         f"choose from {sorted(_EXTRAPOLATORS)}"

@@ -45,11 +45,6 @@ class OptimizationResult:
     converged: bool
     label: str = ""
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        """The final iterate (alias for :attr:`parameters`)."""
-        return self.parameters
-
 
 class CountingObjective:
     """Wraps an objective with query counting and iterate recording."""
@@ -65,13 +60,6 @@ class CountingObjective:
         self.num_queries += 1
         self.evaluations.append((parameters, value))
         return value
-
-    def best(self) -> tuple[np.ndarray, float]:
-        """Best (parameters, value) seen so far."""
-        if not self.evaluations:
-            raise RuntimeError("objective was never evaluated")
-        parameters, value = min(self.evaluations, key=lambda item: item[1])
-        return parameters, value
 
 
 class Optimizer(abc.ABC):

@@ -25,19 +25,6 @@ __all__ = ["PauliString", "PauliSum"]
 
 _VALID = frozenset("IXYZ")
 
-# Single-qubit Pauli multiplication table: (left, right) -> (phase, result)
-_MUL: dict[tuple[str, str], tuple[complex, str]] = {}
-for _a in "IXYZ":
-    _MUL[("I", _a)] = (1.0 + 0j, _a)
-    _MUL[(_a, "I")] = (1.0 + 0j, _a)
-    _MUL[(_a, _a)] = (1.0 + 0j, "I")
-_MUL[("X", "Y")] = (1j, "Z")
-_MUL[("Y", "X")] = (-1j, "Z")
-_MUL[("Y", "Z")] = (1j, "X")
-_MUL[("Z", "Y")] = (-1j, "X")
-_MUL[("Z", "X")] = (1j, "Y")
-_MUL[("X", "Z")] = (-1j, "Y")
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -64,23 +51,6 @@ class PauliString:
     def weight(self) -> int:
         """Number of non-identity factors."""
         return sum(1 for ch in self.label if ch != "I")
-
-    def __mul__(self, other: "PauliString | complex") -> "PauliString":
-        if isinstance(other, PauliString):
-            if other.num_qubits != self.num_qubits:
-                raise ValueError("cannot multiply Pauli strings of different widths")
-            phase: complex = 1.0
-            chars = []
-            for left, right in zip(self.label, other.label):
-                factor, result = _MUL[(left, right)]
-                phase *= factor
-                chars.append(result)
-            return PauliString(
-                "".join(chars), self.coefficient * other.coefficient * phase
-            )
-        return PauliString(self.label, self.coefficient * complex(other))
-
-    __rmul__ = __mul__
 
     def matrix(self) -> np.ndarray:
         """Dense matrix (exponential size; small n only)."""
@@ -171,14 +141,6 @@ class PauliSum:
 
     def __iter__(self) -> Iterator[PauliString]:
         return iter(self._terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        return PauliSum(list(self._terms) + list(other.terms))
-
-    def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(term * scalar for term in self._terms)
-
-    __rmul__ = __mul__
 
     @property
     def is_diagonal(self) -> bool:

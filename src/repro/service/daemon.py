@@ -948,7 +948,6 @@ class LandscapeDaemon:
                 "invalid-spec", "pipeline needs a 'config' object"
             )
         reconstruction = payload.get("reconstruction")
-        initial_point = payload.get("initial_point")
         generator = self._v2_generator(request, rng=self._v2_rng(request))
         try:
             config = PipelineConfig(
@@ -959,9 +958,7 @@ class LandscapeDaemon:
                 else ReconstructionConfig(**reconstruction),
                 optimizer=str(payload.get("optimizer", "cobyla")),
                 optimizer_options=payload.get("optimizer_options"),
-                initial_point=None
-                if initial_point is None
-                else tuple(float(x) for x in initial_point),
+                initial_point=payload.get("initial_point"),
                 label=str(payload.get("label", "oscar-pipeline")),
             )
             point, dimension = config.initial_point, generator.grid.ndim

@@ -36,8 +36,10 @@ request wall clock against the sum of the actual work.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -71,8 +73,9 @@ class PipelineConfig:
             when the config is, so an unknown optimizer, an unknown
             keyword or a non-mapping raises ``ValueError`` before any
             circuit runs.
-        initial_point: optimizer start; ``None`` starts from the
-            reconstructed landscape's grid minimum (the OSCAR
+        initial_point: optimizer start, a list or tuple of finite
+            numbers (stored as a tuple of floats); ``None`` starts from
+            the reconstructed landscape's grid minimum (the OSCAR
             initialization idiom).
         label: provenance tag for the reconstructed landscape.
     """
@@ -104,6 +107,16 @@ class PipelineConfig:
         except TypeError as error:
             raise ValueError(f"invalid optimizer_options: {error}") from None
         object.__setattr__(self, "_optimizer", optimizer)
+        point = self.initial_point
+        if point is not None:
+            if not isinstance(point, (list, tuple)) or not all(
+                isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+                for x in point
+            ):
+                raise ValueError(
+                    f"initial_point must be a list of finite numbers, got {point!r}"
+                )
+            object.__setattr__(self, "initial_point", tuple(float(x) for x in point))
 
 
 @dataclass
@@ -226,7 +239,11 @@ def pipeline_spec(generator, config: PipelineConfig, sample_seed: int):
         "sampler": config.sampler,
         "fraction": float(config.fraction),
         "sample_seed": int(sample_seed),
-        "reconstruction": asdict(reconstruction),
+        # Every existing key was computed with these two FISTA fields
+        # (since removed) at these values; hashing them keeps the keys.
+        "reconstruction": {
+            **asdict(reconstruction), "adaptive_restart": False, "lipschitz": 1.0
+        },
     }
     return LandscapeSpec.from_parts(
         content,

@@ -566,48 +566,10 @@ def _zne_function_from_spec(
     )
 
 
-def _slice_function_from_spec(
-    spec: Mapping[str, Any], rng: np.random.Generator | None
-):
-    """A Tables 2-4 slice: two varying parameters, the rest frozen."""
-    from ..experiments.slices import SliceCostFunction, SliceSpec
-
-    ansatz = ansatz_from_spec(spec.get("ansatz"))
-    shots = spec.get("shots")
-    try:
-        varying = tuple(int(index) for index in spec["varying"])
-        fixed_values = np.array(
-            [float(value) for value in spec["fixed_values"]], dtype=float
-        )
-        shots = None if shots is None else int(shots)
-    except (KeyError, TypeError, ValueError) as error:
-        raise ProtocolError("invalid-spec", f"invalid slice spec: {error}")
-    if (
-        len(varying) != 2
-        or fixed_values.shape != (ansatz.num_parameters,)
-        or not all(0 <= index < ansatz.num_parameters for index in varying)
-    ):
-        raise ProtocolError(
-            "invalid-spec",
-            "slice spec needs two varying indices and one fixed value per "
-            f"ansatz parameter ({ansatz.num_parameters})",
-        )
-    # The slice grid travels as the request's own grid spec; the cost
-    # function only reads the varying indices and frozen coordinates.
-    return SliceCostFunction(
-        ansatz,
-        SliceSpec(varying=varying, fixed_values=fixed_values, grid=None),
-        noise=noise_from_spec(spec.get("noise")),
-        shots=shots,
-        rng=rng,
-    )
-
-
 #: Cost-function registry: ``cache_spec()["kind"]`` -> builder.
 FUNCTION_BUILDERS: dict[str, Callable[..., Any]] = {
     "ansatz": _ansatz_function_from_spec,
     "zne": _zne_function_from_spec,
-    "slice": _slice_function_from_spec,
 }
 
 
@@ -656,7 +618,8 @@ def validate_function_spec(spec: Any) -> None:
 def function_to_spec(function: Any) -> dict[str, Any] | None:
     """Cost function -> declarative spec, or ``None`` when the function
     cannot describe itself in registry terms (a plain closure, a test
-    double, ``CdrCostFunction``) — the caller then runs it in-process."""
+    double, ``CdrCostFunction``, ``SliceCostFunction``) — the caller then
+    runs it in-process."""
     describe = getattr(function, "cache_spec", None)
     if describe is None:
         return None

@@ -14,6 +14,7 @@ import pytest
 
 from harness import ATOL, qaoa_maxcut, twolocal_sk, uccsd_h2
 from repro.landscape import LandscapeGenerator, qaoa_grid
+from repro.landscape.generator import resolve_batch_size
 from repro.mitigation import (
     CdrConfig,
     ZneConfig,
@@ -31,7 +32,6 @@ NOISE = NoiseModel(p1=0.003, p2=0.008)
 ZNE_CONFIGS = {
     "richardson-123": ZneConfig((1.0, 2.0, 3.0), "richardson"),
     "linear-13": ZneConfig((1.0, 3.0), "linear"),
-    "exponential-123": ZneConfig((1.0, 2.0, 3.0), "exponential"),
 }
 
 
@@ -98,13 +98,10 @@ def test_zne_rows_per_point_shrinks_default_chunk():
     ansatz = qaoa_maxcut(num_qubits=6)
     function = zne_cost_function(ansatz, NOISE, ZNE_CONFIGS["richardson-123"])
     assert function.rows_per_point == 3
-    grid = qaoa_grid(p=1, resolution=(6, 12))
-    mitigated = LandscapeGenerator(function, grid)._resolved_batch_size()
     # The folded (points x scales) execution batch stays within the
     # same cache budget an unmitigated chunk would use.
-    assert mitigated == max(1, default_batch_size(6) // 3)
-    explicit = LandscapeGenerator(function, grid, batch_size=5)
-    assert explicit._resolved_batch_size() == 5  # user override wins
+    assert resolve_batch_size(function, None) == max(1, default_batch_size(6) // 3)
+    assert resolve_batch_size(function, 5) == 5  # user override wins
 
 
 @pytest.mark.parametrize("shots", [None, 64], ids=["exact", "shots"])
@@ -133,13 +130,11 @@ def test_cdr_many_matches_serial_loop(shots):
         )
 
 
-@pytest.mark.parametrize("method", ["richardson", "linear", "exponential"])
+@pytest.mark.parametrize("method", ["richardson", "linear"])
 def test_extrapolate_many_matches_scalar_rows(method):
     rng = np.random.default_rng(3)
     scales = np.array([1.0, 2.0, 3.0])
     values = rng.normal(size=(13, 3))
-    if method == "exponential":
-        values = np.abs(values) + 0.1  # keep the log-linear branch
     expected = np.array(
         [extrapolate(method, scales, row) for row in values]
     )

@@ -16,7 +16,7 @@ import pytest
 
 import repro.ansatz.qaoa as qaoa_module
 from repro.ansatz import QaoaAnsatz, TwoLocalAnsatz, UccsdAnsatz
-from repro.experiments.slices import random_slice, slice_generator
+from repro.experiments.slices import SliceCostFunction, random_slice
 from repro.landscape import LandscapeGenerator, cost_function, qaoa_grid
 from repro.problems import random_3_regular_maxcut, sk_problem
 from repro.problems.chemistry import h2_hamiltonian
@@ -532,7 +532,9 @@ def test_slice_generator_batched_matches_manual_embedding():
         TwoLocalAnsatz(hamiltonian, reps=1),
     ):
         spec = random_slice(ansatz, 5, rng=np.random.default_rng(0))
-        generator = slice_generator(ansatz, spec, batch_size=7)
+        generator = LandscapeGenerator(
+            SliceCostFunction(ansatz, spec), spec.grid, batch_size=7
+        )
         landscape = generator.grid_search()
         for flat, slice_point in spec.grid.iter_points():
             full = spec.fixed_values.copy()

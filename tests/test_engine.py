@@ -112,18 +112,6 @@ def test_warm_start_converges_in_fewer_iterations():
     assert mixed[0][1].iterations == cold[0][1].iterations
 
 
-def test_engine_adaptive_restart_matches_quality():
-    """Adaptive restart must not hurt recovery (it typically helps)."""
-    shape = (20, 40)
-    problems, signals = planted_problems(shape, batch=4, seed=11)
-    restarted = ReconstructionEngine(
-        shape, ReconstructionConfig(adaptive_restart=True, max_iterations=400)
-    ).solve(problems)
-    for (recovered, _), signal in zip(restarted, signals):
-        error = np.linalg.norm(recovered - signal) / np.linalg.norm(signal)
-        assert error < 0.05
-
-
 # -- validation and fallback paths ---------------------------------------------
 
 
@@ -160,20 +148,6 @@ def test_engine_serial_fallback_for_omp():
     serial = [reconstruct_signal(shape, i, v, config) for i, v in problems]
     for (s_signal, _), (b_signal, _) in zip(serial, batched):
         assert np.array_equal(s_signal, b_signal)
-
-
-def test_engine_backtracking_falls_back_to_serial():
-    """lipschitz=None (backtracking) has no batched formulation but
-    must still solve correctly through the engine."""
-    shape = (12, 12)
-    problems, signals = planted_problems(
-        shape, batch=2, seed=17, fraction=0.5, sparsity=4
-    )
-    config = ReconstructionConfig(lipschitz=None, max_iterations=600)
-    results = ReconstructionEngine(shape, config).solve(problems)
-    for (recovered, _), signal in zip(results, signals):
-        error = np.linalg.norm(recovered - signal) / np.linalg.norm(signal)
-        assert error < 0.05
 
 
 # -- solver table ----------------------------------------------------------------

@@ -101,14 +101,6 @@ def test_query_counting(smooth_landscape):
     assert surrogate.query_count == 7
 
 
-def test_gradient_of_smooth_function(smooth_landscape):
-    surrogate = InterpolatedLandscape(smooth_landscape)
-    x, y = 0.4, 0.9
-    gradient = surrogate.gradient([x, y])
-    expected = np.array([2 * np.cos(2 * x) * np.cos(y), -np.sin(2 * x) * np.sin(y)])
-    assert np.allclose(gradient, expected, atol=5e-3)
-
-
 def test_interpolation_wrong_arity_raises(smooth_landscape):
     surrogate = InterpolatedLandscape(smooth_landscape)
     with pytest.raises(ValueError):

@@ -77,7 +77,8 @@ def test_qpu_execute_ideal_matches_ansatz():
     ansatz = QaoaAnsatz(problem, p=1)
     qpu = SimulatedQPU("ideal-sim", noise=device_profile("ideal-sim"))
     params = np.array([0.2, 0.4])
-    assert qpu.execute(ansatz, params) == pytest.approx(ansatz.expectation(params))
+    (value,) = qpu.execute_batch(ansatz, params[None, :])
+    assert value == pytest.approx(ansatz.expectation(params))
 
 
 def test_qpu_noise_changes_result():
@@ -85,8 +86,10 @@ def test_qpu_noise_changes_result():
     ansatz = QaoaAnsatz(problem, p=1)
     ideal = SimulatedQPU("ideal-sim", noise=device_profile("ideal-sim"))
     noisy = SimulatedQPU("noisy-sim-ii", noise=device_profile("noisy-sim-ii"))
-    params = np.array([0.2, 0.4])
-    assert ideal.execute(ansatz, params) != noisy.execute(ansatz, params)
+    points = np.array([[0.2, 0.4]])
+    (ideal_value,) = ideal.execute_batch(ansatz, points)
+    (noisy_value,) = noisy.execute_batch(ansatz, points)
+    assert ideal_value != noisy_value
 
 
 def test_qpu_execute_batch():
@@ -97,6 +100,18 @@ def test_qpu_execute_batch():
     values = qpu.execute_batch(ansatz, points)
     assert values.shape == (2,)
     assert values[0] == pytest.approx(ansatz.expectation(points[0]))
+    # With shots, one batched call draws exactly what a seeded serial
+    # loop draws, and leaves the device's stream at the same position.
+    noise = device_profile("noisy-sim-i")
+    shot_qpu = SimulatedQPU("noisy-sim-i", noise=noise, shots=256, seed=5)
+    batched = shot_qpu.execute_batch(ansatz, points)
+    rng = np.random.default_rng(5)
+    serial = [
+        ansatz.expectation(point, noise=noise, shots=256, rng=rng)
+        for point in points
+    ]
+    np.testing.assert_allclose(batched, serial, rtol=0.0, atol=1e-12)
+    assert shot_qpu._rng.random() == rng.random()
 
 
 # -- pool -----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro import (
     random_3_regular_maxcut,
     zne_cost_function,
 )
+from repro.landscape import landscape_variance
 from repro.mitigation import ZneConfig
 from repro.parallel import ParallelSampler, eager_reconstruct
 
@@ -113,7 +114,9 @@ def test_mitigated_landscape_through_oscar():
     ).grid_search()
     mitigated_fn = zne_cost_function(ansatz, noise, ZneConfig((1.0, 3.0), "linear"))
     mitigated = LandscapeGenerator(mitigated_fn, grid).grid_search()
-    assert mitigated.variance() > unmitigated.variance()
+    assert landscape_variance(mitigated.values) > landscape_variance(
+        unmitigated.values
+    )
     oscar = OscarReconstructor(grid, rng=4)
     reconstruction, _ = oscar.reconstruct(
         LandscapeGenerator(mitigated_fn, grid), 0.20

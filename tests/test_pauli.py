@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.problems import PauliString, PauliSum
 from repro.quantum import Statevector
 
-LABELS_2Q = st.text(alphabet="IXYZ", min_size=2, max_size=2)
 LABELS_3Q = st.text(alphabet="IXYZ", min_size=3, max_size=3)
 
 
@@ -34,34 +33,6 @@ def test_basic_properties():
     assert term.weight == 2
     assert not term.is_diagonal
     assert PauliString("IZI").is_diagonal
-
-
-@given(a=LABELS_2Q, b=LABELS_2Q)
-@settings(max_examples=60)
-def test_product_matches_matrix_product(a, b):
-    left = PauliString(a)
-    right = PauliString(b)
-    product = left * right
-    assert np.allclose(product.matrix(), left.matrix() @ right.matrix())
-
-
-@given(label=LABELS_3Q)
-@settings(max_examples=30)
-def test_pauli_strings_square_to_identity(label):
-    term = PauliString(label)
-    squared = term * term
-    assert squared.label == "I" * 3
-    assert squared.coefficient == pytest.approx(1.0)
-
-
-def test_scalar_multiplication():
-    term = 2.0 * PauliString("XX")
-    assert term.coefficient == pytest.approx(2.0)
-
-
-def test_width_mismatch_raises():
-    with pytest.raises(ValueError):
-        PauliString("X") * PauliString("XX")
 
 
 @given(label=st.text(alphabet="IZ", min_size=3, max_size=3))
@@ -117,17 +88,6 @@ def test_from_dict_and_expectation():
     state = random_state(2, seed=9)
     dense = np.real(np.vdot(state.data, hamiltonian.matrix() @ state.data))
     assert hamiltonian.expectation(state) == pytest.approx(dense, abs=1e-10)
-
-
-def test_sum_addition_and_scaling():
-    a = PauliSum.from_dict({"Z": 1.0})
-    b = PauliSum.from_dict({"X": 2.0})
-    combined = a + b
-    assert len(combined) == 2
-    scaled = combined * 0.5
-    coefficients = {t.label: t.coefficient for t in scaled}
-    assert coefficients["Z"] == pytest.approx(0.5)
-    assert coefficients["X"] == pytest.approx(1.0)
 
 
 def test_diagonal_sum_ground_energy():

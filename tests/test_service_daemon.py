@@ -688,6 +688,21 @@ def _unspecable(point) -> float:
     return float(np.sum(np.cos(point)))
 
 
+def _unspecable_payloads():
+    """``(function, grid)`` pairs with no wire form: a plain closure and
+    a Tables 2-4 slice (slices are exact and run in-process)."""
+    from repro.ansatz import TwoLocalAnsatz
+    from repro.experiments.slices import SliceCostFunction, random_slice
+    from repro.problems import sk_problem
+
+    ansatz = TwoLocalAnsatz(sk_problem(4, seed=3).to_pauli_sum(), reps=1)
+    spec = random_slice(ansatz, 4, rng=np.random.default_rng(7))
+    return [
+        (_unspecable, qaoa_grid(p=1, resolution=(4, 4))),
+        (SliceCostFunction(ansatz, spec), spec.grid),
+    ]
+
+
 # -- TCP front: auth and limits ----------------------------------------------
 
 
@@ -972,74 +987,31 @@ def test_legacy_pickle_op_over_tcp_is_refused(tmp_path, ansatz, listener):
 def test_tcp_client_refuses_unspecable_payloads_client_side(
     tmp_path, listener, fallback
 ):
-    """A cost function that cannot describe itself declaratively has no
-    wire form on either transport: ``fallback=False`` refuses it
-    client-side with ``invalid-spec``, ``fallback=True`` computes it
-    in-process like a request with no daemon.  Nothing is sent."""
+    """A cost function that cannot describe itself declaratively (a
+    plain closure, a slice) has no wire form on either transport:
+    ``fallback=False`` refuses it client-side with ``invalid-spec``,
+    ``fallback=True`` computes it in-process like a request with no
+    daemon.  Nothing is sent."""
     daemon = _tcp_daemon(tmp_path)
     try:
         client = _listener_client(daemon, listener, fallback=fallback)
-        grid = qaoa_grid(p=1, resolution=(4, 4))
-        if fallback:
-            landscape = client.get_or_compute(_unspecable, grid)
-            local = LandscapeGenerator(_unspecable, grid).grid_search()
-            np.testing.assert_allclose(
-                landscape.values, local.values, rtol=0.0, atol=1e-10
-            )
-            assert client.fallbacks == 1
-            assert client.last_served_by == "local"
-        else:
-            with pytest.raises(DaemonError) as refused:
-                client.get_or_compute(_unspecable, grid)
-            assert refused.value.code == "invalid-spec"
-            assert client.fallbacks == 0
+        for count, (function, grid) in enumerate(_unspecable_payloads(), 1):
+            if fallback:
+                landscape = client.get_or_compute(function, grid)
+                local = LandscapeGenerator(function, grid).grid_search()
+                np.testing.assert_allclose(
+                    landscape.values, local.values, rtol=0.0, atol=1e-10
+                )
+                assert client.fallbacks == count
+                assert client.last_served_by == "local"
+            else:
+                with pytest.raises(DaemonError) as refused:
+                    client.get_or_compute(function, grid)
+                assert refused.value.code == "invalid-spec"
+                assert client.fallbacks == 0
         with daemon._counter_lock:
             assert daemon._counters["computed"] == 0
             assert daemon._counters["requests"] == 0
     finally:
         daemon.close()
 
-
-@pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
-def test_tables_slice_is_daemon_served_over_tcp(tmp_path, noisy):
-    """Tables 2-4 slices have a wire form (the ``slice`` function spec):
-    over authenticated TCP a slice computes, then hits, matches the
-    in-process slice landscape, and is stored under the key the client
-    derives locally."""
-    from repro.ansatz import TwoLocalAnsatz
-    from repro.experiments.slices import random_slice, slice_generator
-    from repro.problems import sk_problem
-    from repro.quantum import NoiseModel
-    from repro.service.protocol import function_to_spec, grid_to_spec
-
-    ansatz = TwoLocalAnsatz(sk_problem(4, seed=3).to_pauli_sum(), reps=1)
-    spec = random_slice(ansatz, 5, rng=np.random.default_rng(7))
-    noise = NoiseModel(p1=0.003, p2=0.007, readout=0.01) if noisy else None
-    daemon = _tcp_daemon(tmp_path)
-    try:
-        client = _listener_client(daemon, "tcp", fallback=False)
-        generator = slice_generator(ansatz, spec, noise=noise, daemon=client)
-        computed = generator.grid_search(label="slice")
-        assert client.last_served_by == "daemon-computed"
-        served = generator.grid_search(label="slice")
-        assert client.last_served_by == "daemon-hit"
-
-        local = slice_generator(ansatz, spec, noise=noise).grid_search()
-        np.testing.assert_allclose(
-            computed.values, local.values, rtol=0.0, atol=1e-10
-        )
-        np.testing.assert_array_equal(served.values, computed.values)
-
-        response = client._request(
-            {
-                "version": 2,
-                "op": "compute",
-                "token": client.token,
-                "function": function_to_spec(generator.function),
-                "grid": grid_to_spec(generator.grid),
-            }
-        )
-        assert response["hit"] is True
-        assert response["key"] == generator.cache_spec().key()
-    finally:
-        daemon.close()

@@ -14,6 +14,7 @@ import pytest
 from repro.ansatz import TwoLocalAnsatz, UccsdAnsatz
 from repro.ansatz.base import Ansatz
 from repro.experiments.slices import SliceCostFunction, random_slice, slice_generator
+from repro.landscape.generator import LandscapeGenerator
 from repro.landscape.grid import GridAxis, ParameterGrid
 from repro.problems import sk_problem
 from repro.problems.chemistry import h2_hamiltonian
@@ -128,8 +129,9 @@ def test_slice_cost_function_single_point_matches_call():
 
 def test_slice_generator_batch_size_larger_than_grid():
     ansatz, spec = _slice_case(points_per_axis=3)
-    oversized = slice_generator(ansatz, spec, batch_size=10_000).grid_search()
-    reference = slice_generator(ansatz, spec, batch_size=1).grid_search()
+    function = SliceCostFunction(ansatz, spec)
+    oversized = LandscapeGenerator(function, spec.grid, batch_size=10_000).grid_search()
+    reference = LandscapeGenerator(function, spec.grid, batch_size=1).grid_search()
     assert np.allclose(oversized.values, reference.values, atol=ATOL)
     assert oversized.values.shape == (3, 3)
 
@@ -139,7 +141,9 @@ def test_slice_generator_with_fallback_ansatz():
     correctly through the base-class loop."""
     ansatz = _PlainAnsatz(num_parameters=4)
     spec = random_slice(ansatz, 4, rng=np.random.default_rng(5))
-    landscape = slice_generator(ansatz, spec, batch_size=3).grid_search()
+    landscape = LandscapeGenerator(
+        SliceCostFunction(ansatz, spec), spec.grid, batch_size=3
+    ).grid_search()
     for flat, slice_point in spec.grid.iter_points():
         full = spec.fixed_values.copy()
         full[spec.varying[0]] = slice_point[0]

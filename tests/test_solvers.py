@@ -119,40 +119,6 @@ def test_fista_warm_start_fewer_iterations():
     assert np.allclose(warm.coefficients, cold.coefficients, atol=1e-4)
 
 
-def test_fista_adaptive_restart_recovers():
-    shape = (12, 12)
-    _, signal, _, forward, adjoint, y = sparse_problem(shape, 5, 70, seed=8)
-    result = fista_lasso(
-        forward, adjoint, y, shape, max_iterations=800, adaptive_restart=True
-    )
-    recovered = idct_transform(result.coefficients)
-    assert np.linalg.norm(recovered - signal) / np.linalg.norm(signal) < 0.05
-
-
-def test_fista_backtracking_line_search():
-    """lipschitz=None enables backtracking and still recovers — even
-    when the true Lipschitz constant is not 1 (scaled operator)."""
-    shape = (10, 10)
-    _, signal, _, forward, adjoint, y = sparse_problem(shape, 4, 55, seed=9)
-
-    def scaled_forward(coefficients):
-        return 3.0 * forward(coefficients)
-
-    def scaled_adjoint(residual):
-        return 3.0 * adjoint(residual)
-
-    result = fista_lasso(
-        scaled_forward,
-        scaled_adjoint,
-        3.0 * y,
-        shape,
-        max_iterations=1500,
-        lipschitz=None,
-    )
-    recovered = idct_transform(result.coefficients)
-    assert np.linalg.norm(recovered - signal) / np.linalg.norm(signal) < 0.05
-
-
 def test_auto_lambda_respects_penalize_dc():
     from repro.cs import auto_lambda
 

@@ -592,8 +592,15 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, option
         {"reconstruction": {"max_iterations": 0}},
         {"reconstruction": {"max_iterations": -3}},
         {"reconstruction": {"penalize_dc": "yes"}},
+        {"reconstruction": {"lipschitz": None}},
+        {"reconstruction": {"adaptive_restart": True}},
+        {"reconstruction": {"solver": "omp", "max_atoms": 2.5}},
+        {"reconstruction": {"solver": "omp", "max_atoms": True}},
         {"initial_point": [0.1]},
         {"initial_point": [0.1, 0.2, 0.3]},
+        {"initial_point": "12"},
+        {"initial_point": ["nan", 0.1]},
+        {"initial_point": [True, 0.1]},
         {"fraction": True},
     ],
     ids=[
@@ -603,15 +610,23 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, option
         "zero-iterations",
         "negative-iterations",
         "penalize_dc-not-a-bool",
+        "lipschitz-is-not-a-field",
+        "adaptive_restart-is-not-a-field",
+        "fractional-max_atoms",
+        "bool-max_atoms",
         "initial_point-too-short",
         "initial_point-too-long",
+        "string-initial_point",
+        "nan-string-in-initial_point",
+        "bool-in-initial_point",
         "bool-fraction",
     ],
 )
 def test_pipeline_config_is_checked_before_any_work(tmp_path, overrides):
-    """Every field of the pipeline config — the reconstruction knobs,
-    the initial point's length against the grid, the fraction's type —
-    is checked before any sample is drawn."""
+    """Every field of the pipeline config — the reconstruction knobs
+    (no unknown field, integer ``max_atoms``), the initial point's type,
+    values and length against the grid, the fraction's type — is
+    checked before any sample is drawn."""
     _assert_pipeline_refused_before_work(tmp_path, **overrides)
 
 

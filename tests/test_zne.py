@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.ansatz import QaoaAnsatz
 from repro.mitigation import (
     ZneConfig,
-    exponential_extrapolate,
     extrapolate,
     linear_extrapolate,
     richardson_extrapolate,
@@ -68,21 +67,6 @@ def test_linear_least_squares_on_noisy_line():
     scales = np.array([1.0, 2.0, 3.0, 4.0])
     values = 2.0 - 0.5 * scales + rng.normal(0, 1e-3, size=4)
     assert linear_extrapolate(scales, values) == pytest.approx(2.0, abs=0.01)
-
-
-@given(a=st.floats(0.1, 3.0), b=st.floats(-1.0, -0.01))
-def test_exponential_exact_on_exponentials(a, b):
-    scales = np.array([1.0, 2.0, 3.0])
-    values = a * np.exp(b * scales)
-    assert exponential_extrapolate(scales, values) == pytest.approx(a, rel=1e-6)
-
-
-def test_exponential_falls_back_on_sign_changes():
-    scales = np.array([1.0, 2.0])
-    values = np.array([1.0, -1.0])
-    assert exponential_extrapolate(scales, values) == pytest.approx(
-        linear_extrapolate(scales, values)
-    )
 
 
 def test_extrapolate_dispatch_and_validation():
