@@ -14,8 +14,8 @@ exposes the vectorized path.  Results match the serial loop to machine
 precision; wall clock does not.
 
 This example times a Table-1-sized grid search against the serial
-loop, shows the batch-size knob, and runs an OSCAR reconstruction on
-top of the batched generator.
+loop, shows that results do not depend on the chunk size, and runs an
+OSCAR reconstruction on top of the batched generator.
 
 Run with:  python examples/batched_execution.py
 """
@@ -35,6 +35,7 @@ from repro import (
     qaoa_grid,
     random_3_regular_maxcut,
 )
+from repro.landscape.generator import evaluate_points_chunked
 
 def main() -> None:
     problem = random_3_regular_maxcut(10, seed=0)
@@ -60,15 +61,13 @@ def main() -> None:
         f"max difference {np.abs(truth.flat() - serial).max():.2e}"
     )
 
-    # --- the batch-size knob ----------------------------------------------
-    # The default chunk is cache-capped from the qubit count; forcing a
-    # tiny chunk shows results are chunk-size invariant.
-    tiny = LandscapeGenerator(function, grid, batch_size=3)
+    # --- chunk-size invariance ---------------------------------------------
+    # The generator's chunk is cache-capped from the qubit count; pinning
+    # a tiny chunk on the engine core shows results do not depend on it.
     sample = np.arange(0, grid.size, grid.size // 7)
-    assert np.allclose(
-        tiny.evaluate_indices(sample), truth.flat()[sample], atol=1e-12
-    )
-    print("chunk-size invariant: batch_size=3 matches the default chunks")
+    tiny = evaluate_points_chunked(function, points[sample], 3)
+    assert np.allclose(tiny, truth.flat()[sample], atol=1e-12)
+    print("chunk-size invariant: 3-point chunks match the default chunks")
 
     # --- OSCAR rides the same batched path --------------------------------
     oscar = OscarReconstructor(grid, rng=0)

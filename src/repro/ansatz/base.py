@@ -61,12 +61,6 @@ class Ansatz(abc.ABC):
     #: :meth:`batch_capacity`'s memory model.
     noisy_engine: str = "serial"
 
-    #: Override for the rows-per-chunk of :meth:`_density_many`;
-    #: ``None`` picks the memory-capped
-    #: :func:`~repro.quantum.batched_density.default_density_batch_size`.
-    #: The equivalence harness pins this to force genuine chunk splits.
-    density_batch_rows: int | None = None
-
     @abc.abstractmethod
     def circuit(self, parameters: Sequence[float]) -> QuantumCircuit:
         """The bound circuit for concrete parameter values."""
@@ -256,14 +250,11 @@ class Ansatz(abc.ABC):
         :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
         with per-row noise models; expectations are extracted by the
         :meth:`_density_expectations` hook the ansatz supplies.  Chunk
-        size defaults to the memory-capped
+        size is the memory-capped
         :func:`~repro.quantum.batched_density.default_density_batch_size`
-        (``4**n`` entries per row) and can be pinned via
-        :attr:`density_batch_rows`.
+        (``4**n`` entries per row).
         """
-        chunk = self.density_batch_rows or default_density_batch_size(
-            self.num_qubits
-        )
+        chunk = default_density_batch_size(self.num_qubits)
         values = np.empty(batch.shape[0])
         for start in range(0, batch.shape[0], chunk):
             rows = batch[start : start + chunk]

@@ -56,15 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_batch_size(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--batch-size",
-            type=int,
-            default=None,
-            help="grid points per vectorized execution pass "
-            "(default: memory-capped automatic)",
-        )
-
     def add_service(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--workers",
@@ -124,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recon.add_argument("--seed", type=int, default=0)
     recon.add_argument("--render", action="store_true", help="print ASCII heatmaps")
-    add_batch_size(recon)
     add_service(recon)
 
     syc = sub.add_parser("sycamore", help="reconstruct a synthetic Sycamore landscape")
@@ -132,21 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
     syc.add_argument("--fraction", type=float, default=0.41)
     syc.add_argument("--seed", type=int, default=0)
     syc.add_argument("--render", action="store_true")
-    add_batch_size(syc)
     add_service(syc)
 
     speed = sub.add_parser("speedup", help="measure the headline speedup")
     speed.add_argument("--qubits", type=int, default=10)
     speed.add_argument("--target-nrmse", type=float, default=0.05)
     speed.add_argument("--seed", type=int, default=0)
-    add_batch_size(speed)
     add_service(speed)
 
     sparse = sub.add_parser("sparsity", help="DCT sparsity of a landscape")
     sparse.add_argument("--qubits", type=int, default=10)
     sparse.add_argument("--problem", choices=("maxcut", "sk"), default="maxcut")
     sparse.add_argument("--seed", type=int, default=0)
-    add_batch_size(sparse)
     add_service(sparse)
 
     adaptive = sub.add_parser(
@@ -157,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     adaptive.add_argument("--target-error", type=float, default=0.1)
     adaptive.add_argument("--resolution", type=int, nargs=2, default=(30, 60))
     adaptive.add_argument("--seed", type=int, default=0)
-    add_batch_size(adaptive)
 
     analyze = sub.add_parser(
         "analyze", help="landscape analysis: plateaus, local minima, symmetry"
@@ -167,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--fraction", type=float, default=0.08)
     analyze.add_argument("--resolution", type=int, nargs=2, default=(30, 60))
     analyze.add_argument("--seed", type=int, default=0)
-    add_batch_size(analyze)
 
     serve = sub.add_parser(
         "serve",
@@ -223,13 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="LRU byte budget for the store (default: unbounded)",
-    )
-    serve.add_argument(
-        "--shard-points",
-        type=int,
-        default=None,
-        help="default points per shard for requests that do not set "
-        "their own (default: automatic, worker-count independent)",
     )
 
     cache = sub.add_parser(
@@ -291,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bearer token for an authenticated daemon (required for "
         "tcp:// targets)",
     )
-    add_batch_size(batch)
 
     pipe = sub.add_parser(
         "pipeline",
@@ -319,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query measurement shots (default: exact expectations)",
     )
     pipe.add_argument("--seed", type=int, default=0)
-    add_batch_size(pipe)
     add_service(pipe)
     return parser
 
@@ -380,9 +356,7 @@ def _command_reconstruct(args: argparse.Namespace) -> int:
         )
     else:
         function = cost_function(ansatz, noise=noise, shots=args.shots, rng=rng)
-    generator = LandscapeGenerator(
-        function, grid, batch_size=args.batch_size, **_service(args, args.shots)
-    )
+    generator = LandscapeGenerator(function, grid, **_service(args, args.shots))
     truth = generator.grid_search(label="grid-search")
     oscar = OscarReconstructor(grid, rng=args.seed)
     reconstruction, report = oscar.reconstruct(generator, args.fraction)
@@ -398,9 +372,7 @@ def _command_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _command_sycamore(args: argparse.Namespace) -> int:
-    hardware, _ = sycamore_landscape(
-        args.kind, seed=args.seed, batch_size=args.batch_size, **_service(args)
-    )
+    hardware, _ = sycamore_landscape(args.kind, seed=args.seed, **_service(args))
     oscar = OscarReconstructor(hardware.grid, rng=args.seed)
     indices = oscar.sample_indices(args.fraction)
     reconstruction, report = oscar.reconstruct_from_samples(
@@ -421,7 +393,6 @@ def _command_speedup(args: argparse.Namespace) -> int:
         num_qubits=args.qubits,
         target_nrmse=args.target_nrmse,
         seed=args.seed,
-        batch_size=args.batch_size,
         **_service(args),
     )
     print(
@@ -437,9 +408,7 @@ def _command_sparsity(args: argparse.Namespace) -> int:
     problem = _problem(args.problem, args.qubits, args.seed)
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=(30, 60))
-    generator = LandscapeGenerator(
-        cost_function(ansatz), grid, batch_size=args.batch_size, **_service(args)
-    )
+    generator = LandscapeGenerator(cost_function(ansatz), grid, **_service(args))
     truth = generator.grid_search()
     fraction = truth.dct_sparsity()
     print(
@@ -455,9 +424,7 @@ def _command_adaptive(args: argparse.Namespace) -> int:
     problem = _problem(args.problem, args.qubits, args.seed)
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=tuple(args.resolution))
-    generator = LandscapeGenerator(
-        cost_function(ansatz), grid, batch_size=args.batch_size
-    )
+    generator = LandscapeGenerator(cost_function(ansatz), grid)
     oscar = OscarReconstructor(grid, rng=args.seed)
     outcome = adaptive_reconstruct(
         oscar, generator, AdaptiveConfig(target_error=args.target_error)
@@ -488,9 +455,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
     problem = _problem(args.problem, args.qubits, args.seed)
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=tuple(args.resolution))
-    generator = LandscapeGenerator(
-        cost_function(ansatz), grid, batch_size=args.batch_size
-    )
+    generator = LandscapeGenerator(cost_function(ansatz), grid)
     oscar = OscarReconstructor(grid, rng=args.seed)
     landscape, report = oscar.reconstruct(generator, args.fraction)
     minima = find_local_minima(landscape)
@@ -511,9 +476,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     problem = _problem(args.problem, args.qubits, args.seed)
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=tuple(args.resolution))
-    generator = LandscapeGenerator(
-        cost_function(ansatz), grid, batch_size=args.batch_size, **_service(args)
-    )
+    generator = LandscapeGenerator(cost_function(ansatz), grid, **_service(args))
     truth = generator.grid_search(label="grid-search")
     oscar = OscarReconstructor(grid, rng=args.seed)
     sample_sets = [
@@ -557,7 +520,6 @@ def _command_pipeline(args: argparse.Namespace) -> int:
     generator = LandscapeGenerator(
         cost_function(ansatz, noise=noise, shots=args.shots, rng=rng),
         grid,
-        batch_size=args.batch_size,
         **_service(args, args.shots),
     )
     config = PipelineConfig(
@@ -603,7 +565,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             max_bytes=args.max_bytes,
-            shard_points=args.shard_points,
             tcp=args.tcp,
             tokens_file=args.tokens_file,
             tenant_quota_bytes=args.tenant_quota_bytes,

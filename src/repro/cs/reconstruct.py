@@ -124,8 +124,15 @@ class ReconstructionConfig:
             raise ValueError(
                 f"max_iterations must be a positive integer, got {iterations!r}"
             )
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
+        tolerance = self.tolerance
+        if (
+            isinstance(tolerance, bool)
+            or not isinstance(tolerance, Real)
+            or not 0 < tolerance < np.inf
+        ):
+            raise ValueError(
+                f"tolerance must be a positive finite number, got {tolerance!r}"
+            )
         lam = self.lam
         if lam is not None and (
             isinstance(lam, bool) or not isinstance(lam, Real) or not lam >= 0

@@ -105,7 +105,6 @@ def sycamore_landscape(
     kind: str,
     seed: int = 0,
     config: SycamoreConfig | None = None,
-    batch_size: int | None = None,
     workers: int = 1,
     store=None,
     daemon=None,
@@ -118,8 +117,6 @@ def sycamore_landscape(
         config: generator knobs; problem-specific noise defaults are
             applied on top of :class:`SycamoreConfig` defaults unless a
             custom config is supplied.
-        batch_size: grid points per vectorized execution pass for the
-            underlying ideal landscape (``None`` = memory-capped default).
         workers: processes for sharded generation of the ideal
             landscape (``1`` = in-process).
         store: optional :class:`~repro.service.store.LandscapeStore`;
@@ -140,12 +137,7 @@ def sycamore_landscape(
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=(config.resolution, config.resolution))
     generator = LandscapeGenerator(
-        cost_function(ansatz),
-        grid,
-        batch_size=batch_size,
-        workers=workers,
-        store=store,
-        daemon=daemon,
+        cost_function(ansatz), grid, workers=workers, store=store, daemon=daemon
     )
     ideal = generator.grid_search(label=f"sycamore-{kind}-ideal")
 

@@ -50,7 +50,6 @@ def measure_speedup(
     target_nrmse: float = 0.05,
     fractions: tuple[float, ...] = (0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2),
     seed: int = 0,
-    batch_size: int | None = None,
     workers: int = 1,
     store=None,
     daemon=None,
@@ -70,12 +69,7 @@ def measure_speedup(
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=resolution)
     generator = LandscapeGenerator(
-        cost_function(ansatz),
-        grid,
-        batch_size=batch_size,
-        workers=workers,
-        store=store,
-        daemon=daemon,
+        cost_function(ansatz), grid, workers=workers, store=store, daemon=daemon
     )
     truth = generator.grid_search()
 

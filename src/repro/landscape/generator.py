@@ -17,19 +17,21 @@ vectorized ``many(points) -> values`` path (every
 :meth:`~repro.ansatz.base.Ansatz.expectation_many`, as do the mitigated
 cost functions :class:`~repro.mitigation.zne.ZneCostFunction` and
 :class:`~repro.mitigation.cdr.CdrCostFunction`), grid points are
-evaluated in memory-capped chunks of ``batch_size`` points per
-vectorized pass instead of one Python-level call per point.  Plain
+evaluated in memory-capped chunks (sized by :func:`resolve_batch_size`
+from the cost function's qubit count, noise engine and
+``rows_per_point``) instead of one Python-level call per point.  Plain
 closures without a ``many`` attribute still work and fall back to the
 point-at-a-time loop, so custom cost functions need no changes.
 
 On top of the single-process engine sit the service knobs
 (:mod:`repro.service`):
 
-- ``workers=`` / ``shard_points=`` / ``seed=`` fan the evaluation out
-  across a :class:`~repro.service.shards.ShardedExecutor` — contiguous
-  grid shards on a multiprocessing pool, with per-shard
-  ``SeedSequence.spawn`` generators when ``seed`` is given so
-  shot-noise results are bit-identical for any worker count;
+- ``workers=`` / ``seed=`` fan the evaluation out across a
+  :class:`~repro.service.shards.ShardedExecutor` — contiguous grid
+  shards, sized by the executor from the point count, on a
+  multiprocessing pool, with per-shard ``SeedSequence.spawn``
+  generators when ``seed`` is given so shot-noise results are
+  bit-identical for any worker count;
 - ``store=`` consults a content-addressed
   :class:`~repro.service.store.LandscapeStore` before running a grid
   search, so repeated requests for the same landscape are file loads;
@@ -100,7 +102,10 @@ def evaluate_points_chunked(
     The single-process evaluation core, shared by
     :class:`LandscapeGenerator` and the sharded executor's workers
     (each shard runs exactly this).  Functions without a ``many``
-    attribute fall back to the point-at-a-time loop.
+    attribute fall back to the point-at-a-time loop.  ``batch_size``
+    pins the points per pass (the tests force chunk splits with it);
+    ``None``, which every program path passes, lets
+    :func:`resolve_batch_size` decide.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[0] == 0:
@@ -207,23 +212,15 @@ class LandscapeGenerator:
         function: the cost function; if it exposes ``many(points)``
             (see :class:`AnsatzCostFunction`), evaluation is chunked
             through the vectorized path.
-        grid: the parameter grid to evaluate on.
-        batch_size: grid points per vectorized pass.  ``None`` picks a
-            memory-capped default from the cost function's qubit count
-            (:func:`~repro.quantum.batched.default_batch_size`),
-            divided by the cost function's ``rows_per_point`` when it
-            fans points out into several execution rows (batched ZNE).
-            An explicit value always counts *points*: with a
-            ``rows_per_point`` cost function the folded execution batch
-            is ``batch_size * rows_per_point`` rows, so keep explicit
-            overrides small on mitigated landscapes.
+        grid: the parameter grid to evaluate on.  Chunk and shard
+            sizes are the engine's own decision
+            (:func:`resolve_batch_size`,
+            :func:`~repro.service.shards.plan_shards`).
         workers: processes for sharded execution (``1`` = in-process).
             Once a pool is forked, this process and its workers run one
             BLAS thread (Linux only; see
             :func:`~repro.service.shards.create_pool` for the measured
             reason).
-        shard_points: points per shard for the sharded executor
-            (``None`` = its worker-count-independent default).
         seed: root seed for per-shard shot-noise generators.  Required
             for multiprocess shot noise and for caching shot-noise
             landscapes; makes seeded results bit-identical for any
@@ -267,9 +264,7 @@ class LandscapeGenerator:
         self,
         function: CostFunction,
         grid: ParameterGrid,
-        batch_size: int | None = None,
         workers: int = 1,
-        shard_points: int | None = None,
         seed: int | None = None,
         store: "LandscapeStore | None" = None,
         daemon=None,
@@ -277,13 +272,9 @@ class LandscapeGenerator:
     ):
         self.function = function
         self.grid = grid
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.batch_size = batch_size
         self.workers = int(workers)
-        self.shard_points = shard_points
         self.seed = None if seed is None else int(seed)
         self.store = store
         self.daemon = daemon
@@ -292,24 +283,17 @@ class LandscapeGenerator:
     def _sharded(self) -> bool:
         """Whether evaluation routes through the sharded executor.
 
-        Any of the service knobs opts in: extra workers, an explicit
-        shard layout, or a root seed (which alone switches shot noise
-        to the worker-count-independent per-shard seeding scheme).
+        Either service knob opts in: extra workers, or a root seed
+        (which alone switches shot noise to the worker-count-independent
+        per-shard seeding scheme).
         """
-        return (
-            self.workers > 1
-            or self.shard_points is not None
-            or self.seed is not None
-        )
+        return self.workers > 1 or self.seed is not None
 
     def _executor(self):
         from ..service.shards import ShardedExecutor
 
         return ShardedExecutor(
-            workers=self.workers,
-            shard_points=self.shard_points,
-            seed=self.seed,
-            pool=self.executor_pool,
+            workers=self.workers, seed=self.seed, pool=self.executor_pool
         )
 
     def _client(self):
@@ -324,7 +308,7 @@ class LandscapeGenerator:
         """Cost values for an ``(m, ndim)`` array of parameter vectors.
 
         Uses the cost function's vectorized ``many`` path in
-        ``batch_size``-point chunks when available, else loops; with the
+        memory-capped chunks when available, else loops; with the
         service knobs set, points are fanned out across contiguous
         shards first (see :class:`~repro.service.shards.ShardedExecutor`).
         """
@@ -332,10 +316,8 @@ class LandscapeGenerator:
         if points.shape[0] == 0:
             return np.empty(0)
         if self._sharded():
-            return self._executor().run(
-                self.function, points, batch_size=self.batch_size
-            )
-        return evaluate_points_chunked(self.function, points, self.batch_size)
+            return self._executor().run(self.function, points)
+        return evaluate_points_chunked(self.function, points)
 
     def cache_spec(self) -> "LandscapeSpec":
         """The canonical spec :meth:`grid_search` is cached under.
@@ -344,9 +326,9 @@ class LandscapeGenerator:
         ``cache_spec()`` (:class:`AnsatzCostFunction`,
         :class:`~repro.mitigation.zne.ZneCostFunction`).  Shot-noise
         landscapes additionally need ``seed=`` — their values depend on
-        the rng plan, which the spec records as ``(seed, shards)``;
+        the rng plan, which the spec records as ``(seed, shard size)``;
         exact landscapes are execution-plan independent and share one
-        key across worker counts and shard layouts.
+        key across worker counts.
         """
         from ..service.shards import plan_shards
         from ..service.store import LandscapeSpec
@@ -367,13 +349,10 @@ class LandscapeGenerator:
                     "values depend on the rng plan, which an unseeded "
                     "generator cannot record in the cache key"
                 )
-            shards = plan_shards(self.grid.size, self.shard_points)
-            # The first shard's size canonically identifies the layout
-            # (given the grid size): per-shard generators depend on the
-            # shard *boundaries*, so two layouts with equal shard counts
-            # but different boundaries must not share a key, while
-            # equivalent oversized shard_points settings (one shard
-            # either way) should.
+            # The layout is derived from the grid size, and every existing
+            # shot-noise key was computed with this layout; recording its
+            # first-shard size keeps the keys.
+            shards = plan_shards(self.grid.size)
             execution = {
                 "seed": self.seed,
                 "shard_points": shards[0].size if shards else 0,
@@ -396,9 +375,7 @@ class LandscapeGenerator:
             return self._client().get_or_compute(
                 self.function,
                 self.grid,
-                batch_size=self.batch_size,
                 seed=self.seed,
-                shard_points=self.shard_points,
                 label=label,
                 fallback=lambda: self.local_grid_search(label),
             )
@@ -446,9 +423,7 @@ class LandscapeGenerator:
                 self.function,
                 self.grid,
                 flat_indices,
-                batch_size=self.batch_size,
                 seed=self.seed,
-                shard_points=self.shard_points,
                 fallback=lambda: self.local_evaluate_indices(flat_indices),
             )
         return self.local_evaluate_indices(flat_indices)
@@ -481,9 +456,7 @@ class LandscapeGenerator:
                 self.grid,
                 config,
                 sample_rng=sample_rng,
-                batch_size=self.batch_size,
                 seed=self.seed,
-                shard_points=self.shard_points,
                 fallback=lambda: run_pipeline(self, config, sample_rng),
             )
         return run_pipeline(self, config, sample_rng)

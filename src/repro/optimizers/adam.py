@@ -19,7 +19,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import CountingObjective, Objective, OptimizationResult, Optimizer
+from .base import (
+    CountingObjective,
+    Objective,
+    OptimizationResult,
+    Optimizer,
+    check_options,
+)
 
 __all__ = ["Adam", "GradientDescent", "finite_difference_gradient"]
 
@@ -55,8 +61,7 @@ class Adam(Optimizer):
         gradient_step: float = 1e-3,
         gradient: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        if maxiter < 1:
-            raise ValueError("maxiter must be >= 1")
+        check_options(maxiter, tolerance)
         self.maxiter = maxiter
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -125,6 +130,7 @@ class GradientDescent(Optimizer):
         tolerance: float = 1e-6,
         gradient_step: float = 1e-3,
     ):
+        check_options(maxiter, tolerance)
         self.maxiter = maxiter
         self.learning_rate = learning_rate
         self.tolerance = tolerance

@@ -14,14 +14,50 @@ as the from-scratch ones.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Objective", "OptimizationResult", "CountingObjective", "Optimizer"]
+__all__ = [
+    "Objective",
+    "OptimizationResult",
+    "CountingObjective",
+    "Optimizer",
+    "check_options",
+]
 
 Objective = Callable[[np.ndarray], float]
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number (bools excluded)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, Real)
+        and math.isfinite(value)
+    )
+
+
+def check_options(maxiter: int, tolerance: float, **positive: float) -> None:
+    """Refuse bad optimizer options when the optimizer is built.
+
+    ``maxiter`` must be a positive integer, ``tolerance`` a finite
+    number >= 0 (0 runs to ``maxiter``), and each keyword in
+    ``positive`` (COBYLA's ``rhobeg``) a finite number > 0; bools are
+    refused everywhere.  Every constructor calls this, so a bad
+    ``optimizer_options`` in a pipeline config raises ``ValueError``
+    before any circuit runs.
+    """
+    if isinstance(maxiter, bool) or not isinstance(maxiter, Integral) or maxiter < 1:
+        raise ValueError(f"maxiter must be a positive integer, got {maxiter!r}")
+    if not (_finite_real(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    for name, value in positive.items():
+        if not (_finite_real(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass

@@ -14,7 +14,13 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize as _optimize
 
-from .base import CountingObjective, Objective, OptimizationResult, Optimizer
+from .base import (
+    CountingObjective,
+    Objective,
+    OptimizationResult,
+    Optimizer,
+    check_options,
+)
 
 __all__ = ["Cobyla", "NelderMead"]
 
@@ -25,6 +31,7 @@ class Cobyla(Optimizer):
     name = "cobyla"
 
     def __init__(self, maxiter: int = 1000, rhobeg: float = 0.3, tolerance: float = 1e-4):
+        check_options(maxiter, tolerance, rhobeg=rhobeg)
         self.maxiter = maxiter
         self.rhobeg = rhobeg
         self.tolerance = tolerance
@@ -61,6 +68,7 @@ class NelderMead(Optimizer):
     name = "nelder-mead"
 
     def __init__(self, maxiter: int = 500, tolerance: float = 1e-5):
+        check_options(maxiter, tolerance)
         self.maxiter = maxiter
         self.tolerance = tolerance
 

@@ -16,7 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import CountingObjective, Objective, OptimizationResult, Optimizer
+from .base import (
+    CountingObjective,
+    Objective,
+    OptimizationResult,
+    Optimizer,
+    check_options,
+)
 from ..utils import ensure_rng
 
 __all__ = ["Spsa"]
@@ -38,6 +44,7 @@ class Spsa(Optimizer):
         tolerance: float = 1e-6,
         rng: np.random.Generator | int | None = None,
     ):
+        check_options(maxiter, tolerance)
         self.maxiter = maxiter
         self.a = a
         self.c = c

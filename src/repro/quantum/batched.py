@@ -68,22 +68,17 @@ def _hadamard_block() -> np.ndarray:
     return _HADAMARD_BLOCK
 
 
-def default_batch_size(
-    num_qubits: int | None = None,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> int:
+def default_batch_size(num_qubits: int | None = None) -> int:
     """Cache-capped default batch size for ``num_qubits``-wide states.
 
-    Args:
-        num_qubits: width of the simulated register; ``None`` (unknown,
-            e.g. a black-box cost function) returns ``max_batch``.
-        max_batch: upper bound on rows per batch.
-        entry_budget: maximum total complex amplitudes per batch.
+    At most :data:`DEFAULT_MAX_BATCH` rows and
+    :data:`DEFAULT_ENTRY_BUDGET` complex amplitudes per batch;
+    ``num_qubits=None`` (unknown, e.g. a black-box cost function)
+    returns the row cap.
     """
     if num_qubits is None:
-        return max_batch
-    return max(1, min(max_batch, entry_budget >> int(num_qubits)))
+        return DEFAULT_MAX_BATCH
+    return max(1, min(DEFAULT_MAX_BATCH, DEFAULT_ENTRY_BUDGET >> int(num_qubits)))
 
 
 class BatchedStatevector:

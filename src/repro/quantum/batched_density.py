@@ -63,26 +63,19 @@ __all__ = [
 DENSITY_ENTRY_BUDGET = 1 << 17
 
 
-def default_density_batch_size(
-    num_qubits: int | None = None,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    entry_budget: int = DENSITY_ENTRY_BUDGET,
-) -> int:
+def default_density_batch_size(num_qubits: int | None = None) -> int:
     """Cache-capped default batch size for ``num_qubits``-wide densities.
 
     Each row costs ``4**n`` complex entries (vs ``2**n`` for a
     statevector row), so for the same budget the density default is the
-    statevector default squared-down: ``entry_budget >> 2n``.
-
-    Args:
-        num_qubits: width of the simulated register; ``None`` (unknown)
-            returns ``max_batch``.
-        max_batch: upper bound on rows per batch.
-        entry_budget: maximum total complex entries per batch.
+    statevector default squared-down: :data:`DENSITY_ENTRY_BUDGET`
+    ``>> 2n`` rows, capped at ``DEFAULT_MAX_BATCH`` — which is also what
+    ``num_qubits=None`` (unknown) returns.
     """
     if num_qubits is None:
-        return max_batch
-    return max(1, min(max_batch, entry_budget >> (2 * int(num_qubits))))
+        return DEFAULT_MAX_BATCH
+    rows = DENSITY_ENTRY_BUDGET >> (2 * int(num_qubits))
+    return max(1, min(DEFAULT_MAX_BATCH, rows))
 
 
 def _gather(

@@ -25,8 +25,8 @@ package is the first step toward a system that serves repeated traffic:
   credentials and the structured :class:`ProtocolError` codes.
 
 All of it wires into :class:`repro.landscape.generator.LandscapeGenerator`
-through its ``workers=``, ``shard_points=``, ``seed=``, ``store=`` and
-``daemon=`` knobs; see ``README.md`` in this directory for the store
+through its ``workers=``, ``seed=``, ``store=`` and ``daemon=`` knobs
+(chunk and shard sizes are the engine's own decision); see ``README.md`` in this directory for the store
 layout and the reproducibility contract, and ``docs/architecture.md``
 for the layer map.
 """

@@ -101,13 +101,11 @@ def _parse_target(target: str | Path) -> tuple[Path | None, tuple[str, int] | No
     return Path(target), None
 
 
-def _local_generator(function, grid, batch_size, seed, shard_points):
+def _local_generator(function, grid, seed):
     """The plain single-process generator behind the local fallbacks."""
     from ..landscape.generator import LandscapeGenerator
 
-    return LandscapeGenerator(
-        function, grid, batch_size=batch_size, seed=seed, shard_points=shard_points
-    )
+    return LandscapeGenerator(function, grid, seed=seed)
 
 
 def _rng_state(rng: np.random.Generator | None) -> dict[str, Any] | None:
@@ -140,6 +138,10 @@ class LandscapeClient:
         token: bearer token attached to every frame.  Required for TCP
             targets; optional on the Unix socket (where it selects a
             tenant namespace instead of the default one).
+
+    A service frame carries only what can change an answer: the cost
+    function, the grid, ``seed`` and rng state.  Chunk and shard sizes
+    are the serving engine's own decision.
 
     The instance counts :attr:`fallbacks` (requests served locally) and
     remembers :attr:`last_served_by` (``"daemon-hit"``,
@@ -303,9 +305,7 @@ class LandscapeClient:
         self,
         function: Callable,
         grid,
-        batch_size: int | None = None,
         seed: int | None = None,
-        shard_points: int | None = None,
         label: str = "landscape",
         fallback: Callable[[], Landscape] | None = None,
     ) -> Landscape:
@@ -315,8 +315,8 @@ class LandscapeClient:
         specs; the daemon derives the canonical
         :class:`~repro.service.store.LandscapeSpec` itself, serves a
         store hit, or computes once on its persistent pool
-        (deduplicating concurrent identical requests).  ``seed`` /
-        ``shard_points`` fix the rng plan exactly as they do on
+        (deduplicating concurrent identical requests).  ``seed`` fixes
+        the rng plan exactly as it does on
         :class:`~repro.landscape.generator.LandscapeGenerator` — shot
         noise needs ``seed=`` to be cacheable at all.
 
@@ -328,21 +328,13 @@ class LandscapeClient:
         settings), else by a plain single-process generator.
         """
         frame = self._function_frame(
-            "compute",
-            function,
-            grid,
-            batch_size=batch_size,
-            seed=seed,
-            shard_points=shard_points,
-            label=label,
+            "compute", function, grid, seed=seed, label=label
         )
         response = self._serve("compute", frame)
         if response is None:
             if fallback is not None:
                 return fallback()
-            return _local_generator(
-                function, grid, batch_size, seed, shard_points
-            ).local_grid_search(label)
+            return _local_generator(function, grid, seed).local_grid_search(label)
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
         if response.get("deduped"):
             self.last_served_by = "daemon-deduped"
@@ -361,9 +353,7 @@ class LandscapeClient:
         function: Callable,
         grid,
         flat_indices: np.ndarray | Sequence[int],
-        batch_size: int | None = None,
         seed: int | None = None,
-        shard_points: int | None = None,
         fallback: Callable[[], np.ndarray] | None = None,
     ) -> np.ndarray:
         """Cost values at a flat-index subset, served by the daemon.
@@ -385,18 +375,16 @@ class LandscapeClient:
             function,
             grid,
             indices=encode_array(indices),
-            batch_size=batch_size,
             seed=seed,
-            shard_points=shard_points,
             rng=_rng_state(rng),
         )
         response = self._serve("compute_indices", frame)
         if response is None:
             if fallback is not None:
                 return np.asarray(fallback())
-            return _local_generator(
-                function, grid, batch_size, seed, shard_points
-            ).local_evaluate_indices(indices)
+            return _local_generator(function, grid, seed).local_evaluate_indices(
+                indices
+            )
         values = decode_array(response["values"])
         _writeback_rng(rng, response)
         if response.get("readthrough"):
@@ -415,9 +403,7 @@ class LandscapeClient:
         grid,
         config,
         sample_rng=None,
-        batch_size: int | None = None,
         seed: int | None = None,
-        shard_points: int | None = None,
         fallback: Callable[[], Any] | None = None,
     ):
         """Sample → reconstruct → optimize in one daemon request.
@@ -449,16 +435,14 @@ class LandscapeClient:
                 sample_rng=_rng_state(sample_rng)
                 if isinstance(sample_rng, np.random.Generator)
                 else sample_rng,
-                batch_size=batch_size,
                 seed=seed,
-                shard_points=shard_points,
                 rng=_rng_state(rng),
             )
         response = self._serve("pipeline", frame)
         if response is None:
             if fallback is not None:
                 return fallback()
-            generator = _local_generator(function, grid, batch_size, seed, shard_points)
+            generator = _local_generator(function, grid, seed)
             return run_pipeline(generator, config, sample_rng)
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
         _writeback_rng(rng, response)

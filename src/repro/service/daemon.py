@@ -110,7 +110,7 @@ from .protocol import (
     noise_from_spec,
     rng_from_state,
 )
-from .shards import ShardedExecutor, create_pool, plan_shards
+from .shards import ShardedExecutor, create_pool
 from .store import LandscapeStore, TenantStores, is_store_key
 
 __all__ = ["LandscapeDaemon", "DEFAULT_SOCKET", "DEFAULT_MAX_PAYLOAD_BYTES"]
@@ -212,9 +212,6 @@ class LandscapeDaemon:
             concurrent requests still single-flight.
         max_bytes: LRU byte budget passed to the store built from
             ``cache_dir``.
-        shard_points: default shard layout for requests that do not
-            bring their own (see
-            :func:`~repro.service.shards.plan_shards`).
         tcp: optionally also listen on TCP — ``"host:port"`` (or
             ``(host, port)`` / a bare port); port ``0`` binds an
             ephemeral port, readable from :attr:`tcp_address` after
@@ -255,7 +252,6 @@ class LandscapeDaemon:
         workers: int = 1,
         cache_dir: str | Path | None = None,
         max_bytes: int | None = None,
-        shard_points: int | None = None,
         tcp: str | int | tuple | None = None,
         tokens_file: str | Path | None = None,
         tenant_quota_bytes: int | None = None,
@@ -269,7 +265,6 @@ class LandscapeDaemon:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.socket_path = Path(socket_path)
         self.workers = int(workers)
-        self.shard_points = shard_points
         self.store = (
             None
             if cache_dir is None
@@ -533,7 +528,7 @@ class LandscapeDaemon:
     @staticmethod
     def _int_field(request: dict[str, Any], name: str, minimum: int) -> int | None:
         """An optional integer field, strictly typed (bools rejected)
-        and at least ``minimum`` (1 for sizes and shots, 0 for seeds)."""
+        and at least ``minimum`` (1 for shots, 0 for seeds)."""
         value = request.get(name)
         if value is None:
             return None
@@ -546,16 +541,6 @@ class LandscapeDaemon:
                 "invalid-spec", f"{name!r} must be >= {minimum}, got {value}"
             )
         return value
-
-    def _resolve_shard_points(self, request: dict[str, Any]) -> int | None:
-        """The request's shard layout, else the daemon's default.
-
-        Clients serialize an explicit ``shard_points: None`` when the
-        caller did not choose a layout, so a plain ``dict.get`` default
-        would never apply ``--shard-points``.
-        """
-        shard_points = self._int_field(request, "shard_points", 1)
-        return self.shard_points if shard_points is None else shard_points
 
     def _v2_rng(self, request: dict[str, Any]) -> np.random.Generator | None:
         """The request's rng state resolved into a live generator."""
@@ -571,9 +556,10 @@ class LandscapeDaemon:
         (:mod:`repro.service.protocol`) is the only way a request turns
         into code.  Worker count comes from the daemon (results are
         worker-count independent by the sharded-executor contract); the
-        rng plan (``seed``/``shard_points``) comes from the request,
-        falling back to the daemon's default layout — it is part of the
-        cache key for shot-noise landscapes.
+        rng plan's ``seed`` comes from the request — it is part of the
+        cache key for shot-noise landscapes.  Chunk and shard sizes are
+        the engine's own; a frame's ``batch_size``/``shard_points`` are
+        ignored like any unknown field.
         """
         from ..landscape.generator import LandscapeGenerator
 
@@ -582,9 +568,7 @@ class LandscapeDaemon:
         return LandscapeGenerator(
             function,
             grid,
-            batch_size=self._int_field(request, "batch_size", 1),
             workers=self.workers,
-            shard_points=self._resolve_shard_points(request),
             seed=self._int_field(request, "seed", 0),
             executor_pool=self._pool,
         )
@@ -640,11 +624,12 @@ class LandscapeDaemon:
         """``(single-flight key, dense spec)`` of a sparse request.
 
         The key recipe (documented in ``service/README.md``): sha256
-        over the *dense* landscape spec key, the first sparse shard's
-        size (the rng plan over the index list, relevant under seeded
-        shot noise), and the raw little-endian int64 bytes of the index
-        array — order-preserving, because response values align with
-        request order and seeded draws depend on point order.
+        over the *dense* landscape spec key and the raw little-endian
+        int64 bytes of the index array — order-preserving, because
+        response values align with request order and seeded draws
+        depend on point order.  The sparse shard layout (the rng plan
+        over the index list under seeded shot noise) is a function of
+        the index count, which the bytes already carry.
 
         Returns ``(None, None)`` when the request has no stable
         identity (a live rng: unseeded shot noise — every run is a
@@ -655,10 +640,8 @@ class LandscapeDaemon:
             dense_spec = generator.cache_spec()
         except (TypeError, ValueError, AttributeError):
             return None, None
-        shards = plan_shards(int(flat_indices.size), generator.shard_points)
         digest = hashlib.sha256()
         digest.update(dense_spec.key().encode("ascii"))
-        digest.update(str(shards[0].size if shards else 0).encode("ascii"))
         digest.update(np.ascontiguousarray(flat_indices, dtype=np.int64).tobytes())
         return "sparse:" + digest.hexdigest()[:32], dense_spec
 
@@ -816,7 +799,6 @@ class LandscapeDaemon:
         rng = self._v2_rng(request)
         executor = ShardedExecutor(
             workers=self.workers,
-            shard_points=self._resolve_shard_points(request),
             seed=self._int_field(request, "seed", 0),
             pool=self._pool,
         )

@@ -23,7 +23,7 @@ Reproducibility contract (the part worth being precise about):
 - **Spawn mode** (``seed=`` given): each shard gets its own generator,
   spawned from a root ``SeedSequence`` built from ``seed`` plus a
   fingerprint of the evaluated points.  The shard layout depends only
-  on the point count and ``shard_points`` — never on the worker count
+  on the point count (:func:`plan_shards`) — never on the worker count
   — so shot-noise results are bit-identical for any ``workers``
   (1, 2, 4, ...), at the price of a different draw order than the
   serial loop.  The landscape store records ``(seed, shard layout)`` in
@@ -134,13 +134,13 @@ def _with_rng(function: Callable, rng: np.random.Generator) -> Callable:
 
 
 def _run_function_shard(
-    task: tuple[Callable, np.ndarray, int | None, np.random.SeedSequence | None],
+    task: tuple[Callable, np.ndarray, np.random.SeedSequence | None],
 ) -> np.ndarray:
     """Worker entry: evaluate one shard of points through a cost function."""
-    function, points, batch_size, seed_sequence = task
+    function, points, seed_sequence = task
     if seed_sequence is not None:
         function = _with_rng(function, np.random.default_rng(seed_sequence))
-    return evaluate_points_chunked(function, points, batch_size)
+    return evaluate_points_chunked(function, points)
 
 
 def _run_ansatz_shard(
@@ -247,8 +247,10 @@ class ShardedExecutor:
             threads spin on the cores the workers need.
         shard_points: points per shard.  ``None`` = the
             :func:`plan_shards` default (at most
-            :data:`DEFAULT_MAX_SHARDS` shards).  The layout never
-            depends on ``workers``.
+            :data:`DEFAULT_MAX_SHARDS` shards), which every program
+            path uses; the equivalence harness and the shard tests pin
+            small shards to force splits.  The layout never depends on
+            ``workers``.
         seed: root seed for per-shard generators
             (``SeedSequence(seed).spawn``) — *spawn mode*, required for
             multiprocess shot noise, and what makes seeded results
@@ -367,18 +369,13 @@ class ShardedExecutor:
 
     # -- cost-function level (the LandscapeGenerator path) -----------------
 
-    def run(
-        self,
-        function: Callable,
-        points: np.ndarray,
-        batch_size: int | None = None,
-    ) -> np.ndarray:
+    def run(self, function: Callable, points: np.ndarray) -> np.ndarray:
         """Evaluate an ``(m, ndim)`` point array through a cost function.
 
         ``function`` is anything :class:`~repro.landscape.generator.LandscapeGenerator`
         accepts (its batched ``many`` path is used when present, in
-        ``batch_size``-point chunks per shard).  Returns the ``(m,)``
-        values in the original point order.  In parity mode every shard
+        memory-capped chunks per shard).  Returns the ``(m,)`` values in
+        the original point order.  In parity mode every shard
         runs the caller's function object itself, so its bound rng
         threads through the shards in order.
         """
@@ -390,7 +387,6 @@ class ShardedExecutor:
             lambda shard, sequence: (
                 function,
                 points[shard.start : shard.stop],
-                batch_size,
                 sequence,
             ),
         )

@@ -111,11 +111,11 @@ class LandscapeSpec:
         grid: one ``{name, low, high, num_points}`` mapping per axis.
         shots: per-query measurement shots (``None`` = exact).
         execution: the rng plan for shot-noise landscapes —
-            ``{"seed": int, "shard_points": int}`` (the effective shard
-            layout) — because sampled values depend on it.  ``None``
-            for exact landscapes, whose values
-            are execution-plan independent (the same key is shared by
-            any worker count or shard layout).
+            ``{"seed": int, "shard_points": int}`` (the first shard's
+            size in the layout derived from the grid size) — because
+            sampled values depend on it.  ``None`` for exact
+            landscapes, whose values are execution-plan independent
+            (the same key is shared by any worker count).
 
     Two specs with the same content resolve to the same key no matter
     which process (or machine) derived them::

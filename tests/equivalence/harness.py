@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+import repro.ansatz.base as ansatz_base
 from repro.ansatz import QaoaAnsatz, TwoLocalAnsatz, UccsdAnsatz
 from repro.ansatz.base import Ansatz
 from repro.problems import random_3_regular_maxcut, sk_problem
@@ -98,18 +99,18 @@ def batched_density_engine(
 
     Noisy Two-local/UCCSD rows run on
     :class:`repro.quantum.batched_density.BatchedDensityMatrix`;
-    pinning ``density_batch_rows = 2`` forces every noisy batch through
-    genuine chunk splits (and, on mixed per-row noise, per-row Kraus
-    stacks) instead of one whole-batch pass.  QAOA cases pass through
-    their analytic contraction path untouched, pinning that the density
-    engine's registration did not disturb it.
+    patching the density chunk size to 2 rows forces every noisy batch
+    through genuine chunk splits (and, on mixed per-row noise, per-row
+    Kraus stacks) instead of one whole-batch pass.  QAOA cases pass
+    through their analytic contraction path untouched, pinning that the
+    density engine's registration did not disturb it.
     """
-    original = ansatz.density_batch_rows
-    ansatz.density_batch_rows = 2
+    original = ansatz_base.default_density_batch_size
+    ansatz_base.default_density_batch_size = lambda num_qubits: 2
     try:
         return ansatz.expectation_many(batch, noise=noise, shots=shots, rng=rng)
     finally:
-        ansatz.density_batch_rows = original
+        ansatz_base.default_density_batch_size = original
 
 
 def sharded_engine(
@@ -144,7 +145,8 @@ def _daemon_client():
     """The shared daemon-backed client, starting the daemon on first use.
 
     The daemon runs on a background thread of this process (workers=1,
-    two-point shards — the same parity configuration as
+    the default shard plan, which splits batches of up to 16 rows into
+    one-point shards — the parity configuration of
     :func:`sharded_engine`, plus the full socket round trip).
     ``fallback=False`` so a dead daemon fails the matrix loudly instead
     of silently passing via local computation.
@@ -164,7 +166,6 @@ def _daemon_client():
         daemon = LandscapeDaemon(
             root / "daemon.sock",
             workers=1,
-            shard_points=2,
             tcp=("127.0.0.1", 0),
             tokens_file=tokens,
         )

@@ -18,6 +18,7 @@ import repro.ansatz.qaoa as qaoa_module
 from repro.ansatz import QaoaAnsatz, TwoLocalAnsatz, UccsdAnsatz
 from repro.experiments.slices import SliceCostFunction, random_slice
 from repro.landscape import LandscapeGenerator, cost_function, qaoa_grid
+from repro.landscape.generator import evaluate_points_chunked
 from repro.problems import random_3_regular_maxcut, sk_problem
 from repro.problems.chemistry import h2_hamiltonian
 from repro.quantum import BatchedStatevector, NoiseModel, Statevector, default_batch_size
@@ -241,8 +242,6 @@ def test_default_batch_size_caps():
     assert default_batch_size(2) == 512  # max-batch bound
     assert default_batch_size(10) == (1 << 15) >> 10  # memory bound
     assert default_batch_size(30) == 1  # never below one row
-    assert default_batch_size(10, max_batch=8) == 8
-    assert default_batch_size(4, entry_budget=1 << 6) == 4
 
 
 # -- expectation_many equivalence ---------------------------------------------
@@ -485,12 +484,9 @@ def test_grid_search_matches_pointwise_loop(qaoa6, small_grid):
 @pytest.mark.parametrize("batch_size", [1, 3, 100, 10_000])
 def test_grid_search_is_chunk_size_invariant(qaoa6, small_grid, batch_size):
     reference = LandscapeGenerator(cost_function(qaoa6), small_grid)
-    chunked = LandscapeGenerator(
-        cost_function(qaoa6), small_grid, batch_size=batch_size
-    )
-    assert np.allclose(
-        chunked.grid_search().values, reference.grid_search().values, atol=ATOL
-    )
+    points = small_grid.points_from_flat(np.arange(small_grid.size))
+    chunked = evaluate_points_chunked(cost_function(qaoa6), points, batch_size)
+    assert np.allclose(chunked, reference.grid_search().flat(), atol=ATOL)
 
 
 def test_evaluate_indices_matches_grid_search_values(qaoa6, small_grid):
@@ -521,8 +517,9 @@ def test_plain_closure_falls_back_to_pointwise_loop(small_grid):
 
 
 def test_generator_rejects_bad_batch_size(qaoa6, small_grid):
+    points = small_grid.points_from_flat(np.arange(small_grid.size))
     with pytest.raises(ValueError):
-        LandscapeGenerator(cost_function(qaoa6), small_grid, batch_size=0)
+        evaluate_points_chunked(cost_function(qaoa6), points, 0)
 
 
 def test_slice_generator_batched_matches_manual_embedding():
@@ -532,17 +529,15 @@ def test_slice_generator_batched_matches_manual_embedding():
         TwoLocalAnsatz(hamiltonian, reps=1),
     ):
         spec = random_slice(ansatz, 5, rng=np.random.default_rng(0))
-        generator = LandscapeGenerator(
-            SliceCostFunction(ansatz, spec), spec.grid, batch_size=7
+        points = spec.grid.points_from_flat(np.arange(spec.grid.size))
+        values = evaluate_points_chunked(
+            SliceCostFunction(ansatz, spec), points, 7
         )
-        landscape = generator.grid_search()
         for flat, slice_point in spec.grid.iter_points():
             full = spec.fixed_values.copy()
             full[spec.varying[0]] = slice_point[0]
             full[spec.varying[1]] = slice_point[1]
-            assert np.isclose(
-                landscape.flat()[flat], ansatz.expectation(full), atol=ATOL
-            )
+            assert np.isclose(values[flat], ansatz.expectation(full), atol=ATOL)
 
 
 def test_cost_function_exposes_batch_metadata(qaoa6):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ansatz.base as ansatz_base
 from repro.ansatz import QaoaAnsatz, TwoLocalAnsatz, UccsdAnsatz
 from repro.landscape.generator import cost_function, resolve_batch_size
 from repro.mitigation.cdr import CdrCostFunction, CliffordDataRegression
@@ -248,16 +249,14 @@ def test_cdr_reports_density_capacity():
     assert function.batch_capacity() == default_density_batch_size(4)
 
 
-def test_density_batch_rows_override_still_matches():
+def test_density_batch_rows_override_still_matches(monkeypatch):
     ansatz = TwoLocalAnsatz(sk_problem(4, seed=2).to_pauli_sum(), reps=1)
     rng = np.random.default_rng(12)
     batch = rng.uniform(-np.pi, np.pi, size=(5, ansatz.num_parameters))
     reference = ansatz.expectation_many(batch, noise=NOISE)
-    ansatz.density_batch_rows = 2  # force uneven chunk splits
-    try:
-        chunked = ansatz.expectation_many(batch, noise=NOISE)
-    finally:
-        ansatz.density_batch_rows = None
+    # Two-row density chunks force uneven chunk splits.
+    monkeypatch.setattr(ansatz_base, "default_density_batch_size", lambda n: 2)
+    chunked = ansatz.expectation_many(batch, noise=NOISE)
     np.testing.assert_allclose(chunked, reference, atol=1e-12)
 
 

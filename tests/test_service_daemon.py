@@ -253,37 +253,6 @@ def test_fallback_disabled_raises(tmp_path, ansatz, grid):
         ).grid_search()
 
 
-def test_daemon_default_shard_points_applies(tmp_path, monkeypatch, ansatz, grid):
-    """serve --shard-points reaches the executor when the client does
-    not choose a layout (clients serialize an explicit None)."""
-    from repro.service import daemon as daemon_module
-    from repro.service import shards as shards_module
-
-    seen: list = []
-    real_executor = shards_module.ShardedExecutor
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("shard_points"))
-        return real_executor(*args, **kwargs)
-
-    # The evaluate op uses the daemon module's binding; the compute path
-    # resolves through the shards module (via LandscapeGenerator).
-    monkeypatch.setattr(daemon_module, "ShardedExecutor", spy)
-    monkeypatch.setattr(shards_module, "ShardedExecutor", spy)
-    instance = LandscapeDaemon(
-        tmp_path / "daemon.sock", workers=1, shard_points=7
-    )
-    with instance:
-        client = LandscapeClient(instance.socket_path, fallback=False)
-        client.evaluate_ansatz(ansatz, np.zeros((3, 2)))
-        served = client.get_or_compute(cost_function(ansatz), grid)
-    assert seen == [7, 7]
-    local = LandscapeGenerator(cost_function(ansatz), grid).grid_search()
-    np.testing.assert_allclose(
-        served.values, local.values, rtol=0.0, atol=1e-10
-    )
-
-
 def _blas_threads(point):
     """A closure-free probe (no ``many``): the most threads any OpenBLAS
     mapped into the evaluating process will use."""

@@ -75,7 +75,7 @@ def test_exact_grid_search_matches_across_worker_counts(qaoa, grid):
     reference = LandscapeGenerator(cost_function(qaoa), grid).grid_search()
     for workers in (1, 2, 3):
         sharded = LandscapeGenerator(
-            cost_function(qaoa), grid, workers=workers, shard_points=13
+            cost_function(qaoa), grid, workers=workers
         ).grid_search()
         np.testing.assert_allclose(
             sharded.values, reference.values, rtol=0.0, atol=1e-10
@@ -89,7 +89,7 @@ def test_exact_evaluate_indices_matches(qaoa, grid):
         indices
     )
     sharded = LandscapeGenerator(
-        cost_function(qaoa), grid, workers=2, shard_points=3
+        cost_function(qaoa), grid, workers=2
     ).evaluate_indices(indices)
     np.testing.assert_allclose(sharded, reference, rtol=0.0, atol=1e-10)
 
@@ -102,12 +102,7 @@ def _plain_cosine(point):
 def test_plain_closures_shard_too(grid):
     """Functions without a batched ``many`` path still shard (the
     per-shard worker falls back to the point loop)."""
-    values = LandscapeGenerator(
-        _plain_cosine,
-        grid,
-        workers=2,
-        shard_points=10,
-    ).grid_search()
+    values = LandscapeGenerator(_plain_cosine, grid, workers=2).grid_search()
     expected = np.array(
         [
             float(np.cos(point[0]) * np.sin(point[1]))
@@ -174,10 +169,11 @@ def test_parity_mode_matches_unsharded_draw_for_draw(qaoa, grid):
     unsharded = LandscapeGenerator(
         cost_function(qaoa, shots=48, rng=rng_a), grid
     ).grid_search()
-    sharded = LandscapeGenerator(
-        cost_function(qaoa, shots=48, rng=rng_b), grid, shard_points=13
-    ).grid_search()
-    np.testing.assert_array_equal(sharded.values, unsharded.values)
+    points = grid.points_from_flat(np.arange(grid.size))
+    sharded = ShardedExecutor(workers=1, shard_points=13).run(
+        cost_function(qaoa, shots=48, rng=rng_b), points
+    )
+    np.testing.assert_array_equal(sharded, unsharded.flat())
     # Both generators sit at the same stream position afterwards.
     assert rng_a.integers(1 << 63) == rng_b.integers(1 << 63)
 
@@ -201,13 +197,10 @@ def test_seeded_shot_noise_identical_for_workers_1_2_4(qaoa, grid, shots):
 
 
 def test_seeded_results_depend_on_seed_and_layout(qaoa, grid):
-    def values(seed, shard_points=None):
+    def values(seed):
         return LandscapeGenerator(
-            cost_function(qaoa, shots=32),
-            grid,
-            seed=seed,
-            shard_points=shard_points,
-        ).grid_search().values
+            cost_function(qaoa, shots=32), grid, seed=seed
+        ).grid_search().flat()
 
     assert not np.array_equal(values(1), values(2))
     np.testing.assert_array_equal(values(1), values(1))
@@ -215,7 +208,11 @@ def test_seeded_results_depend_on_seed_and_layout(qaoa, grid):
     # shard_points in shot-noise cache keys — see the store tests),
     # hence different draws.  The 77-point grid's default plan is
     # 5-point shards, so 30 is a genuinely different layout.
-    assert not np.array_equal(values(1), values(1, shard_points=30))
+    points = grid.points_from_flat(np.arange(grid.size))
+    relaid = ShardedExecutor(seed=1, shard_points=30).run(
+        cost_function(qaoa, shots=32), points
+    )
+    assert not np.array_equal(values(1), relaid)
 
 
 def test_seeded_mitigated_landscape_identical_across_workers(qaoa, grid):

@@ -121,35 +121,29 @@ def test_mitigation_config_changes_key(qaoa, grid):
     assert len(keys) == 4
 
 
-def test_shot_noise_key_distinguishes_equal_shard_counts(qaoa):
-    """The rng plan in the key must capture the shard *layout*, not
-    just the shard count: on a 77-point grid, shard_points 26 and 30
-    both make 3 shards but put the boundaries elsewhere, so their
-    per-shard draws (and landscapes) differ — colliding keys would
-    serve the wrong landscape."""
-    grid = qaoa_grid(p=1, resolution=(7, 11))  # 77 points
-
-    def key(shard_points):
-        return _spec(
-            qaoa,
-            grid,
-            function_kwargs={"shots": 32},
-            seed=0,
-            shard_points=shard_points,
-        ).key()
-
-    assert key(26) != key(30)
-    # Equivalent oversized settings produce the same single-shard plan
-    # hence the same draws — and must share one key.
-    assert key(100) == key(200)
+def test_seeded_shot_noise_key_is_pinned():
+    """A seeded shot-noise key records the rng plan ``(seed, first
+    shard size)``, derived from the grid size.  Pinning one key (and its
+    worker-count independence) catches a change to the derived layout
+    that would silently rekey every cached shot-noise landscape."""
+    function = cost_function(
+        QaoaAnsatz(random_3_regular_maxcut(4, seed=0), p=1), shots=32
+    )
+    grid = qaoa_grid(p=1, resolution=(7, 11))
+    for workers in (1, 2):
+        spec = LandscapeGenerator(
+            function, grid, workers=workers, seed=5
+        ).cache_spec()
+        assert spec.key() == "0e216e2e7d4f1855b2a3394a14001f0d"
+        assert spec.execution == {"seed": 5, "shard_points": 5}
 
 
 def test_exact_key_independent_of_execution_plan(qaoa, grid):
-    """Exact landscapes are execution-plan independent: worker count and
-    shard layout must not fragment the cache."""
+    """Exact landscapes are execution-plan independent: the worker
+    count must not fragment the cache."""
     base = LandscapeGenerator(cost_function(qaoa), grid).cache_spec().key()
     sharded = (
-        LandscapeGenerator(cost_function(qaoa), grid, workers=4, shard_points=7)
+        LandscapeGenerator(cost_function(qaoa), grid, workers=4)
         .cache_spec()
         .key()
     )

@@ -14,7 +14,7 @@ import pytest
 from repro.ansatz import TwoLocalAnsatz, UccsdAnsatz
 from repro.ansatz.base import Ansatz
 from repro.experiments.slices import SliceCostFunction, random_slice, slice_generator
-from repro.landscape.generator import LandscapeGenerator
+from repro.landscape.generator import cost_function, evaluate_points_chunked
 from repro.landscape.grid import GridAxis, ParameterGrid
 from repro.problems import sk_problem
 from repro.problems.chemistry import h2_hamiltonian
@@ -127,13 +127,18 @@ def test_slice_cost_function_single_point_matches_call():
     assert np.isclose(function.many(point[None, :])[0], function(point), atol=ATOL)
 
 
+def _all_points(grid: ParameterGrid) -> np.ndarray:
+    return grid.points_from_flat(np.arange(grid.size))
+
+
 def test_slice_generator_batch_size_larger_than_grid():
     ansatz, spec = _slice_case(points_per_axis=3)
     function = SliceCostFunction(ansatz, spec)
-    oversized = LandscapeGenerator(function, spec.grid, batch_size=10_000).grid_search()
-    reference = LandscapeGenerator(function, spec.grid, batch_size=1).grid_search()
-    assert np.allclose(oversized.values, reference.values, atol=ATOL)
-    assert oversized.values.shape == (3, 3)
+    points = _all_points(spec.grid)
+    oversized = evaluate_points_chunked(function, points, 10_000)
+    reference = evaluate_points_chunked(function, points, 1)
+    assert np.allclose(oversized, reference, atol=ATOL)
+    assert oversized.shape == (9,)
 
 
 def test_slice_generator_with_fallback_ansatz():
@@ -141,16 +146,14 @@ def test_slice_generator_with_fallback_ansatz():
     correctly through the base-class loop."""
     ansatz = _PlainAnsatz(num_parameters=4)
     spec = random_slice(ansatz, 4, rng=np.random.default_rng(5))
-    landscape = LandscapeGenerator(
-        SliceCostFunction(ansatz, spec), spec.grid, batch_size=3
-    ).grid_search()
+    values = evaluate_points_chunked(
+        SliceCostFunction(ansatz, spec), _all_points(spec.grid), 3
+    )
     for flat, slice_point in spec.grid.iter_points():
         full = spec.fixed_values.copy()
         full[spec.varying[0]] = slice_point[0]
         full[spec.varying[1]] = slice_point[1]
-        assert np.isclose(
-            landscape.flat()[flat], ansatz.expectation(full), atol=ATOL
-        )
+        assert np.isclose(values[flat], ansatz.expectation(full), atol=ATOL)
 
 
 def test_uccsd_slice_rides_native_batched_path(monkeypatch):
@@ -183,9 +186,7 @@ def test_grid_axis_sanity():
         [GridAxis("a", -1.0, 1.0, 2), GridAxis("b", -1.0, 1.0, 2)]
     )
     ansatz = _PlainAnsatz(num_parameters=2)
-    from repro.landscape.generator import LandscapeGenerator, cost_function
-
-    landscape = LandscapeGenerator(
-        cost_function(ansatz), grid, batch_size=100
-    ).grid_search()
-    assert landscape.values.shape == (2, 2)
+    points = _all_points(grid)
+    values = evaluate_points_chunked(cost_function(ansatz), points, 100)
+    assert values.shape == (grid.size,)
+    assert np.allclose(values, [ansatz.expectation(point) for point in points])

@@ -89,7 +89,11 @@ def golden_requests() -> list[dict]:
     """The pinned request sequence, one frame per v2 op (in replay
     order: ``compute`` primes the store entries that ``get`` /
     ``index`` / ``compute_indices`` / ``invalidate`` then exercise).
-    ``shutdown`` is replayed last against a throwaway daemon."""
+    ``shutdown`` is replayed last against a throwaway daemon.
+
+    The ``batch_size``/``shard_points`` nulls are frames of a client
+    that still sent those fields; the daemon ignores them like any
+    unknown field, and the fixture keeps them byte for byte."""
     base = {"version": 2, "token": GOLDEN_TOKEN}
     return [
         {**base, "op": "ping"},
@@ -177,7 +181,6 @@ def _start_daemon(tmp_path: Path, **overrides) -> LandscapeDaemon:
     tokens.write_text(json.dumps({"golden": GOLDEN_TOKEN, "fuzz": FUZZ_TOKEN}))
     kwargs = dict(
         workers=1,
-        shard_points=2,
         cache_dir=tmp_path / "cache",
         tcp=("127.0.0.1", 0),
         tokens_file=tokens,
@@ -522,18 +525,16 @@ def test_raw_keys_cannot_leave_the_tenant_namespace(tmp_path):
 @pytest.mark.parametrize(
     "field, value, code",
     [
-        ("batch_size", 0, "invalid-spec"),
-        ("shard_points", "x", "malformed"),
-        ("shard_points", 0, "invalid-spec"),
-        ("shard_points", 2.5, "malformed"),
         ("seed", -1, "invalid-spec"),
+        ("seed", "x", "malformed"),
+        ("seed", 2.5, "malformed"),
     ],
 )
 def test_request_integers_are_checked_at_the_wire(tmp_path, op, field, value, code):
-    """Sizes must be integers >= 1 and seeds integers >= 0: anything
-    else is the client's error (``malformed`` for a wrong type,
-    ``invalid-spec`` below the bound), never ``internal`` and never
-    silently truncated, and it leaves no in-flight entry behind."""
+    """Seeds must be integers >= 0: anything else is the client's
+    error (``malformed`` for a wrong type, ``invalid-spec`` below the
+    bound), never ``internal`` and never silently truncated, and it
+    leaves no in-flight entry behind."""
     daemon = _start_daemon(tmp_path)
     try:
         request = {
@@ -576,11 +577,38 @@ def _assert_pipeline_refused_before_work(tmp_path: Path, **overrides) -> None:
         daemon.close()
 
 
-@pytest.mark.parametrize("options", [{"bogus": 1}, [1, 2]])
-def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, options):
+@pytest.mark.parametrize(
+    "optimizer, options",
+    [
+        # The first two ids are the ones pytest generated for these cases
+        # before the optimizer column, so the cases keep their names.
+        pytest.param("cobyla", {"bogus": 1}, id="options0"),
+        pytest.param("cobyla", [1, 2], id="options1"),
+        pytest.param("cobyla", {"maxiter": "x"}, id="cobyla-string-maxiter"),
+        pytest.param(
+            "nelder-mead", {"maxiter": "x"}, id="nelder-mead-string-maxiter"
+        ),
+        pytest.param(
+            "gradient-descent",
+            {"maxiter": "x"},
+            id="gradient-descent-string-maxiter",
+        ),
+        pytest.param("cobyla", {"rhobeg": -1.0}, id="cobyla-negative-rhobeg"),
+        pytest.param("cobyla", {"maxiter": True}, id="cobyla-bool-maxiter"),
+        pytest.param("nelder-mead", {"maxiter": 0}, id="nelder-mead-zero-maxiter"),
+        pytest.param("adam", {"maxiter": True}, id="adam-bool-maxiter"),
+    ],
+)
+def test_pipeline_optimizer_options_are_checked_before_any_work(
+    tmp_path, optimizer, options
+):
     """``optimizer_options`` the optimizer cannot take (an unknown
-    keyword, a non-mapping) are refused before any work."""
-    _assert_pipeline_refused_before_work(tmp_path, optimizer_options=options)
+    keyword, a non-mapping, a ``maxiter`` that is not a positive
+    integer, a ``rhobeg`` that is not a positive number) are refused
+    before any work."""
+    _assert_pipeline_refused_before_work(
+        tmp_path, optimizer=optimizer, optimizer_options=options
+    )
 
 
 @pytest.mark.parametrize(
@@ -591,6 +619,8 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, option
         {"reconstruction": {"lam": -1.0}},
         {"reconstruction": {"max_iterations": 0}},
         {"reconstruction": {"max_iterations": -3}},
+        {"reconstruction": {"tolerance": True}},
+        {"reconstruction": {"tolerance": float("inf")}},
         {"reconstruction": {"penalize_dc": "yes"}},
         {"reconstruction": {"lipschitz": None}},
         {"reconstruction": {"adaptive_restart": True}},
@@ -609,6 +639,8 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(tmp_path, option
         "negative-lam",
         "zero-iterations",
         "negative-iterations",
+        "bool-tolerance",
+        "infinite-tolerance",
         "penalize_dc-not-a-bool",
         "lipschitz-is-not-a-field",
         "adaptive_restart-is-not-a-field",

@@ -111,6 +111,11 @@ KEEP: dict[str, str] = {
     "repro.landscape.grid.ParameterGrid.iter_points": (
         "equivalence hook: the equivalence tests enumerate grids with it"
     ),
+    "repro.landscape.generator.evaluate_points_chunked(batch_size)": (
+        "engine-level chunk pin: every program path passes None and lets "
+        "resolve_batch_size decide; the chunk-invariance and slice tests "
+        "force chunk splits with it"
+    ),
     "repro.optimizers.adam.Adam(": _OPTIMIZER_OPTION,
     "repro.optimizers.adam.GradientDescent(": _OPTIMIZER_OPTION,
     "repro.optimizers.scipy_wrappers.Cobyla(": _OPTIMIZER_OPTION,
