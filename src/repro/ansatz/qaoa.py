@@ -294,8 +294,8 @@ class QaoaAnsatz(Ansatz):
         self,
         parameters_batch: Sequence[Sequence[float]] | np.ndarray,
         noise_models: Sequence[NoiseModel | None],
-        shots: int | None = None,
-        rng: np.random.Generator | None = None,
+        shots: int | None,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
         """``(B, S)`` noisy expectations with one simulation per point.
 

@@ -60,9 +60,7 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
 
 
-def auto_lambda(
-    correlation: np.ndarray, penalize_dc: bool = False, scale_factor: float = 0.01
-) -> float:
+def auto_lambda(correlation: np.ndarray, penalize_dc: bool = False) -> float:
     """The continuation-free L1-penalty heuristic ``0.01 * ||A^T y||_inf``.
 
     Under the DCT basis (``penalize_dc=False``) the DC coefficient is
@@ -75,7 +73,7 @@ def auto_lambda(
         scale = float(np.max(magnitudes))
     else:
         scale = float(np.max(magnitudes[1:]))
-    return scale_factor * scale if scale > 0 else 1e-12
+    return 0.01 * scale if scale > 0 else 1e-12
 
 
 def fista_lasso(
@@ -153,14 +151,14 @@ def omp(
     measurements: np.ndarray,
     shape: tuple[int, ...],
     max_atoms: int | None = None,
-    residual_tolerance: float = 1e-8,
 ) -> SolverResult:
     """Orthogonal Matching Pursuit, matrix-free column generation.
 
     Greedily selects the coefficient most correlated with the residual,
-    then re-fits all selected coefficients by least squares.  Columns of
-    ``A`` are generated on demand by pushing unit coefficient arrays
-    through ``forward``.
+    then re-fits all selected coefficients by least squares, until the
+    relative residual drops below ``1e-8`` or ``max_atoms`` are chosen.
+    Columns of ``A`` are generated on demand by pushing unit coefficient
+    arrays through ``forward``.
     """
     measurements = np.asarray(measurements, dtype=float).reshape(-1)
     size = int(np.prod(shape))
@@ -188,7 +186,7 @@ def omp(
         matrix = np.stack(columns, axis=1)
         solution, *_ = np.linalg.lstsq(matrix, measurements, rcond=None)
         residual = measurements - matrix @ solution
-        if np.linalg.norm(residual) / initial_norm < residual_tolerance:
+        if np.linalg.norm(residual) / initial_norm < 1e-8:
             converged = True
             break
     coefficients = np.zeros(size)

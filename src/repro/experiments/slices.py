@@ -42,32 +42,31 @@ class SliceSpec:
 def random_slice(
     ansatz: Ansatz,
     points_per_axis: int,
-    parameter_range: tuple[float, float] = (-np.pi, np.pi),
     rng: np.random.Generator | None = None,
 ) -> SliceSpec:
     """Draw a random 2-parameter slice (the Tables 2-3 protocol).
+
+    Both grid axes span ``[-pi, pi]``, and the frozen parameters are
+    drawn uniformly from the same range.
 
     Args:
         ansatz: the ansatz being sliced.
         points_per_axis: equidistant samples per varying parameter
             (7 or 14 in the paper's tables).
-        parameter_range: range for both the grid axes and the random
-            frozen values.
         rng: random generator.
     """
     rng = ensure_rng(rng)
     if ansatz.num_parameters < 2:
         raise ValueError("slicing needs an ansatz with at least two parameters")
-    low, high = parameter_range
     varying = tuple(
         sorted(rng.choice(ansatz.num_parameters, size=2, replace=False).tolist())
     )
-    fixed_values = rng.uniform(low, high, size=ansatz.num_parameters)
+    fixed_values = rng.uniform(-np.pi, np.pi, size=ansatz.num_parameters)
     names = ansatz.parameter_names()
     grid = ParameterGrid(
         [
-            GridAxis(names[varying[0]], low, high, points_per_axis),
-            GridAxis(names[varying[1]], low, high, points_per_axis),
+            GridAxis(names[varying[0]], -np.pi, np.pi, points_per_axis),
+            GridAxis(names[varying[1]], -np.pi, np.pi, points_per_axis),
         ]
     )
     return SliceSpec(varying=varying, fixed_values=fixed_values, grid=grid)

@@ -61,16 +61,15 @@ def _twolocal_for_params(hamiltonian, num_parameters: int) -> TwoLocalAnsatz:
 def slice_reconstruction_error(
     ansatz: Ansatz,
     points_per_axis: int,
-    sampling_fraction: float = 0.35,
     repeats: int = 3,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Median (NRMSE, DCT-sparsity) over random 2-parameter slices.
 
     This is the Tables 2/3 protocol: repeat (random slice -> dense
-    slice grid -> OSCAR reconstruction -> NRMSE) and aggregate.  The
-    paper repeats 100 times; callers choose ``repeats`` to fit their
-    budget.  Every ansatz here (QAOA, Two-local, UCCSD) has a native
+    slice grid -> OSCAR reconstruction from 35% of the slice's points
+    -> NRMSE) and aggregate.  The paper repeats 100 times; callers
+    choose ``repeats`` to fit their budget.  Every ansatz here (QAOA, Two-local, UCCSD) has a native
     batched execution path, so the dense slice grids run vectorized in
     memory-capped chunks rather than a circuit per point.
     """
@@ -82,7 +81,7 @@ def slice_reconstruction_error(
         generator = slice_generator(ansatz, spec)
         truth = generator.grid_search()
         reconstructor = OscarReconstructor(spec.grid, rng=rng)
-        reconstruction, _ = reconstructor.reconstruct(generator, sampling_fraction)
+        reconstruction, _ = reconstructor.reconstruct(generator, 0.35)
         errors.append(nrmse(truth.values, reconstruction.values))
         sparsities.append(dct_sparsity(truth.values))
     return float(np.median(errors)), float(np.median(sparsities))

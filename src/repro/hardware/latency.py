@@ -20,23 +20,20 @@ __all__ = ["LatencyModel"]
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Heavy-tailed job latency: queue delay + execution time.
+    """Heavy-tailed job latency: a log-normal body (shape 0.25) around
+    the median with a Pareto tail.
 
     Attributes:
         median_seconds: median circuit execution latency.
-        sigma: log-normal shape parameter of the body.
         tail_probability: chance a job lands in the Pareto tail.
         tail_scale: tail start, as a multiple of the median.
         tail_alpha: Pareto index (smaller = heavier tail).
-        queue_delay_seconds: fixed queuing delay added to every job.
     """
 
     median_seconds: float = 1.0
-    sigma: float = 0.25
     tail_probability: float = 0.05
     tail_scale: float = 10.0
     tail_alpha: float = 1.5
-    queue_delay_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.median_seconds <= 0:
@@ -48,17 +45,17 @@ class LatencyModel:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` job latencies (seconds)."""
-        body = self.median_seconds * rng.lognormal(0.0, self.sigma, size=count)
+        body = self.median_seconds * rng.lognormal(0.0, 0.25, size=count)
         in_tail = rng.random(count) < self.tail_probability
         tail = (
             self.median_seconds
             * self.tail_scale
             * (1.0 + rng.pareto(self.tail_alpha, size=count))
         )
-        latencies = np.where(in_tail, tail, body)
-        return latencies + self.queue_delay_seconds
+        return np.where(in_tail, tail, body)
 
-    def tail_to_median_ratio(self, rng: np.random.Generator, samples: int = 20000) -> float:
-        """Empirical p99 / median ratio (sanity check for configs)."""
-        draws = self.sample(samples, rng)
+    def tail_to_median_ratio(self, rng: np.random.Generator) -> float:
+        """Empirical p99 / median ratio over 20000 draws (sanity check
+        for configs)."""
+        draws = self.sample(20000, rng)
         return float(np.percentile(draws, 99) / np.median(draws))

@@ -53,22 +53,22 @@ class InitializationOutcome:
 
 
 class OscarInitializer:
-    """Chooses initial points by minimising a reconstructed landscape."""
+    """Chooses initial points by minimising a reconstructed landscape.
+
+    The surrogate optimization runs from four starts: the landscape's
+    grid minimum and three uniform random points.
+    """
 
     def __init__(
         self,
         reconstructor: OscarReconstructor,
         optimizer: Optimizer,
         sampling_fraction: float = 0.05,
-        num_restarts: int = 4,
         rng: np.random.Generator | int | None = None,
     ):
-        if num_restarts < 1:
-            raise ValueError("need at least one surrogate restart")
         self.reconstructor = reconstructor
         self.optimizer = optimizer
         self.sampling_fraction = sampling_fraction
-        self.num_restarts = num_restarts
         self.rng = ensure_rng(rng)
 
     def choose(self, generator: LandscapeGenerator) -> InitializationOutcome:
@@ -86,10 +86,10 @@ class OscarInitializer:
         bounds = landscape.grid.bounds
         best_point: np.ndarray | None = None
         best_value = np.inf
-        # Restart from the landscape's grid minimum plus random points:
-        # the grid minimum is nearly always in the right basin already.
+        # Restart from the landscape's grid minimum plus three random
+        # points: the grid minimum is nearly always in the right basin.
         starts = [landscape.minimum()[1]]
-        for _ in range(self.num_restarts - 1):
+        for _ in range(3):
             starts.append(random_initial_point(bounds, self.rng))
         for start in starts:
             result = self.optimizer.minimize(surrogate, start)

@@ -46,22 +46,19 @@ class TransferOutcome:
 
 
 def transfer_initial_point(
-    target_p: int = 1,
-    donor_qubits: int = 6,
-    donor_seed: int = 0,
-    resolution: tuple[int, int] = (16, 32),
+    donor_qubits: int = 6, donor_seed: int = 0
 ) -> TransferOutcome:
-    """Optimal angles of a small donor MaxCut instance.
+    """Optimal p=1 angles of a small donor MaxCut instance.
 
-    The donor's landscape is generated densely (cheap at 6 qubits) and
-    its grid minimum is returned.  For ``p > 1`` the donor grid uses
-    the Table 1 p=2 ranges.
+    The donor's landscape is generated densely on a 16x32 grid over the
+    Table 1 p=1 ranges (cheap at 6 qubits) and its grid minimum is
+    returned.
     """
     if donor_qubits < 4:
         raise ValueError("donor instance needs at least 4 qubits")
     donor_problem = random_3_regular_maxcut(donor_qubits, seed=donor_seed)
-    donor_ansatz = QaoaAnsatz(donor_problem, p=target_p)
-    grid = qaoa_grid(p=target_p, resolution=resolution if target_p == 1 else None)
+    donor_ansatz = QaoaAnsatz(donor_problem, p=1)
+    grid = qaoa_grid(p=1, resolution=(16, 32))
     generator = LandscapeGenerator(cost_function(donor_ansatz), grid)
     landscape = generator.grid_search(label="transfer-donor")
     value, point = landscape.minimum()

@@ -36,14 +36,13 @@ def holdout_error_estimate(
     reconstructor: OscarReconstructor,
     flat_indices: np.ndarray,
     values: np.ndarray,
-    holdout_fraction: float = 0.25,
     rng: np.random.Generator | None = None,
     warm_start: np.ndarray | None = None,
 ) -> tuple[float, Landscape]:
     """Cross-validated NRMSE-style error estimate from samples alone.
 
-    Reconstructs from a random ``1 - holdout_fraction`` subset and
-    scores the prediction on the held-out samples, normalising by the
+    Reconstructs from a random 75% of the samples and scores the
+    prediction on the held-out quarter, normalising by the
     interquartile range of the held-out values (mirroring Eq. 1's
     normalisation so estimates are comparable to true NRMSE values).
 
@@ -52,13 +51,11 @@ def holdout_error_estimate(
     ``warm_start`` (a coefficient array) so its repeated holdout solves
     converge in far fewer FISTA iterations.
     """
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout fraction must be in (0, 1)")
     rng = ensure_rng(rng)
     count = flat_indices.shape[0]
     if count < 8:
         raise ValueError("need at least 8 samples for a holdout estimate")
-    holdout_size = max(2, int(round(holdout_fraction * count)))
+    holdout_size = max(2, int(round(0.25 * count)))
     permutation = rng.permutation(count)
     held = permutation[:holdout_size]
     kept = permutation[holdout_size:]
@@ -78,30 +75,21 @@ def holdout_error_estimate(
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the adaptive sampling loop.
+    """The adaptive sampling loop's stopping target.
+
+    The first batch is 3% of the grid (at least 8 points), each later
+    round grows the total sample count by 1.5x, and the total is capped
+    at half the grid.
 
     Attributes:
         target_error: stop once the holdout estimate falls below this.
-        initial_fraction: first batch size, as a grid fraction.
-        growth_factor: each subsequent batch multiplies the total sample
-            count by this factor.
-        max_fraction: hard cap on the total sampling fraction.
-        holdout_fraction: share of samples held out per validation.
     """
 
     target_error: float = 0.1
-    initial_fraction: float = 0.03
-    growth_factor: float = 1.5
-    max_fraction: float = 0.5
-    holdout_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.target_error <= 0:
             raise ValueError("target error must be positive")
-        if not 0.0 < self.initial_fraction <= self.max_fraction <= 1.0:
-            raise ValueError("need 0 < initial_fraction <= max_fraction <= 1")
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -146,12 +134,12 @@ def adaptive_reconstruct(
     fractions: list[float] = []
     met_target = False
     warm_start: np.ndarray | None = None
-    target_count = max(8, int(round(config.initial_fraction * grid.size)))
+    target_count = max(8, int(round(0.03 * grid.size)))
 
     while True:
         # Draw the shortfall from the not-yet-sampled grid points.
         remaining = np.setdiff1d(np.arange(grid.size), sampled, assume_unique=False)
-        needed = min(target_count, int(config.max_fraction * grid.size)) - sampled.size
+        needed = min(target_count, int(0.5 * grid.size)) - sampled.size
         if needed > 0 and remaining.size > 0:
             new_indices = rng.choice(
                 remaining, size=min(needed, remaining.size), replace=False
@@ -164,7 +152,7 @@ def adaptive_reconstruct(
             values = values[order]
 
         estimate, holdout_landscape = holdout_error_estimate(
-            reconstructor, sampled, values, config.holdout_fraction, rng, warm_start
+            reconstructor, sampled, values, rng, warm_start
         )
         warm_start = reconstructor.coefficients_of(holdout_landscape)
         estimates.append(estimate)
@@ -172,9 +160,9 @@ def adaptive_reconstruct(
         if estimate <= config.target_error:
             met_target = True
             break
-        if sampled.size >= config.max_fraction * grid.size or remaining.size == 0:
+        if sampled.size >= 0.5 * grid.size or remaining.size == 0:
             break
-        target_count = int(np.ceil(sampled.size * config.growth_factor))
+        target_count = int(np.ceil(sampled.size * 1.5))
 
     landscape, report = reconstructor.reconstruct_from_samples(
         sampled, values, label="oscar-adaptive", warm_start=warm_start

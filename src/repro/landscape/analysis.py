@@ -60,24 +60,20 @@ def gradient_magnitudes(landscape: Landscape) -> np.ndarray:
     return np.sqrt(sum(component**2 for component in components))
 
 
-def barren_plateau_fraction(
-    landscape: Landscape, relative_threshold: float = 0.05
-) -> float:
+def barren_plateau_fraction(landscape: Landscape) -> float:
     """Fraction of the grid where the gradient is negligibly small.
 
     The threshold is relative to the landscape's value spread per unit
     parameter (so the metric is scale-invariant): a point belongs to a
-    plateau when ``|grad| < relative_threshold * ptp(values) / L`` with
-    ``L`` the geometric mean axis length.
+    plateau when ``|grad| < 0.05 * ptp(values) / L`` with ``L`` the
+    geometric mean axis length.
     """
-    if not 0.0 < relative_threshold < 1.0:
-        raise ValueError("relative threshold must be in (0, 1)")
     spread = float(np.ptp(landscape.values))
     if spread == 0.0:
         return 1.0
     lengths = [axis.high - axis.low for axis in landscape.grid.axes]
     characteristic_length = float(np.exp(np.mean(np.log(lengths))))
-    threshold = relative_threshold * spread / characteristic_length
+    threshold = 0.05 * spread / characteristic_length
     magnitudes = gradient_magnitudes(landscape)
     return float(np.mean(magnitudes < threshold))
 
@@ -212,16 +208,16 @@ class ConvergenceReport:
 def check_convergence(
     landscape: Landscape,
     path: np.ndarray,
-    local_tolerance: float = 0.05,
 ) -> ConvergenceReport:
     """Diagnose an optimizer path against the full landscape (Sec. 7).
+
+    An endpoint outside the global basin counts as stuck in a local
+    minimum when it lies within 5% of the landscape's value spread of
+    its basin minimum.
 
     Args:
         landscape: the (reconstructed) landscape to judge against.
         path: optimizer iterates, shape ``(steps, ndim)``.
-        local_tolerance: how close (relative to the landscape's value
-            spread) the endpoint must be to its basin minimum to count
-            as "stuck" there.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
     endpoint = path[-1]
@@ -234,7 +230,7 @@ def check_convergence(
     basin_minimum = float(landscape.flat()[labels[endpoint_flat]])
     spread = float(np.ptp(landscape.values)) or 1.0
     stuck = (not in_global) and (
-        endpoint_value - basin_minimum < local_tolerance * spread
+        endpoint_value - basin_minimum < 0.05 * spread
     )
     return ConvergenceReport(
         endpoint_value=endpoint_value,

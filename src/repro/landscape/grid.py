@@ -171,36 +171,33 @@ class ParameterGrid:
 def qaoa_grid(
     p: int = 1,
     resolution: Sequence[int] | None = None,
-    beta_range: tuple[float, float] | None = None,
-    gamma_range: tuple[float, float] | None = None,
 ) -> ParameterGrid:
     """The paper's Table 1 QAOA grids (optionally re-resolved).
+
+    The ranges are Table 1's: beta in ``[-pi/4, pi/4]`` and gamma in
+    ``[-pi/2, pi/2]`` for p=1, and half those for deeper circuits.
 
     Args:
         p: QAOA depth (1 or 2 in the paper; any p >= 1 accepted).
         resolution: ``(beta_points, gamma_points)`` override.  Defaults
             to Table 1: (50, 100) for p=1, (12, 15) per axis for p=2,
             and (12, 15) for deeper circuits.
-        beta_range: override for the beta axis range.
-        gamma_range: override for the gamma axis range.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if p == 1:
-        default_res, default_beta, default_gamma = (
+        default_res, (beta_low, beta_high), (gamma_low, gamma_high) = (
             (50, 100),
             (-math.pi / 4, math.pi / 4),
             (-math.pi / 2, math.pi / 2),
         )
     else:
-        default_res, default_beta, default_gamma = (
+        default_res, (beta_low, beta_high), (gamma_low, gamma_high) = (
             (12, 15),
             (-math.pi / 8, math.pi / 8),
             (-math.pi / 4, math.pi / 4),
         )
     beta_points, gamma_points = resolution or default_res
-    beta_low, beta_high = beta_range or default_beta
-    gamma_low, gamma_high = gamma_range or default_gamma
     axes = [
         GridAxis(f"beta_{layer}", beta_low, beta_high, beta_points)
         for layer in range(p)

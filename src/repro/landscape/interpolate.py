@@ -4,9 +4,10 @@ The optimizer use cases (Secs. 7-8) run classical optimizers *on* a
 reconstructed landscape instead of on the quantum device.  To allow
 continuous-space optimization on the discrete grid, the paper uses
 rectangular bivariate spline interpolation; :class:`InterpolatedLandscape`
-wraps :class:`scipy.interpolate.RectBivariateSpline` for 2-D grids and
-falls back to :class:`scipy.interpolate.RegularGridInterpolator` for
-other dimensionalities.
+wraps a cubic :class:`scipy.interpolate.RectBivariateSpline` for 2-D
+grids (lower degree on axes with fewer than four points) and falls back
+to :class:`scipy.interpolate.RegularGridInterpolator` for other
+dimensionalities.
 
 Queries outside the grid are clamped to the boundary — optimizers
 occasionally step outside and the landscape is the only oracle we have.
@@ -27,7 +28,7 @@ __all__ = ["InterpolatedLandscape"]
 class InterpolatedLandscape:
     """A continuous, query-counting view of a discrete landscape."""
 
-    def __init__(self, landscape: Landscape, spline_degree: int = 3):
+    def __init__(self, landscape: Landscape):
         self.landscape = landscape
         self.query_count = 0
         grid = landscape.grid
@@ -35,9 +36,7 @@ class InterpolatedLandscape:
         self._highs = np.array([axis.high for axis in grid.axes])
         if grid.ndim == 2:
             beta_axis, gamma_axis = grid.axis_values
-            degree = min(
-                spline_degree, len(beta_axis) - 1, len(gamma_axis) - 1
-            )
+            degree = min(3, len(beta_axis) - 1, len(gamma_axis) - 1)
             self._spline = _interpolate.RectBivariateSpline(
                 beta_axis, gamma_axis, landscape.values, kx=degree, ky=degree
             )

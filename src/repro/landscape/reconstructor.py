@@ -165,7 +165,6 @@ class OscarReconstructor:
         self,
         sample_sets: Sequence[tuple[np.ndarray, np.ndarray]],
         labels: Sequence[str] | None = None,
-        warm_starts: Sequence[np.ndarray | None] | None = None,
     ) -> list[tuple[Landscape, ReconstructionReport]]:
         """Reconstruct many sample sets in one batched engine pass.
 
@@ -173,12 +172,13 @@ class OscarReconstructor:
         configuration; the engine stacks them along a leading axis and
         runs a single vectorized FISTA loop with per-landscape
         convergence masks (see :mod:`repro.cs.engine`).  Results match
-        the serial :meth:`reconstruct_from_samples` per problem.
+        the serial :meth:`reconstruct_from_samples` per problem.  Every
+        solve starts cold; warm starts are the engine's
+        (:meth:`~repro.cs.engine.ReconstructionEngine.solve`).
 
         Args:
             sample_sets: ``(flat_indices, values)`` per landscape.
             labels: optional provenance tags, one per sample set.
-            warm_starts: optional per-landscape initial coefficients.
 
         Returns:
             ``(landscape, report)`` pairs in input order.
@@ -195,7 +195,7 @@ class OscarReconstructor:
         ]
         shape = self.grid.reshaped_2d_shape()
         engine = ReconstructionEngine(shape, self.config)
-        solved = engine.solve(sample_sets, warm_starts)
+        solved = engine.solve(sample_sets)
         output = []
         for position, (signal, solver_result) in enumerate(solved):
             label = labels[position] if labels is not None else "oscar-recon"

@@ -35,14 +35,14 @@ __all__ = [
 ]
 
 
-def is_centrosymmetric_grid(grid: ParameterGrid, atol: float = 1e-9) -> bool:
-    """True if every axis is symmetric about zero (low = -high).
+def is_centrosymmetric_grid(grid: ParameterGrid) -> bool:
+    """True if every axis is symmetric about zero (low = -high, to 1e-9).
 
     Point reflection through the origin then maps grid points onto grid
     points (index ``i`` onto ``n - 1 - i`` per axis), which the folding
     helpers rely on.
     """
-    return all(abs(axis.low + axis.high) <= atol for axis in grid.axes)
+    return all(abs(axis.low + axis.high) <= 1e-9 for axis in grid.axes)
 
 
 def mirror_flat_index(flat_index: int, shape: tuple[int, ...]) -> int:

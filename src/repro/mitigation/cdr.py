@@ -60,26 +60,23 @@ def snap_to_clifford_angles(
 class CdrConfig:
     """CDR knobs.
 
+    Each training circuit offsets the target's parameters by a normal
+    draw of standard deviation 0.5, so the training set spans the
+    target's neighbourhood, then snaps them to Clifford angles but
+    leaves a random quarter of them untouched.  Strictly Clifford QAOA
+    angles (beta on the pi/4 lattice) collapse many training values onto
+    the landscape mean, degenerating the regression, so the training
+    circuits are near-Clifford.
+
     Attributes:
         num_training_circuits: training-set size (paper-family default 10).
-        keep_fraction: fraction of parameters left non-Clifford per
-            training circuit.  Strictly Clifford QAOA angles (beta on
-            the pi/4 lattice) collapse many training values onto the
-            landscape mean, degenerating the regression, so the
-            near-Clifford variant is the default.
-        jitter: random parameter offset applied before snapping, so the
-            training set spans the neighbourhood of the target.
     """
 
     num_training_circuits: int = 10
-    keep_fraction: float = 0.25
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.num_training_circuits < 2:
             raise ValueError("CDR needs at least two training circuits")
-        if not 0.0 <= self.keep_fraction < 1.0:
-            raise ValueError("keep fraction must be in [0, 1)")
 
 
 class CliffordDataRegression:
@@ -105,10 +102,8 @@ class CliffordDataRegression:
         around = np.asarray(around, dtype=float)
         circuits = []
         for _ in range(self.config.num_training_circuits):
-            jittered = around + rng.normal(0.0, self.config.jitter, around.shape)
-            circuits.append(
-                snap_to_clifford_angles(jittered, rng, self.config.keep_fraction)
-            )
+            jittered = around + rng.normal(0.0, 0.5, around.shape)
+            circuits.append(snap_to_clifford_angles(jittered, rng, 0.25))
         return circuits
 
     def train(

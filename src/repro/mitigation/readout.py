@@ -58,19 +58,18 @@ class ReadoutMitigator:
         """Forward channel: what the device reports for true outcomes."""
         return self._apply_factorised(probabilities, self._single)
 
-    def mitigate_probabilities(self, observed: np.ndarray, clip: bool = True) -> np.ndarray:
+    def mitigate_probabilities(self, observed: np.ndarray) -> np.ndarray:
         """Invert the channel on an observed outcome distribution.
 
         Matrix inversion can produce small negative quasi-probabilities
-        from sampling noise; with ``clip=True`` they are clamped to zero
-        and the distribution renormalised (the standard practical fix).
+        from sampling noise; they are clamped to zero and the
+        distribution renormalised (the standard practical fix).
         """
         recovered = self._apply_factorised(observed, self._single_inverse)
-        if clip:
-            recovered = np.clip(recovered, 0.0, None)
-            total = recovered.sum()
-            if total > 0:
-                recovered = recovered / total
+        recovered = np.clip(recovered, 0.0, None)
+        total = recovered.sum()
+        if total > 0:
+            recovered = recovered / total
         return recovered
 
     def mitigate_expectation_diagonal(

@@ -59,16 +59,16 @@ def eager_reconstruct(
     reconstructor: OscarReconstructor,
     batch: SampleBatch,
     timeout_quantile: float = 0.95,
-    label: str = "oscar-eager",
 ) -> EagerOutcome:
     """Reconstruct from the samples completed before a soft timeout.
+
+    The reconstructed landscape is labelled ``"oscar-eager"``.
 
     Args:
         reconstructor: configured for the batch's grid.
         batch: a parallel sampling batch with latency annotations.
         timeout_quantile: the soft timeout, as a quantile of the batch's
             latency distribution (0.95 drops the worst 5% of jobs).
-        label: provenance tag for the reconstructed landscape.
     """
     if not 0.0 < timeout_quantile <= 1.0:
         raise ValueError("timeout quantile must be in (0, 1]")
@@ -79,7 +79,7 @@ def eager_reconstruct(
     if surviving.flat_indices.size == 0:
         raise ValueError("timeout dropped every sample; raise the quantile")
     landscape, report = reconstructor.reconstruct_from_samples(
-        surviving.flat_indices, surviving.values, label=label
+        surviving.flat_indices, surviving.values, label="oscar-eager"
     )
     full_makespan = batch.makespan
     # The eager batch completes when its slowest *surviving* job does —

@@ -3,7 +3,7 @@
 OSCAR's samples are independent, so they can be distributed over a pool
 of devices.  :class:`ParallelSampler` does exactly that — including the
 NCM pipeline: hold out a small training fraction, execute it on *both*
-the reference device and each secondary device, fit one
+the reference device and each secondary device, fit one linear
 :class:`~repro.parallel.ncm.NoiseCompensationModel` per secondary
 device, and transform the secondary devices' production samples into
 the reference frame before reconstruction.
@@ -101,7 +101,6 @@ class ParallelSampler:
         fractions: Sequence[float] | None = None,
         compensate: bool = False,
         ncm_training_fraction: float = 0.01,
-        ncm: NoiseCompensationModel | None = None,
         rng: np.random.Generator | None = None,
     ) -> SampleBatch:
         """Execute the sampled grid points across the pool.
@@ -116,12 +115,11 @@ class ParallelSampler:
             ansatz: the circuit family being characterised.
             flat_indices: grid points to evaluate.
             fractions: share of samples per QPU (default: even split).
-            compensate: if True, fit an NCM per non-reference device and
-                transform its values into the reference frame.
+            compensate: if True, fit the paper's linear NCM per
+                non-reference device and transform its values into the
+                reference frame.
             ncm_training_fraction: fraction *of the full grid* used as
                 NCM training pairs (the paper trains on 1%).
-            ncm: optional pre-configured model (e.g. quadratic ablation);
-                used as a template, re-trained per device.
             rng: RNG for choosing training points.
         """
         rng = ensure_rng(rng)
@@ -169,9 +167,7 @@ class ParallelSampler:
                 training_latencies.append(
                     qpu.sample_latencies(training_indices.size)
                 )
-                model = NoiseCompensationModel(
-                    degree=ncm.degree if ncm is not None else 1
-                )
+                model = NoiseCompensationModel(degree=1)
                 model.train(device_training_values, reference_training_values)
                 values = model.transform(values)
                 training_pairs += training_indices.size

@@ -55,19 +55,19 @@ class IsingProblem:
         cls,
         num_qubits: int,
         couplings: dict[tuple[int, int], float],
-        fields: dict[int, float] | None = None,
         offset: float = 0.0,
         name: str = "ising",
     ) -> "IsingProblem":
-        """Build from plain dictionaries, normalising pair order."""
+        """Build a field-free problem from a coupling dictionary,
+        normalising pair order.  Problems with linear terms use the
+        constructor's ``fields``."""
         pairs = []
         for (i, j), weight in couplings.items():
             if i == j:
                 raise ValueError("self-couplings are not allowed")
             lo, hi = (i, j) if i < j else (j, i)
             pairs.append((lo, hi, float(weight)))
-        linear = tuple(sorted((i, float(h)) for i, h in (fields or {}).items()))
-        return cls(num_qubits, tuple(sorted(pairs)), linear, offset, name)
+        return cls(num_qubits, tuple(sorted(pairs)), (), offset, name)
 
     def cost_diagonal(self) -> np.ndarray:
         """Cost of every basis state, as a dense length ``2**n`` vector.

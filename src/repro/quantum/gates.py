@@ -190,21 +190,21 @@ def rzz_many(thetas: np.ndarray) -> np.ndarray:
     return stack
 
 
-def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """Check ``M @ M.conj().T == I`` within ``atol``."""
+def is_unitary(matrix: np.ndarray) -> bool:
+    """Check ``M @ M.conj().T == I`` within ``1e-10``."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     identity = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix @ matrix.conj().T, identity, atol=atol))
+    return bool(np.allclose(matrix @ matrix.conj().T, identity, atol=1e-10))
 
 
-def is_hermitian(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """Check ``M == M.conj().T`` within ``atol``."""
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """Check ``M == M.conj().T`` within ``1e-10``."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    return bool(np.allclose(matrix, matrix.conj().T, atol=atol))
+    return bool(np.allclose(matrix, matrix.conj().T, atol=1e-10))
 
 
 _FIXED_GATES = {

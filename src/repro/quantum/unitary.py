@@ -44,17 +44,16 @@ def _embed_two(
     return out
 
 
-def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = 10) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """The full unitary matrix implemented by a circuit.
 
-    Args:
-        circuit: the circuit.
-        max_qubits: safety cap — the matrix is ``4^n`` memory.
+    The matrix takes ``4^n`` memory, so circuits wider than 10 qubits
+    are refused.
     """
-    if circuit.num_qubits > max_qubits:
+    if circuit.num_qubits > 10:
         raise ValueError(
             f"refusing to materialise a {circuit.num_qubits}-qubit unitary "
-            f"(cap {max_qubits}); raise max_qubits explicitly if intended"
+            "(cap 10)"
         )
     n = circuit.num_qubits
     total = np.eye(1 << n, dtype=complex)
@@ -71,31 +70,17 @@ def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = 10) -> np.ndarray
     return total
 
 
-def circuits_equivalent(
-    left: QuantumCircuit,
-    right: QuantumCircuit,
-    up_to_global_phase: bool = True,
-    atol: float = 1e-9,
-) -> bool:
-    """Check whether two circuits implement the same unitary.
-
-    Args:
-        left, right: circuits of equal width.
-        up_to_global_phase: ignore an overall phase factor (physically
-            unobservable) when comparing.
-        atol: elementwise tolerance.
+def circuits_equivalent(left: QuantumCircuit, right: QuantumCircuit) -> bool:
+    """Check whether two equal-width circuits implement the same unitary
+    up to a global phase (physically unobservable), elementwise to 1e-9.
     """
     if left.num_qubits != right.num_qubits:
         return False
     u = circuit_unitary(left)
     v = circuit_unitary(right)
-    if up_to_global_phase:
-        # Align phases on the largest element of v.
-        index = np.unravel_index(np.argmax(np.abs(v)), v.shape)
-        if abs(v[index]) < atol:
-            return bool(np.allclose(u, v, atol=atol))
-        phase = u[index] / v[index]
-        if not np.isclose(abs(phase), 1.0, atol=1e-6):
-            return False
-        v = v * phase
-    return bool(np.allclose(u, v, atol=atol))
+    # Align phases on the largest element of v.
+    index = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    phase = u[index] / v[index]
+    if not np.isclose(abs(phase), 1.0, atol=1e-6):
+        return False
+    return bool(np.allclose(u, v * phase, atol=1e-9))

@@ -221,8 +221,8 @@ class LandscapeDaemon:
             resolve to tenants; each tenant gets its own store
             namespace under ``<cache root>/tenants/<tenant>/``.
         tenant_quota_bytes: default per-tenant store byte budget for
-            tenants whose credential does not carry ``quota_bytes``
-            (``None`` = unbounded).
+            tenants whose credential does not carry ``quota_bytes``: a
+            positive integer, or ``None`` (unbounded).
         max_payload_bytes: per-frame byte limit on both listeners.
         max_connections: concurrent connection cap (both listeners);
             connections beyond it are shed with a retryable
@@ -263,6 +263,12 @@ class LandscapeDaemon:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        quota = tenant_quota_bytes
+        if quota is not None and (type(quota) is not int or quota < 1):
+            raise ValueError(
+                "tenant_quota_bytes must be a positive integer or None, "
+                f"got {quota!r}"
+            )
         self.socket_path = Path(socket_path)
         self.workers = int(workers)
         self.store = (
@@ -875,10 +881,11 @@ class LandscapeDaemon:
 
         The service path used by
         :meth:`~repro.landscape.generator.LandscapeGenerator.evaluate_indices`:
-        indices (a typed int64 array or a plain JSON list) are
-        bounds-validated, exact requests are answered from a cached
-        dense landscape in the caller's namespace when one exists
-        (read-through — no pool touch), and deterministic requests
+        indices (a typed int64 array or a JSON list of integers; floats
+        and bools are refused, not truncated) are bounds-validated, exact
+        requests are answered from a cached dense landscape in the
+        caller's namespace when one exists (read-through — no pool
+        touch), and deterministic requests
         single-flight on (dense spec key, canonicalized index set).  The
         cost function's bound rng (when shipped) is consumed here and
         its final state returned, preserving the cross-engine rng
@@ -888,6 +895,12 @@ class LandscapeDaemon:
         indices = request.get("indices")
         if isinstance(indices, dict):
             indices = decode_array(indices)
+        typed = isinstance(indices, np.ndarray) and indices.dtype == np.int64
+        listed = isinstance(indices, list) and all(type(i) is int for i in indices)
+        if not (typed or listed):
+            raise ProtocolError(
+                "malformed", "'indices' must be an int64 array or a list of integers"
+            )
         try:
             flat_indices = validate_flat_indices(int(generator.grid.size), indices)
         except (TypeError, ValueError) as error:

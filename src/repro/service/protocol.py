@@ -158,6 +158,9 @@ def load_tokens(path: str | Path) -> tuple[TenantCredential, ...]:
           "alice": "alice-secret",
           "bob": {"token": "bob-secret", "quota_bytes": 4194304}
         }
+
+    A ``quota_bytes`` must be a positive integer (bools rejected), so a
+    bad quota fails here, not on the tenant's first request.
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict) or not raw:
@@ -187,12 +190,17 @@ def load_tokens(path: str | Path) -> tuple[TenantCredential, ...]:
             )
         seen_tokens.add(token)
         quota = entry.get("quota_bytes")
+        if quota is not None and (type(quota) is not int or quota < 1):
+            raise ValueError(
+                f"tenant {tenant!r} in {path}: quota_bytes must be a positive "
+                f"integer, got {quota!r}"
+            )
         expires = entry.get("expires")
         credentials.append(
             TenantCredential(
                 tenant=tenant,
                 token=token,
-                quota_bytes=None if quota is None else int(quota),
+                quota_bytes=quota,
                 expires=None if expires is None else float(expires),
             )
         )
@@ -202,7 +210,6 @@ def load_tokens(path: str | Path) -> tuple[TenantCredential, ...]:
 def authenticate(
     credentials: Sequence[TenantCredential],
     token: str,
-    now: float | None = None,
 ) -> TenantCredential:
     """Constant-time bearer-token lookup.
 
@@ -210,7 +217,8 @@ def authenticate(
     the scan never exits early, so response timing does not reveal
     which token (or token prefix) exists.  Raises
     :class:`ProtocolError` with code ``auth`` for unknown and expired
-    tokens alike.
+    tokens alike; a token expires once :func:`time.time` passes its
+    ``expires`` stamp.
     """
     presented = token.encode("utf-8")
     matched: TenantCredential | None = None
@@ -220,7 +228,7 @@ def authenticate(
     if matched is None:
         raise ProtocolError("auth", "unknown bearer token")
     if matched.expires is not None:
-        if (time.time() if now is None else now) > matched.expires:
+        if time.time() > matched.expires:
             raise ProtocolError("auth", "bearer token has expired")
     return matched
 
@@ -366,7 +374,8 @@ def grid_to_spec(grid: Any) -> list[dict[str, Any]] | None:
 
 
 def grid_from_spec(axes: Any):
-    """Per-axis spec list -> :class:`~repro.landscape.grid.ParameterGrid`."""
+    """Per-axis spec list -> :class:`~repro.landscape.grid.ParameterGrid`.
+    An axis's ``num_points`` must be an integer, never a truncated float."""
     from ..landscape.grid import GridAxis, ParameterGrid
 
     if not isinstance(axes, list) or not axes:
@@ -375,13 +384,19 @@ def grid_from_spec(axes: Any):
     for axis in axes:
         if not isinstance(axis, dict):
             raise ProtocolError("invalid-spec", "each grid axis must be an object")
+        num_points = axis.get("num_points")
+        if type(num_points) is not int:
+            raise ProtocolError(
+                "invalid-spec",
+                f"grid axis num_points must be an integer, got {num_points!r}",
+            )
         try:
             built.append(
                 GridAxis(
                     name=str(axis["name"]),
                     low=float(axis["low"]),
                     high=float(axis["high"]),
-                    num_points=int(axis["num_points"]),
+                    num_points=num_points,
                 )
             )
         except (KeyError, TypeError, ValueError) as error:

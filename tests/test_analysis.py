@@ -72,11 +72,6 @@ def test_barren_plateau_fraction_constant_landscape_is_one():
     assert barren_plateau_fraction(landscape) == 1.0
 
 
-def test_barren_plateau_threshold_validation(bowl):
-    with pytest.raises(ValueError):
-        barren_plateau_fraction(bowl, relative_threshold=0.0)
-
-
 def test_find_local_minima_bowl_has_one(bowl):
     minima = find_local_minima(bowl)
     assert len(minima) == 1

@@ -41,8 +41,6 @@ def test_snap_keep_fraction_preserves_some():
 def test_cdr_config_validation():
     with pytest.raises(ValueError):
         CdrConfig(num_training_circuits=1)
-    with pytest.raises(ValueError):
-        CdrConfig(keep_fraction=1.0)
 
 
 def test_cdr_requires_training():

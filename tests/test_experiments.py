@@ -66,7 +66,7 @@ def test_slice_generator_freezes_other_parameters():
 def test_slice_reconstruction_error_returns_medians():
     ansatz = QaoaAnsatz(random_3_regular_maxcut(4, seed=0), p=2)
     error, sparsity = slice_reconstruction_error(
-        ansatz, points_per_axis=9, sampling_fraction=0.4, repeats=2, seed=0
+        ansatz, points_per_axis=9, repeats=2, seed=0
     )
     assert error >= 0.0
     assert 0.0 < sparsity <= 1.0

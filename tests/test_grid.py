@@ -49,10 +49,11 @@ def test_table1_p2_grid():
 
 
 def test_qaoa_grid_custom_resolution_and_ranges():
-    grid = qaoa_grid(p=1, resolution=(10, 20), beta_range=(-1, 1), gamma_range=(0, 2))
+    """A custom resolution keeps the Table 1 ranges."""
+    grid = qaoa_grid(p=1, resolution=(10, 20))
     assert grid.shape == (10, 20)
-    assert grid.axes[0].low == -1
-    assert grid.axes[1].high == 2
+    assert grid.axes[0].low == -math.pi / 4
+    assert grid.axes[1].high == math.pi / 2
 
 
 def test_qaoa_grid_p_validation():

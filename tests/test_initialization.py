@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.initialization import OscarInitializer, random_initial_point
 from repro.landscape import OscarReconstructor
@@ -17,13 +16,6 @@ def test_random_initial_point_within_bounds():
         point = random_initial_point(bounds, rng)
         assert -1.0 <= point[0] <= 1.0
         assert 0.0 <= point[1] <= 5.0
-
-
-def test_restart_validation(medium_grid):
-    with pytest.raises(ValueError):
-        OscarInitializer(
-            OscarReconstructor(medium_grid), Adam(), num_restarts=0
-        )
 
 
 def test_initializer_finds_good_point(ideal_generator, medium_grid, qaoa6):
@@ -50,7 +42,6 @@ def test_initializer_cost_ledger(ideal_generator, medium_grid):
         OscarReconstructor(medium_grid, rng=1),
         Cobyla(maxiter=100),
         sampling_fraction=0.10,
-        num_restarts=2,
         rng=1,
     )
     outcome = initializer.choose(ideal_generator)

@@ -46,8 +46,8 @@ def test_from_dicts_rejects_self_coupling():
 
 
 def test_cost_diagonal_matches_pointwise():
-    problem = IsingProblem.from_dicts(
-        3, {(0, 1): 1.0, (1, 2): -0.5}, fields={0: 0.25}, offset=0.1
+    problem = IsingProblem(
+        3, ((0, 1, 1.0), (1, 2, -0.5)), fields=((0, 0.25),), offset=0.1
     )
     diagonal = problem.cost_diagonal()
     for index in range(8):
@@ -61,8 +61,8 @@ def test_cost_of_bitstring_label_and_index_agree():
 
 
 def test_to_pauli_sum_diagonal_matches_cost():
-    problem = IsingProblem.from_dicts(
-        3, {(0, 2): 0.7, (0, 1): -0.4}, fields={2: 0.3}, offset=-0.2
+    problem = IsingProblem(
+        3, ((0, 1, -0.4), (0, 2, 0.7)), fields=((2, 0.3),), offset=-0.2
     )
     assert np.allclose(problem.to_pauli_sum().diagonal(), problem.cost_diagonal())
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.ansatz import QaoaAnsatz
 from repro.hardware import QpuPool, SimulatedQPU
 from repro.landscape import qaoa_grid
-from repro.parallel import NoiseCompensationModel, ParallelSampler
+from repro.parallel import ParallelSampler
 from repro.problems import IsingProblem
 from repro.quantum import QuantumCircuit, simulate
 
@@ -71,10 +71,10 @@ def test_instructions_are_immutable_snapshots():
 def test_qaoa_fast_path_with_linear_fields(beta, gamma):
     """The rz field layer in the explicit circuit must match the
     diagonal fast path for problems with linear terms."""
-    problem = IsingProblem.from_dicts(
+    problem = IsingProblem(
         4,
-        couplings={(0, 1): 0.8, (1, 2): -0.5, (2, 3): 0.3},
-        fields={0: 0.4, 2: -0.7},
+        couplings=((0, 1, 0.8), (1, 2, -0.5), (2, 3, 0.3)),
+        fields=((0, 0.4), (2, -0.7)),
         offset=0.2,
     )
     ansatz = QaoaAnsatz(problem, p=1)
@@ -87,7 +87,7 @@ def test_qaoa_fast_path_with_linear_fields(beta, gamma):
 
 
 def test_fielded_problem_breaks_spin_flip_symmetry():
-    problem = IsingProblem.from_dicts(3, {(0, 1): 1.0}, fields={2: 0.5})
+    problem = IsingProblem(3, ((0, 1, 1.0),), fields=((2, 0.5),))
     diagonal = problem.cost_diagonal()
     assert not np.allclose(diagonal, diagonal[::-1])
 
@@ -103,29 +103,6 @@ def test_single_qpu_pool_scheduler(qaoa6):
     batch = sampler.run(qaoa6, indices)
     assert batch.flat_indices.size == indices.size
     assert set(np.unique(batch.device_of_sample)) == {0}
-
-
-def test_scheduler_quadratic_ncm_template(qaoa6, mild_noise):
-    grid = qaoa_grid(p=1, resolution=(8, 12))
-    pool = QpuPool(
-        [
-            SimulatedQPU("ref", seed=0),
-            SimulatedQPU("other", noise=mild_noise, seed=1),
-        ]
-    )
-    sampler = ParallelSampler(pool, grid, reference="ref")
-    indices = np.arange(grid.size)
-    batch = sampler.run(
-        qaoa6,
-        indices,
-        fractions=[0.5, 0.5],
-        compensate=True,
-        ncm=NoiseCompensationModel(degree=2),
-        ncm_training_fraction=0.2,
-        rng=np.random.default_rng(0),
-    )
-    assert batch.ncm_training_pairs > 0
-    assert np.all(np.isfinite(batch.values))
 
 
 def test_scheduler_empty_chunk_skipped(qaoa6):

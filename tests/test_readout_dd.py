@@ -38,7 +38,7 @@ def test_corrupt_then_mitigate_roundtrip(p, seed):
     rng = np.random.default_rng(seed)
     truth = rng.dirichlet(np.ones(8))
     observed = mitigator.corrupt(truth)
-    recovered = mitigator.mitigate_probabilities(observed, clip=False)
+    recovered = mitigator.mitigate_probabilities(observed)
     assert np.allclose(recovered, truth, atol=1e-9)
 
 

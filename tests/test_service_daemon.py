@@ -738,6 +738,28 @@ def test_tcp_requires_tokens_file(tmp_path):
         LandscapeDaemon(tmp_path / "d.sock", tcp=("127.0.0.1", 0))
 
 
+@pytest.mark.parametrize("quota", [0, -1, True, 2.5])
+def test_tenant_quotas_are_checked_when_loaded(tmp_path, quota):
+    """A tenant byte quota is a positive integer (bools rejected), in
+    the tokens file and as the daemon-wide default: a bad one stops the
+    daemon from starting, instead of failing every request of the
+    tenant with ``internal`` or becoming a truncated budget."""
+    import json
+
+    from repro.service.protocol import load_tokens
+
+    tokens = tmp_path / "tokens.json"
+    tokens.write_text(
+        json.dumps({"alice": {"token": "tok-alice", "quota_bytes": quota}})
+    )
+    with pytest.raises(ValueError, match="quota_bytes"):
+        load_tokens(tokens)
+    with pytest.raises(ValueError, match="quota_bytes"):
+        LandscapeDaemon(tmp_path / "d.sock", tokens_file=tokens)
+    with pytest.raises(ValueError, match="tenant_quota_bytes"):
+        LandscapeDaemon(tmp_path / "d.sock", tenant_quota_bytes=quota)
+
+
 def test_one_tcp_address_parser():
     """``_parse_tcp`` reads every address form; the client's ``tcp://``
     targets go through it too."""

@@ -90,7 +90,7 @@ def test_any_field_change_changes_key(qaoa, grid):
         _spec(QaoaAnsatz(random_3_regular_maxcut(6, seed=0), p=2), grid),
         # grid resolution and bounds
         _spec(qaoa, qaoa_grid(p=1, resolution=(6, 11))),
-        _spec(qaoa, qaoa_grid(p=1, resolution=(6, 10), beta_range=(-1.0, 1.0))),
+        _spec(qaoa, ParameterGrid([GridAxis("beta_0", -1.0, 1.0, 6), grid.axes[1]])),
         # noise model
         _spec(qaoa, grid, function_kwargs={"noise": NoiseModel(p1=0.001)}),
         # shots (+ required seed) and the seed itself

@@ -555,6 +555,68 @@ def test_request_integers_are_checked_at_the_wire(tmp_path, op, field, value, co
         daemon.close()
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [
+        pytest.param([1.5, 2.9], id="float-list"),
+        pytest.param(["3", "4"], id="string-list"),
+        pytest.param([True, False], id="bool-list"),
+        pytest.param(
+            protocol_module.encode_array(np.array([1.5, 2.9])), id="float64-array"
+        ),
+    ],
+)
+def test_sparse_indices_are_integers_at_the_wire(tmp_path, indices):
+    """``compute_indices`` takes a list of integers or a typed int64
+    array; floats, strings and bools are ``malformed``, never truncated
+    to the grid points they round down to."""
+    daemon = _start_daemon(tmp_path)
+    try:
+        request = {
+            "version": 2,
+            "op": "compute_indices",
+            "token": GOLDEN_TOKEN,
+            "function": GOLDEN_FUNCTION,
+            "grid": GOLDEN_GRID,
+            "indices": indices,
+        }
+        response = _request(daemon.tcp_address, request)
+        assert response["ok"] is False, response
+        assert response["error"]["code"] == "malformed", response["error"]
+        assert daemon._inflight == {}
+    finally:
+        daemon.close()
+
+
+@pytest.mark.parametrize("op", ["compute", "compute_indices"])
+@pytest.mark.parametrize(
+    "num_points",
+    [pytest.param(4.7, id="float"), pytest.param("4", id="string")],
+)
+def test_grid_sizes_are_integers_at_the_wire(tmp_path, op, num_points):
+    """An axis ``num_points`` must be an integer: a float or string
+    size is ``invalid-spec``, not a grid (and store key) of the
+    truncated size."""
+    daemon = _start_daemon(tmp_path)
+    try:
+        grid = [{**GOLDEN_GRID[0], "num_points": num_points}, GOLDEN_GRID[1]]
+        request = {
+            "version": 2,
+            "op": op,
+            "token": GOLDEN_TOKEN,
+            "function": GOLDEN_FUNCTION,
+            "grid": grid,
+        }
+        if op == "compute_indices":
+            request["indices"] = [0, 3, 7]
+        response = _request(daemon.tcp_address, request)
+        assert response["ok"] is False, response
+        assert response["error"]["code"] == "invalid-spec", response["error"]
+        assert daemon._inflight == {}
+    finally:
+        daemon.close()
+
+
 def _assert_pipeline_refused_before_work(tmp_path: Path, **overrides) -> None:
     """The golden ``pipeline`` request with ``overrides`` in its config
     is ``invalid-spec``, answered before sampling, evaluation or

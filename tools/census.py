@@ -14,22 +14,26 @@ It prints three counts and the lists behind them:
 2. **values no program caller sets** — of those, the ones no call site
    in ``src/``, ``benchmarks/`` or ``oscarbench/`` sets.  Calls are
    matched by callee name (``f(...)``, ``obj.f(...)``; a class name for
-   ``__init__`` and dataclass fields).  A keyword, a position, ``*`` or
-   ``**``, or passing the function to a helper
-   (``once(benchmark, run_table5, seed=0)``) sets a value;
+   ``__init__`` and dataclass fields; ``cls(...)`` in a class body for
+   that class).  A keyword, a position, ``*`` or ``**``, or passing a
+   function or method to a helper (``once(benchmark, run_table5,
+   seed=0)``) sets a value; passing a class to a helper
+   (``_wrap(ShardedExecutor, "run", ...)``) does not instantiate it;
 3. **test-only definitions** — public functions, classes and methods
    that no ``Name``, ``Attribute`` or identifier string (``getattr``)
    references anywhere in ``src/``, ``benchmarks/``, ``oscarbench/``,
    ``tools/`` or ``examples/``.  The definition's own body, ``__all__``
    lists and this file do not count.
 
-List 3 is the gate: the script exits 1 when a definition on it is
-missing from :data:`KEEP`.  A test-only definition either has a reason
-to stay there or is deleted.  List 2 is informational: callee-name
-matching cannot see calls made through a variable, so it is a starting
-point for review, not a to-do list; :data:`KEEP` also gives the reason
-for the values on it that stay.  The script exits 1 as well when a
-:data:`KEEP` entry matches nothing, so the list cannot go stale.
+Lists 2 and 3 are gates: the script exits 1 when a value on list 2 or
+a definition on list 3 is missing from :data:`KEEP`.  A value no
+program sets becomes the literal its default was, or :data:`KEEP`
+states why it stays; a test-only definition either has a reason to
+stay or is deleted.  Callee-name matching cannot see a call made
+through a variable (such a value shows as unset until its call site
+names it), and it counts ``**`` as setting every value.  The script
+exits 1 as well when a :data:`KEEP` entry matches nothing, so the list
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -115,6 +119,19 @@ KEEP: dict[str, str] = {
         "engine-level chunk pin: every program path passes None and lets "
         "resolve_batch_size decide; the chunk-invariance and slice tests "
         "force chunk splits with it"
+    ),
+    "repro.service.shards.ShardedExecutor(shard_points)": (
+        "engine-level shard pin: every program path lets plan_shards decide; "
+        "the harness sharded engine and the shard tests force splits with it, "
+        "and oscarbench/spans.py reads executor.shard_points"
+    ),
+    "repro.service.client.LandscapeClient.evaluate_ansatz(": (
+        "equivalence hook: the daemon and daemon-tcp engines pass noise, "
+        "shots and rng"
+    ),
+    "repro.cli.main(argv)": (
+        "console-script entry point: the installed oscar-repro calls it with "
+        "no argument, and tests/test_cli.py passes argv lists"
     ),
     "repro.optimizers.adam.Adam(": _OPTIMIZER_OPTION,
     "repro.optimizers.adam.GradientDescent(": _OPTIMIZER_OPTION,
@@ -268,26 +285,46 @@ def _callee(node: ast.expr) -> str | None:
     return None
 
 
+def _calls_in(node: ast.AST, owner: str | None):
+    """Each call under ``node`` with the class whose body encloses it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, owner
+        yield from _calls_in(
+            child, child.name if isinstance(child, ast.ClassDef) else owner
+        )
+
+
 def scan_calls() -> dict[str, list[Call]]:
-    """Every program call site, keyed by callee name.  A function passed
-    as a positional argument is called with the arguments after it."""
+    """Every program call site, keyed by callee name.  A function or
+    method passed as a positional argument is called with the arguments
+    after it; a class passed so is not instantiated.  ``cls(...)`` in a
+    class body calls that class."""
+    trees = [ast.parse(path.read_text()) for path in _files(CALLER_DIRS)]
+    classes = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
     calls: dict[str, list[Call]] = {}
-    for path in _files(CALLER_DIRS):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
+    for tree in trees:
+        for node, owner in _calls_in(tree, None):
             keywords = frozenset(keyword.arg for keyword in node.keywords)
             unpacks = None in keywords or any(
                 isinstance(arg, ast.Starred) for arg in node.args
             )
-            targets = [(node.func, len(node.args))] + [
-                (arg, len(node.args) - index - 1) for index, arg in enumerate(node.args)
+            name = _callee(node.func)
+            if name == "cls" and owner is not None:
+                name = owner
+            targets = [(name, len(node.args))] + [
+                (_callee(arg), len(node.args) - index - 1)
+                for index, arg in enumerate(node.args)
             ]
-            for target, positional in targets:
-                name = _callee(target)
-                if name is not None:
-                    call = Call(positional, keywords, unpacks)
-                    calls.setdefault(name, []).append(call)
+            for index, (target, positional) in enumerate(targets):
+                if target is None or (index and target in classes):
+                    continue
+                calls.setdefault(target, []).append(Call(positional, keywords, unpacks))
     return calls
 
 
@@ -357,29 +394,29 @@ def main() -> int:
         for definition in definitions
         if not _referenced(definition, references)
     ]
-    missing = [name for name in test_only if name not in KEEP]
     reasons = {
         label: KEEP.get(label) or KEEP.get(_callable_key(label)) for label in unset
     }
+    unkept = [label for label, reason in reasons.items() if reason is None]
+    missing = [name for name in test_only if name not in KEEP]
     matched = {*test_only, *unset, *map(_callable_key, unset)}
     stale = sorted(set(KEEP) - matched)
 
-    kept = sum(reason is not None for reason in reasons.values())
     print(f"settable values: {len(values)}")
-    print(f"values no program caller sets: {len(unset)} ({kept} kept)")
+    print(f"values no program caller sets: {len(unset)} ({len(unkept)} not in KEEP)")
     print(f"test-only definitions: {len(test_only)} ({len(missing)} not in KEEP)")
     print("\n# 1. settable values")
     for value in values:
         print(f"  {value.label}")
     print("\n# 2. values no program caller sets")
     for label, reason in reasons.items():
-        print(f"  {label}" + (f": {reason}" if reason else ""))
+        print(f"  {label}: {reason or 'NOT IN KEEP: delete it or keep it'}")
     print("\n# 3. test-only definitions")
     for name in test_only:
         print(f"  {name}: {KEEP.get(name, 'NOT IN KEEP: delete it or keep it')}")
     for name in stale:
         print(f"  {name}: a KEEP entry that matches nothing; remove it")
-    return 1 if missing or stale else 0
+    return 1 if unkept or missing or stale else 0
 
 
 if __name__ == "__main__":
