@@ -21,6 +21,7 @@ from repro import (
     nrmse,
 )
 from repro.experiments.slices import random_slice, slice_generator
+from repro.landscape import dct_sparsity
 
 
 def main() -> None:
@@ -39,7 +40,7 @@ def main() -> None:
         f"slice over parameters {spec.varying}: "
         f"{truth.circuit_executions} circuit executions for ground truth"
     )
-    print(f"DCT sparsity (99% energy): {100 * truth.dct_sparsity():.3f}% "
+    print(f"DCT sparsity (99% energy): {100 * dct_sparsity(truth.values):.3f}% "
           "of coefficients")
 
     oscar = OscarReconstructor(spec.grid, rng=0)

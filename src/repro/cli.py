@@ -36,6 +36,7 @@ from .landscape import (
     LandscapeGenerator,
     OscarReconstructor,
     cost_function,
+    dct_sparsity,
     nrmse,
     qaoa_grid,
     sample_and_evaluate,
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimizer run on the reconstructed landscape surrogate",
     )
     pipe.add_argument(
-        "--sampler", choices=("uniform", "stratified"), default="uniform"
+        "--sampler", choices=OscarReconstructor.SAMPLERS, default="uniform"
     )
     pipe.add_argument("--noisy", action="store_true", help="add depolarizing noise")
     pipe.add_argument(
@@ -410,7 +411,7 @@ def _command_sparsity(args: argparse.Namespace) -> int:
     grid = qaoa_grid(p=1, resolution=(30, 60))
     generator = LandscapeGenerator(cost_function(ansatz), grid, **_service(args))
     truth = generator.grid_search()
-    fraction = truth.dct_sparsity()
+    fraction = dct_sparsity(truth.values)
     print(
         f"{problem.name}: {100 * fraction:.4f}% of DCT coefficients hold "
         "99% of the landscape energy"

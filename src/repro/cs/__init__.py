@@ -1,6 +1,7 @@
 """Compressed-sensing core: DCT basis, sparse solvers, reconstruction.
 
-- :mod:`~repro.cs.dct` — orthonormal DCT transforms and sparsity metrics,
+- :mod:`~repro.cs.dct` — orthonormal DCT/DST transforms and the
+  energy-coefficient count,
 - :mod:`~repro.cs.solvers` — FISTA-Lasso, OMP, basis-pursuit LP,
 - :mod:`~repro.cs.sampling` — random/stratified grid samplers,
 - :mod:`~repro.cs.reconstruct` — partial-sample signal recovery with
@@ -18,7 +19,6 @@ from .dct import (
     idct_transform,
     idst_transform,
     inverse_transform,
-    sparsity_fraction_for_energy,
     transform,
 )
 from .engine import ReconstructionEngine
@@ -52,7 +52,6 @@ __all__ = [
     "transform",
     "energy_fraction_coefficients",
     "idct_transform",
-    "sparsity_fraction_for_energy",
     "ReconstructionConfig",
     "ReconstructionEngine",
     "available_solvers",

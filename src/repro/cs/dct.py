@@ -26,7 +26,6 @@ __all__ = [
     "inverse_transform",
     "dct_basis_matrix",
     "energy_fraction_coefficients",
-    "sparsity_fraction_for_energy",
     "BASES",
 ]
 
@@ -123,9 +122,3 @@ def energy_fraction_coefficients(values: np.ndarray, fraction: float = 0.99) -> 
     cumulative = np.cumsum(energy) / total
     return int(np.searchsorted(cumulative, fraction) + 1)
 
-
-def sparsity_fraction_for_energy(values: np.ndarray, fraction: float = 0.99) -> float:
-    """Table 4's reported quantity: coefficient count / signal size."""
-    values = np.asarray(values)
-    count = energy_fraction_coefficients(values, fraction)
-    return count / values.size

@@ -25,6 +25,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from ..utils import is_finite_real
 from .dct import BASES, dct_basis_matrix, inverse_transform, transform
 from .solvers import SolverResult, basis_pursuit_linprog, fista_lasso, omp
 
@@ -48,22 +49,26 @@ def validate_sample_set(
     The single validator shared by the serial path
     (:meth:`~repro.landscape.reconstructor.OscarReconstructor.reconstruct_from_samples`)
     and the batched engine, so both reject the same inputs with the
-    same messages.  ``context`` prefixes errors (e.g. ``"problem 3"``
-    when validating a stack).
+    same messages (indices through
+    :func:`~repro.landscape.grid.validate_flat_indices`).  ``context``
+    prefixes errors (e.g. ``"problem 3"`` when validating a stack).
 
     Returns:
-        The indices as an int array and the values as a flat float
+        The indices as an int64 array and the values as a flat float
         array.
     """
-    flat_indices = np.asarray(flat_indices, dtype=int).reshape(-1)
-    values = np.asarray(values, dtype=float).reshape(-1)
+    from ..landscape.grid import validate_flat_indices
+
     prefix = f"{context}: " if context else ""
+    try:
+        flat_indices = validate_flat_indices(size, flat_indices).reshape(-1)
+    except ValueError as error:
+        raise ValueError(prefix + str(error)) from None
+    values = np.asarray(values, dtype=float).reshape(-1)
     if flat_indices.shape[0] != values.shape[0]:
         raise ValueError(prefix + "indices and values must have matching lengths")
     if flat_indices.size == 0:
         raise ValueError(prefix + "need at least one sample index")
-    if flat_indices.min() < 0 or flat_indices.max() >= size:
-        raise ValueError(prefix + "sample index out of range for grid shape")
     if np.unique(flat_indices).shape[0] != flat_indices.shape[0]:
         raise ValueError(prefix + "sample indices contain duplicates")
     if not np.all(np.isfinite(values)):
@@ -125,11 +130,7 @@ class ReconstructionConfig:
                 f"max_iterations must be a positive integer, got {iterations!r}"
             )
         tolerance = self.tolerance
-        if (
-            isinstance(tolerance, bool)
-            or not isinstance(tolerance, Real)
-            or not 0 < tolerance < np.inf
-        ):
+        if not (is_finite_real(tolerance) and tolerance > 0):
             raise ValueError(
                 f"tolerance must be a positive finite number, got {tolerance!r}"
             )
@@ -167,12 +168,12 @@ def reconstruction_operators(
         array of ``shape`` to the sampled values and ``adjoint`` maps a
         sample vector back to coefficient space.
     """
-    flat_indices = np.asarray(flat_indices, dtype=int)
+    from ..landscape.grid import validate_flat_indices
+
     size = int(np.prod(shape))
+    flat_indices = validate_flat_indices(size, flat_indices)
     if flat_indices.size == 0:
         raise ValueError("need at least one sample index")
-    if flat_indices.min() < 0 or flat_indices.max() >= size:
-        raise ValueError("sample index out of range for grid shape")
 
     def forward(coefficients: np.ndarray) -> np.ndarray:
         signal = inverse_transform(coefficients.reshape(shape), basis)
@@ -213,8 +214,10 @@ def reconstruct_signal(
         ``(signal, solver_result)`` — the reconstructed array of
         ``shape`` and the solver diagnostics.
     """
+    from ..landscape.grid import validate_flat_indices
+
     config = config or ReconstructionConfig()
-    flat_indices = np.asarray(flat_indices, dtype=int)
+    flat_indices = validate_flat_indices(int(np.prod(shape)), flat_indices)
     values = np.asarray(values, dtype=float).reshape(-1)
     if flat_indices.shape[0] != values.shape[0]:
         raise ValueError("indices and values must have matching lengths")

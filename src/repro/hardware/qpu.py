@@ -27,10 +27,10 @@ __all__ = ["SimulatedQPU", "QpuPool", "device_profile", "DEVICE_PROFILES"]
 
 DEVICE_PROFILES: dict[str, NoiseModel] = {
     "ideal-sim": IDEAL,
-    "noisy-sim-i": NoiseModel(p1=0.001, p2=0.005, seed_tag="noisy-sim-i"),
-    "noisy-sim-ii": NoiseModel(p1=0.003, p2=0.007, seed_tag="noisy-sim-ii"),
-    "ibm-lagos": NoiseModel(p1=0.0003, p2=0.008, readout=0.012, seed_tag="ibm-lagos"),
-    "ibm-perth": NoiseModel(p1=0.0005, p2=0.012, readout=0.025, seed_tag="ibm-perth"),
+    "noisy-sim-i": NoiseModel(p1=0.001, p2=0.005),
+    "noisy-sim-ii": NoiseModel(p1=0.003, p2=0.007),
+    "ibm-lagos": NoiseModel(p1=0.0003, p2=0.008, readout=0.012),
+    "ibm-perth": NoiseModel(p1=0.0005, p2=0.012, readout=0.025),
 }
 
 

@@ -25,24 +25,27 @@ __all__ = ["GridAxis", "ParameterGrid", "qaoa_grid", "validate_flat_indices"]
 def validate_flat_indices(
     size: int, flat_indices: Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Normalise flat grid indices, rejecting anything out of range.
+    """Normalise flat grid indices to int64: the library's one index check.
 
-    Negative indices are rejected rather than wrapped: ``numpy`` fancy
-    indexing would silently alias ``-1`` to the last grid point, which
-    turns an off-by-one in a sampler into a wrong-but-plausible
-    landscape value instead of an error.  Kept as a module function
-    (parameterized by ``size``) so duck-typed grid stand-ins that only
-    expose ``size``/``points_from_flat`` get the same checks.
+    Float, bool and string indices are refused, not truncated.  Negative
+    indices are refused rather than wrapped: ``numpy`` fancy indexing
+    would silently alias ``-1`` to the last grid point, which turns an
+    off-by-one in a sampler into a wrong-but-plausible landscape value
+    instead of an error.  Kept as a module function (parameterized by
+    ``size``) so duck-typed grid stand-ins that only expose
+    ``size``/``points_from_flat`` get the same checks.
     """
-    flat = np.asarray(flat_indices, dtype=np.int64)
+    flat = np.asarray(flat_indices)
+    if flat.size and flat.dtype.kind not in "iu":
+        raise ValueError(f"flat indices must be integers, got dtype {flat.dtype}")
+    flat = flat.astype(np.int64, copy=False)
     if flat.size:
         low = int(flat.min())
         high = int(flat.max())
         if low < 0:
             raise ValueError(
-                f"flat index {low} is negative; negative indices would "
-                "silently wrap to the end of the grid, so they are "
-                "rejected"
+                f"flat index {low} is negative, so out of range: negative "
+                "indices would silently wrap to the end of the grid"
             )
         if high >= size:
             raise ValueError(

@@ -10,12 +10,10 @@ metrics/interpolation/optimizers consume it.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics as _metrics
 from .grid import GridAxis, ParameterGrid
 
 __all__ = ["Landscape"]
@@ -66,78 +64,50 @@ class Landscape:
         """Value at the nearest grid point to a parameter vector."""
         return float(self.flat()[self.grid.nearest_flat_index(parameters)])
 
-    # -- metrics -------------------------------------------------------------
-
-    def dct_sparsity(self, energy_fraction: float = 0.99) -> float:
-        """Fraction of DCT coefficients carrying the energy share."""
-        return _metrics.dct_sparsity(self.values, energy_fraction)
-
     # -- persistence ---------------------------------------------------------
 
-    def _payload_arrays(self) -> dict:
-        """The arrays :meth:`save`/:meth:`to_bytes` serialize."""
-        return dict(
+    def to_bytes(self) -> bytes:
+        """Serialise to compressed ``.npz`` bytes (values + axis
+        definitions + metadata).
+
+        The one landscape codec: the store writes these bytes as an
+        entry's payload file and the daemon ships them (base64) on the
+        wire, so a served landscape and a stored landscape are the same
+        artifact.
+        """
+        axes = self.grid.axes
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
             values=self.values,
-            axis_names=np.array([axis.name for axis in self.grid.axes]),
-            axis_lows=np.array([axis.low for axis in self.grid.axes]),
-            axis_highs=np.array([axis.high for axis in self.grid.axes]),
-            axis_points=np.array([axis.num_points for axis in self.grid.axes]),
+            axis_names=np.array([axis.name for axis in axes]),
+            axis_lows=np.array([axis.low for axis in axes]),
+            axis_highs=np.array([axis.high for axis in axes]),
+            axis_points=np.array([axis.num_points for axis in axes]),
             label=np.array(self.label),
             circuit_executions=np.array(self.circuit_executions),
         )
-
-    @classmethod
-    def _from_arrays(cls, data) -> "Landscape":
-        """Rebuild from the mapping :meth:`_payload_arrays` produced."""
-        axes = [
-            GridAxis(str(name), float(low), float(high), int(points))
-            for name, low, high, points in zip(
-                data["axis_names"],
-                data["axis_lows"],
-                data["axis_highs"],
-                data["axis_points"],
-            )
-        ]
-        return cls(
-            ParameterGrid(axes),
-            data["values"],
-            label=str(data["label"]),
-            circuit_executions=int(data["circuit_executions"]),
-        )
-
-    def save(self, path: str | Path) -> None:
-        """Serialise to ``.npz`` (values + axis definitions + metadata).
-
-        Missing parent directories are created, so nested store/result
-        layouts save without ceremony.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, **self._payload_arrays())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Landscape":
-        """Deserialise from :meth:`save` output."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            return cls._from_arrays(data)
-
-    def to_bytes(self) -> bytes:
-        """The :meth:`save` payload as in-memory bytes.
-
-        This is the wire format of the landscape daemon
-        (:mod:`repro.service.daemon`): one compressed ``.npz`` blob,
-        identical to what :meth:`save` writes, so a served landscape and
-        a stored landscape are the same artifact.
-        """
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **self._payload_arrays())
         return buffer.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Landscape":
         """Rebuild a landscape from :meth:`to_bytes` output."""
         with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-            return cls._from_arrays(data)
+            axes = [
+                GridAxis(str(name), float(low), float(high), int(points))
+                for name, low, high, points in zip(
+                    data["axis_names"],
+                    data["axis_lows"],
+                    data["axis_highs"],
+                    data["axis_points"],
+                )
+            ]
+            return cls(
+                ParameterGrid(axes),
+                data["values"],
+                label=str(data["label"]),
+                circuit_executions=int(data["circuit_executions"]),
+            )
 
     def with_values(self, values: np.ndarray, label: str | None = None) -> "Landscape":
         """A copy on the same grid with different values."""

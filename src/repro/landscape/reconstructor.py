@@ -93,6 +93,10 @@ class ReconstructionReport:
 class OscarReconstructor:
     """Reconstructs full landscapes from a sampled fraction of points."""
 
+    #: The index samplers :meth:`sample_indices` draws with (the names
+    #: the pipeline config and ``oscar-repro pipeline --sampler`` take).
+    SAMPLERS = ("uniform", "stratified")
+
     def __init__(
         self,
         grid: ParameterGrid,
@@ -100,7 +104,7 @@ class OscarReconstructor:
         sampler: str = "uniform",
         rng: np.random.Generator | int | None = None,
     ):
-        if sampler not in ("uniform", "stratified"):
+        if sampler not in self.SAMPLERS:
             raise ValueError(f"unknown sampler {sampler!r}")
         self.grid = grid
         self.config = config or ReconstructionConfig()
@@ -185,12 +189,12 @@ class OscarReconstructor:
         """
         if labels is not None and len(labels) != len(sample_sets):
             raise ValueError("need one label per sample set")
-        # The engine validates every problem (lengths, range,
-        # duplicates, finiteness) — no need to repeat it here.  Indices
-        # are flattened exactly as the validator flattens them so the
-        # packaged reports count samples the same way.
+        # The engine validates every problem (integer indices in range,
+        # lengths, duplicates, finiteness) — no need to repeat it here.
+        # Indices are flattened exactly as the validator flattens them so
+        # the packaged reports count samples the same way.
         sample_sets = [
-            (np.asarray(flat_indices, dtype=int).reshape(-1), values)
+            (np.reshape(flat_indices, -1), values)
             for flat_indices, values in sample_sets
         ]
         shape = self.grid.reshaped_2d_shape()

@@ -61,7 +61,18 @@ class Adam(Optimizer):
         gradient_step: float = 1e-3,
         gradient: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        check_options(maxiter, tolerance)
+        check_options(
+            maxiter,
+            learning_rate=learning_rate,
+            beta1=beta1,
+            beta2=beta2,
+            eps=eps,
+            tolerance=tolerance,
+            gradient_tolerance=gradient_tolerance,
+            gradient_step=gradient_step,
+        )
+        if gradient is not None and not callable(gradient):
+            raise ValueError(f"gradient must be callable or None, got {gradient!r}")
         self.maxiter = maxiter
         self.learning_rate = learning_rate
         self.beta1 = beta1
@@ -107,15 +118,7 @@ class Adam(Optimizer):
             if np.linalg.norm(update) < self.tolerance:
                 converged = True
                 break
-        final_value = counting(point)
-        return OptimizationResult(
-            parameters=point,
-            value=final_value,
-            num_queries=counting.num_queries,
-            path=np.array(path),
-            converged=converged,
-            label=self.name,
-        )
+        return self._result(counting, point, path, converged)
 
 
 class GradientDescent(Optimizer):
@@ -130,7 +133,12 @@ class GradientDescent(Optimizer):
         tolerance: float = 1e-6,
         gradient_step: float = 1e-3,
     ):
-        check_options(maxiter, tolerance)
+        check_options(
+            maxiter,
+            learning_rate=learning_rate,
+            tolerance=tolerance,
+            gradient_step=gradient_step,
+        )
         self.maxiter = maxiter
         self.learning_rate = learning_rate
         self.tolerance = tolerance
@@ -151,12 +159,4 @@ class GradientDescent(Optimizer):
             if np.linalg.norm(update) < self.tolerance:
                 converged = True
                 break
-        final_value = counting(point)
-        return OptimizationResult(
-            parameters=point,
-            value=final_value,
-            num_queries=counting.num_queries,
-            path=np.array(path),
-            converged=converged,
-            label=self.name,
-        )
+        return self._result(counting, point, path, converged)

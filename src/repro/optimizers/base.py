@@ -14,12 +14,13 @@ as the from-scratch ones.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ..utils import is_finite_real
 
 __all__ = [
     "Objective",
@@ -32,32 +33,30 @@ __all__ = [
 Objective = Callable[[np.ndarray], float]
 
 
-def _finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number (bools excluded)."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, Real)
-        and math.isfinite(value)
-    )
-
-
-def check_options(maxiter: int, tolerance: float, **positive: float) -> None:
+def check_options(maxiter: int, **options: float) -> None:
     """Refuse bad optimizer options when the optimizer is built.
 
-    ``maxiter`` must be a positive integer, ``tolerance`` a finite
-    number >= 0 (0 runs to ``maxiter``), and each keyword in
-    ``positive`` (COBYLA's ``rhobeg``) a finite number > 0; bools are
-    refused everywhere.  Every constructor calls this, so a bad
-    ``optimizer_options`` in a pipeline config raises ``ValueError``
-    before any circuit runs.
+    ``maxiter`` must be a positive integer; every other option a finite
+    number (bools refused): ``beta1``/``beta2`` in [0, 1) (the bias
+    corrections divide by ``1 - beta**t``); the tolerances, SPSA's
+    ``stability`` and its gain exponents ``alpha``/``gamma`` >= 0 (0
+    never stops early, or keeps a gain constant); everything else (step
+    sizes, gains, ``eps``, ``rhobeg``) > 0.  Every constructor passes all
+    of its numeric options, so a bad ``optimizer_options`` in a pipeline
+    config raises ``ValueError`` before any circuit runs.
     """
     if isinstance(maxiter, bool) or not isinstance(maxiter, Integral) or maxiter < 1:
         raise ValueError(f"maxiter must be a positive integer, got {maxiter!r}")
-    if not (_finite_real(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-    for name, value in positive.items():
-        if not (_finite_real(value) and value > 0):
-            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    for name, value in options.items():
+        finite = is_finite_real(value)
+        if name in ("beta1", "beta2"):
+            valid, bound = finite and 0 <= value < 1, "in [0, 1)"
+        elif name in ("tolerance", "gradient_tolerance", "stability", "alpha", "gamma"):
+            valid, bound = finite and value >= 0, ">= 0"
+        else:
+            valid, bound = finite and value > 0, "> 0"
+        if not valid:
+            raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass
@@ -109,6 +108,20 @@ class Optimizer(abc.ABC):
         self, objective: Objective, initial_point: Sequence[float]
     ) -> OptimizationResult:
         """Minimise ``objective`` starting at ``initial_point``."""
+
+    def _result(
+        self, counting: CountingObjective, point: np.ndarray, path, converged: bool
+    ) -> OptimizationResult:
+        """The record of a from-scratch run ending at ``point``: one last
+        query for its value, then the iterates and the query count."""
+        return OptimizationResult(
+            parameters=point,
+            value=counting(point),
+            num_queries=counting.num_queries,
+            path=np.array(path),
+            converged=converged,
+            label=self.name,
+        )
 
     @staticmethod
     def _as_array(initial_point: Sequence[float]) -> np.ndarray:

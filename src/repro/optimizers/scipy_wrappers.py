@@ -25,74 +25,52 @@ from .base import (
 __all__ = ["Cobyla", "NelderMead"]
 
 
-class Cobyla(Optimizer):
+class _ScipyOptimizer(Optimizer):
+    """One ``scipy.optimize.minimize`` run with OSCAR diagnostics.
+
+    Subclasses name the scipy ``method`` and build its ``options`` dict
+    in their constructor; the run itself is shared.
+    """
+
+    method: str
+    options: dict
+
+    def minimize(
+        self, objective: Objective, initial_point: Sequence[float]
+    ) -> OptimizationResult:
+        counting = CountingObjective(objective)
+        point = self._as_array(initial_point)
+        outcome = _optimize.minimize(
+            counting, point, method=self.method, options=self.options
+        )
+        path = np.array([params for params, _ in counting.evaluations])
+        return OptimizationResult(
+            parameters=np.asarray(outcome.x, dtype=float),
+            value=float(outcome.fun),
+            num_queries=counting.num_queries,
+            path=np.vstack([point[None, :], path]),
+            converged=bool(outcome.success),
+            label=self.name,
+        )
+
+
+class Cobyla(_ScipyOptimizer):
     """Constrained Optimization BY Linear Approximation (scipy)."""
 
     name = "cobyla"
+    method = "COBYLA"
 
     def __init__(self, maxiter: int = 1000, rhobeg: float = 0.3, tolerance: float = 1e-4):
-        check_options(maxiter, tolerance, rhobeg=rhobeg)
-        self.maxiter = maxiter
-        self.rhobeg = rhobeg
-        self.tolerance = tolerance
-
-    def minimize(
-        self, objective: Objective, initial_point: Sequence[float]
-    ) -> OptimizationResult:
-        counting = CountingObjective(objective)
-        point = self._as_array(initial_point)
-        outcome = _optimize.minimize(
-            counting,
-            point,
-            method="COBYLA",
-            options={
-                "maxiter": self.maxiter,
-                "rhobeg": self.rhobeg,
-                "tol": self.tolerance,
-            },
-        )
-        path = np.array([params for params, _ in counting.evaluations])
-        return OptimizationResult(
-            parameters=np.asarray(outcome.x, dtype=float),
-            value=float(outcome.fun),
-            num_queries=counting.num_queries,
-            path=np.vstack([point[None, :], path]),
-            converged=bool(outcome.success),
-            label=self.name,
-        )
+        check_options(maxiter, rhobeg=rhobeg, tolerance=tolerance)
+        self.options = {"maxiter": maxiter, "rhobeg": rhobeg, "tol": tolerance}
 
 
-class NelderMead(Optimizer):
+class NelderMead(_ScipyOptimizer):
     """Nelder-Mead downhill simplex (scipy)."""
 
     name = "nelder-mead"
+    method = "Nelder-Mead"
 
     def __init__(self, maxiter: int = 500, tolerance: float = 1e-5):
-        check_options(maxiter, tolerance)
-        self.maxiter = maxiter
-        self.tolerance = tolerance
-
-    def minimize(
-        self, objective: Objective, initial_point: Sequence[float]
-    ) -> OptimizationResult:
-        counting = CountingObjective(objective)
-        point = self._as_array(initial_point)
-        outcome = _optimize.minimize(
-            counting,
-            point,
-            method="Nelder-Mead",
-            options={
-                "maxiter": self.maxiter,
-                "xatol": self.tolerance,
-                "fatol": self.tolerance,
-            },
-        )
-        path = np.array([params for params, _ in counting.evaluations])
-        return OptimizationResult(
-            parameters=np.asarray(outcome.x, dtype=float),
-            value=float(outcome.fun),
-            num_queries=counting.num_queries,
-            path=np.vstack([point[None, :], path]),
-            converged=bool(outcome.success),
-            label=self.name,
-        )
+        check_options(maxiter, tolerance=tolerance)
+        self.options = {"maxiter": maxiter, "xatol": tolerance, "fatol": tolerance}

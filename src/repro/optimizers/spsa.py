@@ -44,7 +44,16 @@ class Spsa(Optimizer):
         tolerance: float = 1e-6,
         rng: np.random.Generator | int | None = None,
     ):
-        check_options(maxiter, tolerance)
+        check_options(
+            maxiter,
+            a=a,
+            c=c,
+            alpha=alpha,
+            gamma=gamma,
+            # None resolves to 0.1 * maxiter below, which is in range.
+            stability=0.0 if stability is None else stability,
+            tolerance=tolerance,
+        )
         self.maxiter = maxiter
         self.a = a
         self.c = c
@@ -74,12 +83,4 @@ class Spsa(Optimizer):
             if np.linalg.norm(update) < self.tolerance:
                 converged = True
                 break
-        final_value = counting(point)
-        return OptimizationResult(
-            parameters=point,
-            value=final_value,
-            num_queries=counting.num_queries,
-            path=np.array(path),
-            converged=converged,
-            label=self.name,
-        )
+        return self._result(counting, point, path, converged)

@@ -139,13 +139,11 @@ class NoiseModel:
         p1: depolarizing probability after every single-qubit gate.
         p2: depolarizing probability after every two-qubit gate.
         readout: probability of a classical bit flip on measurement.
-        seed_tag: free-form label used by hardware configs ("lagos"...).
     """
 
     p1: float = 0.0
     p2: float = 0.0
     readout: float = 0.0
-    seed_tag: str = ""
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "readout"):
@@ -171,8 +169,7 @@ class NoiseModel:
 
         The single source of the ``{p1, p2, readout}`` serialization —
         every cost function's ``cache_spec`` delegates here so noise
-        content always hashes identically (``seed_tag`` is a display
-        label, not content).
+        content always hashes identically.
         """
         return {
             "p1": float(self.p1),
@@ -189,7 +186,6 @@ class NoiseModel:
             p1=min(1.0, self.p1 * factor),
             p2=min(1.0, self.p2 * factor),
             readout=min(1.0, self.readout * factor),
-            seed_tag=self.seed_tag,
         )
 
 

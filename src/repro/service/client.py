@@ -53,13 +53,15 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..ansatz.base import Ansatz
+from ..landscape.grid import validate_flat_indices
 from ..landscape.landscape import Landscape
-from .daemon import _parse_tcp, decode_blob, read_response, write_message
+from .daemon import _parse_tcp, read_response, write_message
 from .protocol import (
     PROTOCOL_VERSION,
     ansatz_to_spec,
     apply_rng_state,
     decode_array,
+    decode_landscape,
     encode_array,
     encode_rng_state,
     function_to_spec,
@@ -106,10 +108,6 @@ def _local_generator(function, grid, seed):
     from ..landscape.generator import LandscapeGenerator
 
     return LandscapeGenerator(function, grid, seed=seed)
-
-
-def _rng_state(rng: np.random.Generator | None) -> dict[str, Any] | None:
-    return None if rng is None else encode_rng_state(rng)
 
 
 def _writeback_rng(
@@ -281,7 +279,7 @@ class LandscapeClient:
     def get(self, key: str) -> Landscape | None:
         """Fetch a cached landscape by key without ever computing."""
         blob = self._request(self._frame("get", key=key))["landscape"]
-        return None if blob is None else Landscape.from_bytes(decode_blob(blob))
+        return None if blob is None else decode_landscape(blob)
 
     def shutdown(self) -> None:
         """Ask the daemon to stop serving (best-effort, returns after
@@ -335,7 +333,7 @@ class LandscapeClient:
             if fallback is not None:
                 return fallback()
             return _local_generator(function, grid, seed).local_grid_search(label)
-        landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
+        landscape = decode_landscape(response["landscape"])
         if response.get("deduped"):
             self.last_served_by = "daemon-deduped"
         elif response.get("hit"):
@@ -366,9 +364,11 @@ class LandscapeClient:
         sets.  The function's bound ``rng`` (if any) is consumed
         server-side and its final state written back, preserving the
         draw-order contract.  Falls back in-process like
-        :meth:`get_or_compute`.
+        :meth:`get_or_compute`.  Indices are checked like the library's
+        (:func:`~repro.landscape.grid.validate_flat_indices`) before any
+        frame is built.
         """
-        indices = np.asarray(flat_indices, dtype=np.int64)
+        indices = validate_flat_indices(grid.size, flat_indices)
         rng = getattr(function, "rng", None)
         frame = self._function_frame(
             "compute_indices",
@@ -376,7 +376,7 @@ class LandscapeClient:
             grid,
             indices=encode_array(indices),
             seed=seed,
-            rng=_rng_state(rng),
+            rng=encode_rng_state(rng),
         )
         response = self._serve("compute_indices", frame)
         if response is None:
@@ -417,26 +417,21 @@ class LandscapeClient:
         the in-process :func:`~repro.service.pipeline.run_pipeline`
         like :meth:`get_or_compute`.
         """
-        from ..landscape.reconstructor import ReconstructionReport
-        from ..optimizers.base import OptimizationResult
-        from .pipeline import PipelineOutcome, run_pipeline
+        from .pipeline import decode_outcome, run_pipeline
 
         rng = getattr(function, "rng", None)
         frame = None
         if is_dataclass(config):
-            payload = asdict(config)
-            if isinstance(payload.get("initial_point"), tuple):
-                payload["initial_point"] = list(payload["initial_point"])
             frame = self._function_frame(
                 "pipeline",
                 function,
                 grid,
-                config=payload,
-                sample_rng=_rng_state(sample_rng)
+                config=asdict(config),
+                sample_rng=encode_rng_state(sample_rng)
                 if isinstance(sample_rng, np.random.Generator)
                 else sample_rng,
                 seed=seed,
-                rng=_rng_state(rng),
+                rng=encode_rng_state(rng),
             )
         response = self._serve("pipeline", frame)
         if response is None:
@@ -444,29 +439,12 @@ class LandscapeClient:
                 return fallback()
             generator = _local_generator(function, grid, seed)
             return run_pipeline(generator, config, sample_rng)
-        landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
+        outcome = decode_outcome(response)
         _writeback_rng(rng, response)
         if isinstance(sample_rng, np.random.Generator):
             _writeback_rng(sample_rng, response, field="sample_rng")
         self.last_served_by = "daemon-pipeline"
-        optimization = response["optimization"]
-        return PipelineOutcome(
-            landscape=landscape,
-            report=ReconstructionReport(**response["report"]),
-            optimization=OptimizationResult(
-                parameters=decode_array(optimization["parameters"]),
-                value=float(optimization["value"]),
-                num_queries=int(optimization["num_queries"]),
-                path=decode_array(optimization["path"]),
-                converged=bool(optimization["converged"]),
-                label=str(optimization["label"]),
-            ),
-            flat_indices=decode_array(response["flat_indices"]),
-            values=decode_array(response["values"]),
-            timings=dict(response.get("timings") or {}),
-            key=response.get("key"),
-            served_by="daemon",
-        )
+        return outcome
 
     # -- raw evaluation (the equivalence-harness path) ---------------------
 
@@ -505,7 +483,7 @@ class LandscapeClient:
                 batch=encode_array(batch),
                 noise=noise_spec,
                 shots=shots,
-                rng=_rng_state(rng),
+                rng=encode_rng_state(rng),
             )
         )
         values = decode_array(response["values"])

@@ -79,7 +79,6 @@ belongs to the user running the daemon.
 from __future__ import annotations
 
 import asyncio
-import base64
 import functools
 import hashlib
 import json
@@ -87,7 +86,7 @@ import os
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -103,6 +102,7 @@ from .protocol import (
     authenticate,
     decode_array,
     encode_array,
+    encode_landscape,
     encode_rng_state,
     function_from_spec,
     grid_from_spec,
@@ -123,16 +123,6 @@ DEFAULT_SOCKET = "oscar-repro.sock"
 #: responses are single JSON lines; 32 MiB covers paper-sized grids
 #: with room to spare while bounding a hostile frame).
 DEFAULT_MAX_PAYLOAD_BYTES = 32 * 1024 * 1024
-
-
-def encode_blob(data: bytes) -> str:
-    """Binary payload -> JSON-safe base64 string (wire helper)."""
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_blob(text: str) -> bytes:
-    """Inverse of :func:`encode_blob`."""
-    return base64.b64decode(text.encode("ascii"))
 
 
 def _parse_tcp(value: str | int | tuple) -> tuple[str, int]:
@@ -177,21 +167,6 @@ def write_message(stream: BinaryIO, message: dict[str, Any]) -> None:
     """Write one JSON-lines protocol message to a binary stream."""
     stream.write(json.dumps(message).encode("utf-8") + b"\n")
     stream.flush()
-
-
-class _Flight:
-    """One in-flight computation that concurrent identical requests join.
-
-    ``result`` is whatever the leader's producer returned — a
-    ``(landscape, hit)`` pair for ``compute``, a ``(values,
-    readthrough)`` pair for ``compute_indices`` — so the single-flight
-    machinery is shared across ops.
-    """
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
 
 
 class LandscapeDaemon:
@@ -302,7 +277,7 @@ class LandscapeDaemon:
         self.idle_timeout = float(idle_timeout)
         self.drain_timeout = float(drain_timeout)
         self._store_lock = threading.Lock()
-        self._inflight: dict[str, _Flight] = {}
+        self._inflight: dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._counters = {
@@ -565,12 +540,20 @@ class LandscapeDaemon:
         rng plan's ``seed`` comes from the request — it is part of the
         cache key for shot-noise landscapes.  Chunk and shard sizes are
         the engine's own; a frame's ``batch_size``/``shard_points`` are
-        ignored like any unknown field.
+        ignored like any unknown field.  A grid without one axis per
+        ansatz parameter is ``invalid-spec`` before any work.
         """
         from ..landscape.generator import LandscapeGenerator
 
         function = function_from_spec(request.get("function"), rng=rng)
         grid = grid_from_spec(request.get("grid"))
+        parameters = function.ansatz.num_parameters
+        if grid.ndim != parameters:
+            raise ProtocolError(
+                "invalid-spec",
+                f"a {grid.ndim}-D grid cannot index a {parameters}-parameter "
+                "ansatz: the grid needs one axis per parameter",
+            )
         return LandscapeGenerator(
             function,
             grid,
@@ -596,33 +579,34 @@ class LandscapeDaemon:
         counter: str = "deduped",
     ) -> tuple[Any, bool]:
         """Run ``produce`` once per key; concurrent callers share the
-        outcome (or the leader's exception).  Returns ``(result,
-        deduped)``; ``counter`` names which dedup counter followers
-        bump."""
+        outcome (or the leader's exception) through one ``Future``.
+        Returns ``(result, deduped)``; ``counter`` names which dedup
+        counter followers bump.  The result is whatever the leader's
+        producer returned — ``(landscape, hit)`` for ``compute``,
+        ``(values, readthrough)`` for ``compute_indices``."""
         with self._inflight_lock:
             flight = self._inflight.get(key)
             leader = flight is None
             if leader:
-                flight = _Flight()
-                self._inflight[key] = flight
+                flight = self._inflight[key] = Future()
 
         if not leader:
             self._bump(counter)
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.result, True
+            return flight.result(), True
 
+        # The entry leaves the table before the outcome is published, so
+        # a request that arrives after the publish starts a fresh flight.
         try:
-            flight.result = produce()
+            try:
+                result = produce()
+            finally:
+                with self._inflight_lock:
+                    self._inflight.pop(key, None)
         except BaseException as error:
-            flight.error = error
+            flight.set_exception(error)
             raise
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            flight.done.set()
-        return flight.result, False
+        flight.set_result(result)
+        return result, False
 
     def _sparse_identity(
         self, generator, flat_indices: np.ndarray
@@ -709,10 +693,7 @@ class LandscapeDaemon:
             tenant_ops = {
                 name: dict(ops) for name, ops in self._tenant_counters.items()
             }
-        store_stats = None
         with self._store_lock:
-            if self.store is not None:
-                store_stats = self.store.stats()
             tenant_stores = self.tenants.stats()
         tenants = {
             name: {
@@ -726,7 +707,8 @@ class LandscapeDaemon:
             "workers": self.workers,
             "uptime": time.time() - self._started,
             "counters": counters,
-            "store": store_stats,
+            # The default store is the default tenant's namespace.
+            "store": tenant_stores.get(DEFAULT_TENANT),
             "tenants": tenants,
         }
 
@@ -761,9 +743,7 @@ class LandscapeDaemon:
             with self._store_lock:
                 landscape = store.get(key)
         return {
-            "landscape": None
-            if landscape is None
-            else encode_blob(landscape.to_bytes())
+            "landscape": None if landscape is None else encode_landscape(landscape)
         }
 
     def _v2_invalidate(
@@ -798,9 +778,11 @@ class LandscapeDaemon:
         position a local run would."""
         ansatz = ansatz_from_spec(request.get("ansatz"))
         batch = decode_array(request.get("batch"))
-        if batch.ndim != 2:
+        if batch.ndim != 2 or batch.shape[1] != ansatz.num_parameters:
             raise ProtocolError(
-                "malformed", f"batch must be 2-D, got shape {batch.shape}"
+                "malformed",
+                f"batch must be 2-D with one column per ansatz parameter "
+                f"({ansatz.num_parameters}), got shape {batch.shape}",
             )
         rng = self._v2_rng(request)
         executor = ShardedExecutor(
@@ -818,7 +800,7 @@ class LandscapeDaemon:
         self._bump("evaluations")
         return {
             "values": encode_array(np.asarray(values, dtype=float)),
-            "rng": None if rng is None else encode_rng_state(rng),
+            "rng": encode_rng_state(rng),
         }
 
     def _v2_compute(
@@ -868,7 +850,7 @@ class LandscapeDaemon:
                 if store.get(spec) is None:
                     store.put(spec, landscape)
         return {
-            "landscape": encode_blob(landscape.to_bytes()),
+            "landscape": encode_landscape(landscape),
             "key": spec.key(),
             "hit": hit,
             "deduped": deduped,
@@ -911,7 +893,7 @@ class LandscapeDaemon:
         rng = getattr(generator.function, "rng", None)
         return {
             "values": encode_array(np.asarray(values, dtype=float)),
-            "rng": None if rng is None else encode_rng_state(rng),
+            "rng": encode_rng_state(rng),
             "readthrough": readthrough,
             "deduped": deduped,
         }
@@ -930,39 +912,35 @@ class LandscapeDaemon:
         + deterministic evaluation), and its store key returned as a
         handle.  Pipeline requests are *not* single-flighted: an
         unseeded sampling rng makes two byte-identical requests
-        legitimately different runs.  Report and optimization come back
-        as field dicts, arrays as typed codecs."""
-        from dataclasses import asdict
-
+        legitimately different runs.  The config decodes with one
+        ``PipelineConfig(**config)`` call, so a field the config does
+        not know is ``invalid-spec``; the outcome encodes through
+        :func:`~repro.service.pipeline.encode_outcome`."""
         from ..cs.reconstruct import ReconstructionConfig
-        from .pipeline import PipelineConfig, pipeline_spec, run_pipeline
+        from .pipeline import (
+            PipelineConfig,
+            check_initial_point,
+            encode_outcome,
+            pipeline_spec,
+            run_pipeline,
+        )
 
         payload = request.get("config")
         if not isinstance(payload, dict):
             raise ProtocolError(
                 "invalid-spec", "pipeline needs a 'config' object"
             )
-        reconstruction = payload.get("reconstruction")
         generator = self._v2_generator(request, rng=self._v2_rng(request))
         try:
-            config = PipelineConfig(
-                fraction=payload["fraction"],
-                sampler=str(payload.get("sampler", "uniform")),
-                reconstruction=None
-                if reconstruction is None
-                else ReconstructionConfig(**reconstruction),
-                optimizer=str(payload.get("optimizer", "cobyla")),
-                optimizer_options=payload.get("optimizer_options"),
-                initial_point=payload.get("initial_point"),
-                label=str(payload.get("label", "oscar-pipeline")),
-            )
-            point, dimension = config.initial_point, generator.grid.ndim
-            if point is not None and len(point) != dimension:
-                raise ValueError(
-                    f"initial_point has {len(point)} coordinates for a "
-                    f"{dimension}-D grid"
-                )
-        except (KeyError, TypeError, ValueError) as error:
+            reconstruction = payload.get("reconstruction")
+            if reconstruction is not None:
+                payload = {
+                    **payload,
+                    "reconstruction": ReconstructionConfig(**reconstruction),
+                }
+            config = PipelineConfig(**payload)
+            check_initial_point(config, generator.grid)
+        except (TypeError, ValueError) as error:
             raise ProtocolError(
                 "invalid-spec", f"invalid pipeline config: {error}"
             )
@@ -1005,27 +983,10 @@ class LandscapeDaemon:
                 key = spec.key()
 
         rng = getattr(generator.function, "rng", None)
-        optimization = outcome.optimization
         return {
-            "landscape": encode_blob(outcome.landscape.to_bytes()),
-            "report": asdict(outcome.report),
-            "optimization": {
-                "parameters": encode_array(
-                    np.asarray(optimization.parameters, dtype=float)
-                ),
-                "value": float(optimization.value),
-                "num_queries": int(optimization.num_queries),
-                "path": encode_array(np.asarray(optimization.path, dtype=float)),
-                "converged": bool(optimization.converged),
-                "label": str(optimization.label),
-            },
-            "flat_indices": encode_array(
-                np.ascontiguousarray(outcome.flat_indices, dtype=np.int64)
-            ),
-            "values": encode_array(np.asarray(outcome.values, dtype=float)),
-            "timings": {name: float(t) for name, t in outcome.timings.items()},
+            **encode_outcome(outcome),
             "key": key,
-            "rng": None if rng is None else encode_rng_state(rng),
+            "rng": encode_rng_state(rng),
             "sample_rng": (
                 encode_rng_state(sample_rng)
                 if isinstance(sample_rng, np.random.Generator)

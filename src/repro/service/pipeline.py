@@ -36,11 +36,9 @@ request wall clock against the sum of the actual work.
 from __future__ import annotations
 
 import copy
-import math
 import time
-from dataclasses import dataclass, field
-from numbers import Real
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -49,13 +47,10 @@ from ..landscape.interpolate import InterpolatedLandscape
 from ..landscape.landscape import Landscape
 from ..landscape.reconstructor import OscarReconstructor, ReconstructionReport
 from ..optimizers import OptimizationResult, make_optimizer
-from ..utils import ensure_rng
+from ..utils import ensure_rng, is_finite_real
+from .protocol import decode_array, decode_landscape, encode_array, encode_landscape
 
 __all__ = ["PipelineConfig", "PipelineOutcome", "run_pipeline"]
-
-#: Samplers understood by :class:`OscarReconstructor` (validated here
-#: too so a bad config fails before any circuit executes).
-_SAMPLERS = ("uniform", "stratified")
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,9 @@ class PipelineConfig:
             keyword or a non-mapping raises ``ValueError`` before any
             circuit runs.
         initial_point: optimizer start, a list or tuple of finite
-            numbers (stored as a tuple of floats); ``None`` starts from
-            the reconstructed landscape's grid minimum (the OSCAR
+            numbers (stored as a tuple of floats), one per grid axis
+            (:func:`check_initial_point`); ``None`` starts from the
+            reconstructed landscape's grid minimum (the OSCAR
             initialization idiom).
         label: provenance tag for the reconstructed landscape.
     """
@@ -93,10 +89,15 @@ class PipelineConfig:
             raise ValueError(
                 f"fraction must be a number in (0, 1], got {self.fraction!r}"
             )
-        if self.sampler not in _SAMPLERS:
+        samplers = OscarReconstructor.SAMPLERS
+        if self.sampler not in samplers:
             raise ValueError(
-                f"unknown sampler {self.sampler!r}; choose from {_SAMPLERS}"
+                f"unknown sampler {self.sampler!r}; choose from {samplers}"
             )
+        for name in ("optimizer", "label"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         options = self.optimizer_options
         if options is not None and not isinstance(options, Mapping):
             raise ValueError(
@@ -110,8 +111,7 @@ class PipelineConfig:
         point = self.initial_point
         if point is not None:
             if not isinstance(point, (list, tuple)) or not all(
-                isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-                for x in point
+                map(is_finite_real, point)
             ):
                 raise ValueError(
                     f"initial_point must be a list of finite numbers, got {point!r}"
@@ -152,6 +152,17 @@ class PipelineOutcome:
         return float(sum(self.timings.values()))
 
 
+def check_initial_point(config: PipelineConfig, grid) -> None:
+    """Refuse an ``initial_point`` without one coordinate per grid axis;
+    :func:`run_pipeline` and the daemon's config check both call this."""
+    point = config.initial_point
+    if point is not None and len(point) != grid.ndim:
+        raise ValueError(
+            f"initial_point has {len(point)} coordinates for a "
+            f"{grid.ndim}-D grid"
+        )
+
+
 def run_pipeline(
     generator,
     config: PipelineConfig,
@@ -171,6 +182,7 @@ def run_pipeline(
             its sparse service path (read-through + counters) here.
             Defaults to the generator's local index evaluation.
     """
+    check_initial_point(config, generator.grid)
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
@@ -217,6 +229,45 @@ def run_pipeline(
     )
 
 
+def encode_outcome(outcome: PipelineOutcome) -> dict[str, Any]:
+    """A pipeline outcome as wire fields (the daemon adds its ``key`` and
+    rng states); :func:`decode_outcome` is the client's inverse."""
+    optimization = asdict(outcome.optimization)
+    return {
+        "landscape": encode_landscape(outcome.landscape),
+        "report": asdict(outcome.report),
+        "optimization": {
+            **optimization,
+            "parameters": encode_array(optimization["parameters"]),
+            "path": encode_array(optimization["path"]),
+        },
+        "flat_indices": encode_array(outcome.flat_indices.astype(np.int64)),
+        "values": encode_array(outcome.values),
+        "timings": outcome.timings,
+    }
+
+
+def decode_outcome(response: Mapping[str, Any]) -> PipelineOutcome:
+    """The outcome a daemon served, from its ``pipeline`` response."""
+    optimization = response["optimization"]
+    return PipelineOutcome(
+        landscape=decode_landscape(response["landscape"]),
+        report=ReconstructionReport(**response["report"]),
+        optimization=OptimizationResult(
+            **{
+                **optimization,
+                "parameters": decode_array(optimization["parameters"]),
+                "path": decode_array(optimization["path"]),
+            }
+        ),
+        flat_indices=decode_array(response["flat_indices"]),
+        values=decode_array(response["values"]),
+        timings=dict(response["timings"]),
+        key=response.get("key"),
+        served_by="daemon",
+    )
+
+
 def pipeline_spec(generator, config: PipelineConfig, sample_seed: int):
     """The store spec a reproducible pipeline reconstruction caches under.
 
@@ -227,8 +278,6 @@ def pipeline_spec(generator, config: PipelineConfig, sample_seed: int):
     underlying :meth:`~repro.landscape.generator.LandscapeGenerator.cache_spec`
     to mean "not cacheable".
     """
-    from dataclasses import asdict
-
     from .store import LandscapeSpec
 
     dense_spec = generator.cache_spec()

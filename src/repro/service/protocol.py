@@ -14,10 +14,11 @@ unpickled, so the daemon can face a network:
   (:func:`ansatz_from_spec`, :func:`function_from_spec`,
   :func:`grid_from_spec`).  A payload outside the registry has no wire
   form at all: clients run it in-process instead;
-- binary payloads are explicit codecs: landscapes stay
-  ``Landscape.to_bytes``/``from_bytes`` (base64 ``.npz``), numeric
-  arrays are :func:`encode_array`/:func:`decode_array` (dtype-allowlisted
-  raw bytes), rng state is :func:`encode_rng_state` (the numpy
+- binary payloads are explicit codecs: landscapes are
+  :func:`encode_landscape`/:func:`decode_landscape` (base64 of
+  ``Landscape.to_bytes``, the store's payload bytes), numeric arrays are
+  :func:`encode_array`/:func:`decode_array` (dtype-allowlisted raw
+  bytes), rng state is :func:`encode_rng_state` (the numpy
   bit-generator state dict, JSON-ified);
 - failures are structured ``{"code", "type", "message", "retryable"}``
   error objects (codes in :data:`ERROR_CODES`), so clients can
@@ -43,6 +44,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..utils import is_finite_real
+
 __all__ = [
     "PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS",
@@ -54,6 +57,8 @@ __all__ = [
     "authenticate",
     "encode_array",
     "decode_array",
+    "encode_landscape",
+    "decode_landscape",
     "encode_rng_state",
     "decode_rng_state",
     "apply_rng_state",
@@ -66,7 +71,6 @@ __all__ = [
     "ansatz_to_spec",
     "function_from_spec",
     "function_to_spec",
-    "validate_function_spec",
 ]
 
 #: The current wire protocol version; every v2 message carries it.
@@ -159,8 +163,9 @@ def load_tokens(path: str | Path) -> tuple[TenantCredential, ...]:
           "bob": {"token": "bob-secret", "quota_bytes": 4194304}
         }
 
-    A ``quota_bytes`` must be a positive integer (bools rejected), so a
-    bad quota fails here, not on the tenant's first request.
+    A ``quota_bytes`` must be a positive integer and an ``expires`` a
+    finite number (bools rejected in both), so a bad entry fails here,
+    not on the tenant's first request.
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict) or not raw:
@@ -196,6 +201,11 @@ def load_tokens(path: str | Path) -> tuple[TenantCredential, ...]:
                 f"integer, got {quota!r}"
             )
         expires = entry.get("expires")
+        if expires is not None and not is_finite_real(expires):
+            raise ValueError(
+                f"tenant {tenant!r} in {path}: expires must be a finite "
+                f"number (a Unix timestamp) or null, got {expires!r}"
+            )
         credentials.append(
             TenantCredential(
                 tenant=tenant,
@@ -273,6 +283,19 @@ def decode_array(payload: Any) -> np.ndarray:
         raise ProtocolError("malformed", f"undecodable array payload: {error}")
 
 
+def encode_landscape(landscape) -> str:
+    """Landscape -> JSON-safe base64 of its ``.npz`` bytes (the same
+    bytes the store keeps as the entry's payload)."""
+    return base64.b64encode(landscape.to_bytes()).decode("ascii")
+
+
+def decode_landscape(text: str):
+    """Inverse of :func:`encode_landscape`."""
+    from ..landscape.landscape import Landscape
+
+    return Landscape.from_bytes(base64.b64decode(text.encode("ascii")))
+
+
 def _jsonify(value: Any) -> Any:
     """Make a numpy bit-generator state dict JSON-able (arrays become
     tagged lists — MT19937/Philox keys are uint arrays)."""
@@ -296,8 +319,11 @@ def _unjsonify(value: Any) -> Any:
     return value
 
 
-def encode_rng_state(rng: np.random.Generator) -> dict[str, Any]:
-    """Generator -> JSON-safe bit-generator state payload."""
+def encode_rng_state(rng: np.random.Generator | None) -> dict[str, Any] | None:
+    """Generator -> JSON-safe bit-generator state payload (``None`` for
+    no generator, the wire's "no rng")."""
+    if rng is None:
+        return None
     state = rng.bit_generator.state
     return {
         "bit_generator": state["bit_generator"],
@@ -348,6 +374,16 @@ def apply_rng_state(rng: np.random.Generator, payload: Any) -> None:
 # -- grid and noise specs -----------------------------------------------------
 
 
+def _spec_int(value: Any, what: str) -> int:
+    """A spec integer: never a float, string or bool to truncate."""
+    if type(value) is not int:
+        raise ProtocolError(
+            "invalid-spec", f"{what} must be an integer, got {value!r}"
+        )
+    return value
+
+
+
 def grid_to_spec(grid: Any) -> list[dict[str, Any]] | None:
     """Grid -> per-axis spec list, or ``None`` for duck-typed grids.
 
@@ -384,12 +420,7 @@ def grid_from_spec(axes: Any):
     for axis in axes:
         if not isinstance(axis, dict):
             raise ProtocolError("invalid-spec", "each grid axis must be an object")
-        num_points = axis.get("num_points")
-        if type(num_points) is not int:
-            raise ProtocolError(
-                "invalid-spec",
-                f"grid axis num_points must be an integer, got {num_points!r}",
-            )
+        num_points = _spec_int(axis.get("num_points"), "grid axis num_points")
         try:
             built.append(
                 GridAxis(
@@ -465,20 +496,21 @@ def _qaoa_from_spec(spec: Mapping[str, Any]):
     problem = spec.get("problem")
     if not isinstance(problem, dict):
         raise ProtocolError("invalid-spec", "qaoa spec needs a 'problem' object")
+    qubit = "qaoa problem qubit"
     try:
         ising = IsingProblem(
-            num_qubits=int(spec["num_qubits"]),
+            num_qubits=_spec_int(spec.get("num_qubits"), "qaoa num_qubits"),
             couplings=tuple(
-                (int(i), int(j), float(w))
+                (_spec_int(i, qubit), _spec_int(j, qubit), float(w))
                 for i, j, w in problem.get("couplings", [])
             ),
             fields=tuple(
-                (int(i), float(h)) for i, h in problem.get("fields", [])
+                (_spec_int(i, qubit), float(h)) for i, h in problem.get("fields", [])
             ),
             offset=float(problem.get("offset", 0.0)),
             name="wire",
         )
-        return QaoaAnsatz(ising, p=int(spec["p"]))
+        return QaoaAnsatz(ising, p=_spec_int(spec.get("p"), "qaoa p"))
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError("invalid-spec", f"invalid qaoa spec: {error}")
 
@@ -489,7 +521,7 @@ def _twolocal_from_spec(spec: Mapping[str, Any]):
     try:
         return TwoLocalAnsatz(
             _pauli_sum_from_spec(spec.get("hamiltonian")),
-            reps=int(spec["reps"]),
+            reps=_spec_int(spec.get("reps"), "twolocal reps"),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError("invalid-spec", f"invalid twolocal spec: {error}")
@@ -504,8 +536,11 @@ def _uccsd_from_spec(spec: Mapping[str, Any]):
     try:
         return UccsdAnsatz(
             _pauli_sum_from_spec(spec.get("hamiltonian")),
-            num_parameters=int(spec["num_parameters"]),
-            excitations=[tuple(int(q) for q in exc) for exc in excitations],
+            num_parameters=_spec_int(spec.get("num_parameters"), "num_parameters"),
+            excitations=[
+                tuple(_spec_int(q, "uccsd excitation qubit") for q in exc)
+                for exc in excitations
+            ],
             initial_bitstring=spec.get("initial_bitstring"),
         )
     except (KeyError, TypeError, ValueError) as error:
@@ -546,7 +581,7 @@ def _ansatz_function_from_spec(
     return AnsatzCostFunction(
         ansatz_from_spec(spec.get("ansatz")),
         noise=noise_from_spec(spec.get("noise")),
-        shots=None if shots is None else int(shots),
+        shots=None if shots is None else _spec_int(shots, "shots"),
         rng=rng,
     )
 
@@ -576,7 +611,7 @@ def _zne_function_from_spec(
         ansatz_from_spec(spec.get("ansatz")),
         noise,
         config=config,
-        shots=None if shots is None else int(shots),
+        shots=None if shots is None else _spec_int(shots, "shots"),
         rng=rng,
     )
 
@@ -608,26 +643,10 @@ def function_from_spec(spec: Any, rng: np.random.Generator | None = None):
     return builder(spec, rng)
 
 
-def validate_function_spec(spec: Any) -> None:
-    """Structural check that :func:`function_from_spec` could resolve
-    ``spec`` (registered kind + registered ansatz type).  Raises
-    :class:`ProtocolError` otherwise — the client uses this to decide
-    whether a request has a wire form without building anything."""
-    if not isinstance(spec, Mapping):
-        raise ProtocolError("invalid-spec", "function spec must be an object")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in FUNCTION_BUILDERS:
-        raise ProtocolError(
-            "invalid-spec", f"unknown cost-function kind {kind!r}"
-        )
-    ansatz = spec.get("ansatz")
-    if not isinstance(ansatz, Mapping):
-        raise ProtocolError("invalid-spec", "function spec needs an ansatz object")
-    ansatz_type = ansatz.get("type")
-    if not isinstance(ansatz_type, str) or ansatz_type not in ANSATZ_BUILDERS:
-        raise ProtocolError(
-            "invalid-spec", f"unknown ansatz type {ansatz_type!r}"
-        )
+def _names_a_builder(spec: Any, field: str, registry: Mapping[str, Any]) -> bool:
+    """Whether ``spec[field]`` names an entry of ``registry``."""
+    name = spec.get(field) if isinstance(spec, Mapping) else None
+    return isinstance(name, str) and name in registry
 
 
 def function_to_spec(function: Any) -> dict[str, Any] | None:
@@ -635,27 +654,21 @@ def function_to_spec(function: Any) -> dict[str, Any] | None:
     cannot describe itself in registry terms (a plain closure, a test
     double, ``CdrCostFunction``, ``SliceCostFunction``) — the caller then
     runs it in-process."""
-    describe = getattr(function, "cache_spec", None)
-    if describe is None:
-        return None
     try:
-        spec = describe()
-        validate_function_spec(spec)
-    except (ProtocolError, TypeError, ValueError, AttributeError):
+        spec = function.cache_spec()
+    except (TypeError, ValueError, AttributeError):
         return None
-    return spec
+    if _names_a_builder(spec, "kind", FUNCTION_BUILDERS) and _names_a_builder(
+        spec.get("ansatz"), "type", ANSATZ_BUILDERS
+    ):
+        return spec
+    return None
 
 
 def ansatz_to_spec(ansatz: Any) -> dict[str, Any] | None:
     """Ansatz -> declarative spec, or ``None`` when unregistered."""
-    describe = getattr(ansatz, "cache_spec", None)
-    if describe is None:
-        return None
     try:
-        spec = describe()
+        spec = ansatz.cache_spec()
     except (TypeError, ValueError, AttributeError):
         return None
-    kind = spec.get("type") if isinstance(spec, dict) else None
-    if not isinstance(kind, str) or kind not in ANSATZ_BUILDERS:
-        return None
-    return spec
+    return spec if _names_a_builder(spec, "type", ANSATZ_BUILDERS) else None

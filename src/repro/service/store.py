@@ -12,7 +12,7 @@ and share the same artifact.
 Store layout (one directory, two files per entry)::
 
     <root>/
-        <key>.npz    # Landscape.save payload (values + axes + metadata)
+        <key>.npz    # Landscape.to_bytes() (values + axes + metadata)
         <key>.json   # manifest: spec payload, label, creation time
 
 The manifest keeps the full spec next to the payload so entries are
@@ -273,17 +273,17 @@ class LandscapeStore:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def _write_atomic(self, path: Path, writer: Callable[[Path], None]) -> None:
+    def _write_atomic(self, path: Path, data: bytes) -> None:
         """Write through a same-suffix temp file + ``os.replace``.
 
         Readers race writers in a shared store; rename is atomic on
         POSIX, so they see either the old or the new artifact, never a
-        truncated one.  The temp name keeps the real suffix because
-        ``np.savez`` appends ``.npz`` to anything else.
+        truncated one.  The temp name carries ``.tmp-`` so
+        :meth:`entries` skips an in-flight manifest.
         """
         temp = path.with_name(f"{path.stem}.tmp-{os.getpid()}{path.suffix}")
         try:
-            writer(temp)
+            temp.write_bytes(data)
             os.replace(temp, path)
         finally:
             temp.unlink(missing_ok=True)
@@ -319,7 +319,7 @@ class LandscapeStore:
         if self._read_manifest(self._manifest_path(key)) is None:
             return None
         try:
-            landscape = Landscape.load(self._payload_path(key))
+            landscape = Landscape.from_bytes(self._payload_path(key).read_bytes())
         except Exception:
             return None
         if not self._stamp(self._payload_path(key)):
@@ -329,6 +329,7 @@ class LandscapeStore:
     def put(self, spec: LandscapeSpec, landscape: Landscape) -> str:
         """Cache a landscape under its spec's key; returns the key.
 
+        The payload file holds :meth:`Landscape.to_bytes` exactly.
         Payload and manifest are written atomically (temp + rename), so
         concurrent readers never observe a truncated artifact.  Evicts
         least-recently-used entries afterwards if the store exceeds
@@ -336,7 +337,7 @@ class LandscapeStore:
         """
         key = spec.key()
         payload_path = self._payload_path(key)
-        self._write_atomic(payload_path, landscape.save)
+        self._write_atomic(payload_path, landscape.to_bytes())
         self._stamp(payload_path)
         manifest = {
             "key": key,
@@ -346,8 +347,7 @@ class LandscapeStore:
             "created": time.time(),
         }
         self._write_atomic(
-            self._manifest_path(key),
-            lambda path: path.write_text(json.dumps(manifest, indent=1)),
+            self._manifest_path(key), json.dumps(manifest, indent=1).encode()
         )
         self._evict(exempt=key)
         return key

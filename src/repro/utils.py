@@ -1,17 +1,29 @@
 """Small shared helpers that do not belong to any one subsystem.
 
-Currently this is the single home of the random-generator seeding
-policy: every module that optionally accepts an ``rng`` routes through
-:func:`ensure_rng`, so "what counts as a valid rng argument" (``None``,
-an integer seed, or a ready :class:`numpy.random.Generator`) is decided
-in exactly one place.
+Each decides one question in exactly one place: every module that
+optionally accepts an ``rng`` routes through :func:`ensure_rng` (``None``,
+an integer seed, or a ready :class:`numpy.random.Generator`), and every
+checked number (configs, optimizer options, token files) through
+:func:`is_finite_real`.
 """
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
-__all__ = ["ensure_rng"]
+__all__ = ["ensure_rng", "is_finite_real"]
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number (bools excluded)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, Real)
+        and math.isfinite(value)
+    )
 
 
 def ensure_rng(

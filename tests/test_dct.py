@@ -12,8 +12,8 @@ from repro.cs import (
     dct_transform,
     energy_fraction_coefficients,
     idct_transform,
-    sparsity_fraction_for_energy,
 )
+from repro.landscape.metrics import dct_sparsity
 
 
 @settings(max_examples=25, deadline=None)
@@ -52,7 +52,7 @@ def test_basis_matrix_synthesises():
 def test_constant_signal_is_one_coefficient():
     signal = np.full((10, 10), 3.7)
     assert energy_fraction_coefficients(signal) == 1
-    assert sparsity_fraction_for_energy(signal) == pytest.approx(0.01)
+    assert dct_sparsity(signal) == pytest.approx(0.01)
 
 
 def test_single_cosine_is_one_coefficient():
@@ -84,7 +84,7 @@ def test_energy_fraction_validation():
 def test_white_noise_is_not_sparse():
     rng = np.random.default_rng(2)
     noise = rng.normal(size=(20, 20))
-    assert sparsity_fraction_for_energy(noise) > 0.5
+    assert dct_sparsity(noise) > 0.5
 
 
 def test_qaoa_landscape_is_sparse():
@@ -97,4 +97,4 @@ def test_qaoa_landscape_is_sparse():
     ansatz = QaoaAnsatz(problem, p=1)
     grid = qaoa_grid(p=1, resolution=(16, 32))
     truth = LandscapeGenerator(cost_function(ansatz), grid).grid_search()
-    assert sparsity_fraction_for_energy(truth.values) < 0.05
+    assert dct_sparsity(truth.values) < 0.05

@@ -116,6 +116,37 @@ def test_validate_flat_indices_rejects_out_of_range():
         validate_flat_indices(35, [10**9])
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[1.5, 2.9], np.array([1.0, 2.0]), [True, False], ["3", "4"]],
+    ids=["float-list", "float-array", "bool-list", "string-list"],
+)
+def test_validate_flat_indices_refuses_non_integers(indices):
+    """Float, bool and string indices are refused, never truncated to
+    the grid points they round down to."""
+    with pytest.raises(ValueError, match="integers"):
+        validate_flat_indices(35, indices)
+
+
+def test_library_index_paths_refuse_float_indices():
+    """The generator and both reconstruction paths refuse
+    ``[1.5, 2.9]`` instead of evaluating or solving grid points 1 and 2
+    (the wire has refused it since the request-integer checks)."""
+    from repro.cs.reconstruct import validate_sample_set
+    from repro.landscape import LandscapeGenerator, OscarReconstructor
+
+    grid = qaoa_grid(p=1, resolution=(4, 4))
+    indices, values = np.array([1.5, 2.9]), np.ones(2)
+    with pytest.raises(ValueError, match="integers"):
+        LandscapeGenerator(lambda point: 0.0, grid).evaluate_indices([1.5, 2.9])
+    with pytest.raises(ValueError, match="problem 0: flat indices must be integers"):
+        validate_sample_set(grid.size, indices, values, context="problem 0")
+    with pytest.raises(ValueError, match="integers"):
+        OscarReconstructor(grid).reconstruct_many([(indices, values)])
+    with pytest.raises(ValueError, match="integers"):
+        OscarReconstructor(grid).reconstruct_from_samples(indices, values)
+
+
 def test_generator_evaluate_indices_validates():
     from repro.landscape import LandscapeGenerator
 

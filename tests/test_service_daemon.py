@@ -380,13 +380,19 @@ def test_shot_noise_sparse_never_reads_through(daemon, ansatz, grid):
 
 
 def test_out_of_range_indices_are_a_daemon_error(daemon, ansatz, grid):
-    """Bounds validation runs server-side too (the client library
-    validates in the generator, but the protocol must not trust it)."""
+    """Bounds validation runs server-side too: the client validates
+    before it sends, but the protocol must not trust it, so a raw frame
+    with a bad index is a structured error."""
     client = _client(daemon)
-    with pytest.raises(DaemonError, match="negative"):
-        client.evaluate_indices(cost_function(ansatz), grid, [-3])
-    with pytest.raises(DaemonError, match="out of range"):
-        client.evaluate_indices(cost_function(ansatz), grid, [grid.size])
+    function = cost_function(ansatz)
+    for indices, detail in (([-3], "negative"), ([grid.size], "out of range")):
+        frame = client._function_frame(
+            "compute_indices", function, grid, indices=indices
+        )
+        with pytest.raises(DaemonError, match=detail):
+            client._request(frame)
+        with pytest.raises(ValueError, match=detail):
+            client.evaluate_indices(function, grid, indices)
     assert client.is_alive()
 
 
@@ -553,6 +559,35 @@ def test_pipeline_config_validation():
         PipelineConfig(fraction=0.1, sampler="sobol")
     with pytest.raises(ValueError, match="optimizer"):
         PipelineConfig(fraction=0.1, optimizer="bfgs")
+    with pytest.raises(ValueError, match="optimizer must be a string"):
+        PipelineConfig(fraction=0.1, optimizer=7)
+    with pytest.raises(ValueError, match="label must be a string"):
+        PipelineConfig(fraction=0.1, label=7)
+
+
+@pytest.mark.parametrize(
+    "point", [[0.1], [0.1, 0.2, 0.3]], ids=["too-short", "too-long"]
+)
+def test_local_pipeline_checks_initial_point_before_any_work(tmp_path, point):
+    """A local run, and the client's in-process fallback, refuse an
+    initial point without one coordinate per grid axis, as the daemon
+    does, before the cost function runs once."""
+    from repro.service import PipelineConfig, run_pipeline
+
+    calls = []
+
+    def cost(parameters):
+        calls.append(parameters)
+        return 0.0
+
+    grid = qaoa_grid(p=1, resolution=(4, 8))
+    config = PipelineConfig(fraction=0.5, initial_point=point)
+    with pytest.raises(ValueError, match="initial_point"):
+        run_pipeline(LandscapeGenerator(cost, grid), config, sample_rng=0)
+    fallback = LandscapeGenerator(cost, grid, daemon=tmp_path / "never-bound.sock")
+    with pytest.raises(ValueError, match="initial_point"):
+        fallback.run_pipeline(config, sample_rng=0)
+    assert calls == []
 
 
 def test_pipeline_op_rejects_non_config_task(daemon, ansatz, grid):

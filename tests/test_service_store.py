@@ -344,14 +344,14 @@ def test_hit_racing_an_invalidation_is_a_clean_miss(tmp_path, monkeypatch):
     other = LandscapeStore(tmp_path)
     spec, landscape = _tiny_landscape(0)
     store.put(spec, landscape)
-    load = Landscape.load
+    decode = Landscape.from_bytes
 
-    def load_then_invalidate(path):
-        loaded = load(path)
+    def decode_then_invalidate(blob):
+        loaded = decode(blob)
         assert other.invalidate(spec)
         return loaded
 
-    monkeypatch.setattr(Landscape, "load", staticmethod(load_then_invalidate))
+    monkeypatch.setattr(Landscape, "from_bytes", staticmethod(decode_then_invalidate))
     assert store.get(spec) is None
     assert list(tmp_path.iterdir()) == []
 

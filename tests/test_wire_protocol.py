@@ -246,12 +246,9 @@ def _tolerant_equal(actual, pinned, path: str) -> None:
 
 
 def _landscape_values(response: dict) -> list:
-    from repro.landscape.landscape import Landscape
-    from repro.service.daemon import decode_blob
-
     blob = response["landscape"]
     assert blob is not None, "expected a landscape payload"
-    return np.asarray(Landscape.from_bytes(decode_blob(blob)).values).tolist()
+    return np.asarray(protocol_module.decode_landscape(blob).values).tolist()
 
 
 def _extract_pins(op: str, response: dict) -> dict:
@@ -617,6 +614,152 @@ def test_grid_sizes_are_integers_at_the_wire(tmp_path, op, num_points):
         daemon.close()
 
 
+#: 2-parameter Two-local and UCCSD ansatz specs for the 2-D golden grid.
+TWOLOCAL_ANSATZ = {
+    "type": "twolocal",
+    "reps": 1,
+    "num_qubits": 1,
+    "hamiltonian": [["Z", 1.0, 0.0]],
+}
+UCCSD_ANSATZ = {
+    "type": "uccsd",
+    "num_qubits": 2,
+    "num_parameters": 2,
+    "excitations": [[0, 1], [0, 1]],
+    "initial_bitstring": "01",
+    "hamiltonian": [["XI", 0.3, 0.0], ["ZZ", 1.0, 0.0]],
+}
+
+
+def _function_with(path: tuple, value, ansatz: dict | None = None) -> dict:
+    """GOLDEN_FUNCTION (on ``ansatz`` when given) with the field at
+    ``path`` set to ``value``."""
+    function = json.loads(json.dumps(GOLDEN_FUNCTION))
+    if ansatz is not None:
+        function["ansatz"] = json.loads(json.dumps(ansatz))
+    target = function
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return function
+
+
+def _assert_refused(tmp_path: Path, request: dict, code: str) -> None:
+    """``request`` is answered with ``code`` and leaves no flight."""
+    daemon = _start_daemon(tmp_path)
+    try:
+        response = _request(
+            daemon.tcp_address, {"version": 2, "token": GOLDEN_TOKEN, **request}
+        )
+        assert response["ok"] is False, response
+        assert response["error"]["code"] == code, response["error"]
+        assert daemon._inflight == {}
+    finally:
+        daemon.close()
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        pytest.param(_function_with(("ansatz", "p"), 1.9), id="float-p"),
+        pytest.param(_function_with(("ansatz", "p"), "1"), id="string-p"),
+        pytest.param(_function_with(("ansatz", "p"), True), id="bool-p"),
+        pytest.param(
+            _function_with(("ansatz", "num_qubits"), 4.5), id="float-num_qubits"
+        ),
+        pytest.param(
+            _function_with(("ansatz", "problem", "couplings", 0, 0), 0.7),
+            id="float-coupling-qubit",
+        ),
+        pytest.param(
+            _function_with(("ansatz", "problem", "fields"), [[1.2, 0.5]]),
+            id="float-field-qubit",
+        ),
+        pytest.param(_function_with(("shots",), 16.7), id="float-shots"),
+        pytest.param(_function_with(("shots",), "16"), id="string-shots"),
+        pytest.param(
+            _function_with(("ansatz", "reps"), 1.5, TWOLOCAL_ANSATZ),
+            id="float-twolocal-reps",
+        ),
+        pytest.param(
+            _function_with(("ansatz", "num_parameters"), 2.5, UCCSD_ANSATZ),
+            id="float-uccsd-num_parameters",
+        ),
+        pytest.param(
+            _function_with(("ansatz", "excitations", 1, 0), 0.5, UCCSD_ANSATZ),
+            id="float-uccsd-excitation-qubit",
+        ),
+    ],
+)
+def test_spec_integers_are_integers_at_the_wire(tmp_path, function):
+    """Every integer of a function spec (QAOA depth, qubit count and
+    problem qubits, Two-local ``reps``, UCCSD parameter count and
+    excitation qubits, ``shots``) must be a JSON integer: a float,
+    string or bool is ``invalid-spec``, not a landscape computed and
+    cached under the truncated spec's key."""
+    _assert_refused(
+        tmp_path,
+        {"op": "compute", "function": function, "grid": GOLDEN_GRID, "seed": 0},
+        "invalid-spec",
+    )
+
+
+def test_grid_dimension_must_match_the_ansatz_at_the_wire(tmp_path):
+    """A 3-parameter Two-local spec on a 2-D grid is ``invalid-spec``
+    before any store or pool work, not an ``internal`` error from
+    inside the evaluation."""
+    ansatz = {
+        "type": "twolocal",
+        "reps": 0,
+        "num_qubits": 3,
+        "hamiltonian": [["IZZ", 0.5, 0.0], ["ZZI", 1.0, 0.0]],
+    }
+    _assert_refused(
+        tmp_path,
+        {
+            "op": "compute",
+            "function": {**GOLDEN_FUNCTION, "ansatz": ansatz},
+            "grid": GOLDEN_GRID,
+        },
+        "invalid-spec",
+    )
+
+
+def test_evaluate_batch_width_must_match_the_ansatz_at_the_wire(tmp_path):
+    """An ``evaluate`` batch 3 wide for a 2-parameter QAOA is
+    ``malformed``, like a batch that is not 2-D."""
+    batch = protocol_module.encode_array(np.full((2, 3), 0.1))
+    _assert_refused(
+        tmp_path,
+        {"op": "evaluate", "ansatz": GOLDEN_FUNCTION["ansatz"], "batch": batch},
+        "malformed",
+    )
+
+
+@pytest.mark.parametrize(
+    "expires",
+    [
+        pytest.param("1e20", id="string"),
+        pytest.param(True, id="bool"),
+        pytest.param("nan", id="nan-string"),
+        pytest.param(float("nan"), id="json-nan"),
+    ],
+)
+def test_token_expiry_is_a_number_when_loaded(tmp_path, expires):
+    """A credential's ``expires`` is a finite number or null: a string,
+    a bool or NaN (which ``json.loads`` accepts and which would never
+    expire) stops the tokens file from loading, and the error names the
+    tenant."""
+    tokens = tmp_path / "tokens.json"
+    tokens.write_text(
+        json.dumps({"alice": {"token": "tok-alice", "expires": expires}})
+    )
+    with pytest.raises(ValueError, match="'alice'.*expires"):
+        protocol_module.load_tokens(tokens)
+    with pytest.raises(ValueError, match="expires"):
+        LandscapeDaemon(tmp_path / "d.sock", tokens_file=tokens)
+
+
 def _assert_pipeline_refused_before_work(tmp_path: Path, **overrides) -> None:
     """The golden ``pipeline`` request with ``overrides`` in its config
     is ``invalid-spec``, answered before sampling, evaluation or
@@ -630,6 +773,7 @@ def _assert_pipeline_refused_before_work(tmp_path: Path, **overrides) -> None:
         response = _request(daemon.tcp_address, request)
         assert response["ok"] is False, response
         assert response["error"]["code"] == "invalid-spec", response["error"]
+        assert response["error"]["message"].startswith("invalid pipeline config")
         after = _request(daemon.tcp_address, stats)["counters"]
         for counter in ("requests", "errors"):
             before.pop(counter)
@@ -659,15 +803,37 @@ def _assert_pipeline_refused_before_work(tmp_path: Path, **overrides) -> None:
         pytest.param("cobyla", {"maxiter": True}, id="cobyla-bool-maxiter"),
         pytest.param("nelder-mead", {"maxiter": 0}, id="nelder-mead-zero-maxiter"),
         pytest.param("adam", {"maxiter": True}, id="adam-bool-maxiter"),
+        pytest.param("adam", {"learning_rate": "x"}, id="adam-string-learning_rate"),
+        pytest.param("adam", {"beta1": True}, id="adam-bool-beta1"),
+        pytest.param("adam", {"eps": -1.0}, id="adam-negative-eps"),
+        pytest.param("adam", {"gradient_step": 0.0}, id="adam-zero-gradient_step"),
+        pytest.param(
+            "adam", {"gradient_tolerance": "x"}, id="adam-string-gradient_tolerance"
+        ),
+        pytest.param("adam", {"gradient": 3}, id="adam-number-gradient"),
+        pytest.param(
+            "gradient-descent",
+            {"learning_rate": "x"},
+            id="gradient-descent-string-learning_rate",
+        ),
+        pytest.param(
+            "gradient-descent",
+            {"gradient_step": float("nan")},
+            id="gradient-descent-nan-gradient_step",
+        ),
+        pytest.param("spsa", {"a": "x"}, id="spsa-string-a"),
+        pytest.param("spsa", {"c": 0.0}, id="spsa-zero-c"),
+        pytest.param("spsa", {"alpha": True}, id="spsa-bool-alpha"),
+        pytest.param("spsa", {"stability": -5}, id="spsa-negative-stability"),
     ],
 )
 def test_pipeline_optimizer_options_are_checked_before_any_work(
     tmp_path, optimizer, options
 ):
     """``optimizer_options`` the optimizer cannot take (an unknown
-    keyword, a non-mapping, a ``maxiter`` that is not a positive
-    integer, a ``rhobeg`` that is not a positive number) are refused
-    before any work."""
+    keyword, a non-mapping, any numeric option that is not a finite
+    number in its range, an ADAM ``gradient`` that is not callable) are
+    refused before any work."""
     _assert_pipeline_refused_before_work(
         tmp_path, optimizer=optimizer, optimizer_options=options
     )
@@ -694,6 +860,8 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(
         {"initial_point": ["nan", 0.1]},
         {"initial_point": [True, 0.1]},
         {"fraction": True},
+        {"samplr": "stratified"},
+        {"label": 7},
     ],
     ids=[
         "unknown-solver",
@@ -714,13 +882,16 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(
         "nan-string-in-initial_point",
         "bool-in-initial_point",
         "bool-fraction",
+        "unknown-field",
+        "label-not-a-string",
     ],
 )
 def test_pipeline_config_is_checked_before_any_work(tmp_path, overrides):
-    """Every field of the pipeline config — the reconstruction knobs
-    (no unknown field, integer ``max_atoms``), the initial point's type,
-    values and length against the grid, the fraction's type — is
-    checked before any sample is drawn."""
+    """Every field of the pipeline config — no unknown field, the
+    reconstruction knobs (no unknown field, integer ``max_atoms``), the
+    initial point's type, values and length against the grid, the
+    fraction's type, a string label — is checked before any sample is
+    drawn."""
     _assert_pipeline_refused_before_work(tmp_path, **overrides)
 
 
