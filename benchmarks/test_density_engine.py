@@ -6,8 +6,8 @@ parameter spaces under the paper's depolarizing + readout rates), the
 batched density engine must reproduce the serial per-point
 ``simulate_density`` loop to machine precision (<= 1e-10) and run at
 least 2.5x faster.  A ZNE-folded variant additionally exercises the
-per-row Kraus-stack path, where every batch row carries its own scaled
-noise model.
+per-row channel path, where every batch row carries its own scaled
+noise model, and must run at least 7x faster.
 
 Under CI (or ``OSCAR_BENCH_SMOKE=1``) reduced grids run as smoke tests:
 equivalence is enforced either way, wall-clock bars only outside CI
@@ -36,6 +36,11 @@ POINTS_PER_AXIS = 6 if SMOKE else 16
 REPEATS = 1 if SMOKE else 2
 #: Bar for the batched density engine against the serial per-row loop.
 DENSITY_SPEEDUP_BAR = 2.5
+#: Bar for the ZNE-folded grid, where every row carries its own scaled
+#: noise model: one skeleton replayed over an angle matrix, with one
+#: channel per noise rate, measures ~10x on a 2-core box (the per-row
+#: circuit replay it replaced, ~6x).
+ZNE_SPEEDUP_BAR = 7.0
 #: The paper's Fig. 4-family device rates (depolarizing + readout).
 NOISE = NoiseModel(p1=0.003, p2=0.007, readout=0.01)
 
@@ -109,8 +114,8 @@ def test_batched_density_slice_speedup():
 def test_batched_density_zne_folded_speedup():
     """ZNE over a noisy Two-local slice folds the scale factors into the
     batch axis, so every row carries its *own* scaled noise model — the
-    per-row Kraus-stack path.  Must match the per-(point, scale) serial
-    loop and beat it by >= 2.5x."""
+    per-row channel path.  Must match the per-(point, scale) serial
+    loop and beat it by >= 7x."""
     ansatz = TwoLocalAnsatz(sk_problem(5, seed=1).to_pauli_sum(), reps=1)
     axis_points = 4 if SMOKE else 10
     grid = ParameterGrid(
@@ -153,7 +158,7 @@ def test_batched_density_zne_folded_speedup():
     )
     if SMOKE:
         return
-    assert speedup >= DENSITY_SPEEDUP_BAR, (
+    assert speedup >= ZNE_SPEEDUP_BAR, (
         f"batched density ZNE speedup {speedup:.2f}x below the "
-        f"{DENSITY_SPEEDUP_BAR}x bar"
+        f"{ZNE_SPEEDUP_BAR}x bar"
     )

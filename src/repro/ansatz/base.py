@@ -246,29 +246,44 @@ class Ansatz(abc.ABC):
     ) -> np.ndarray:
         """Noisy rows through the batched density engine, chunked.
 
-        Builds each row's bound circuit and replays the chunk as one
-        :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
-        with per-row noise models; expectations are extracted by the
+        Builds the circuit skeleton once per call and hands each chunk
+        its angle matrix: the batch's columns in the order
+        :meth:`_density_columns` gives, one per parameterized
+        instruction.  Each chunk is one
+        :meth:`~repro.quantum.batched_density.BatchedDensityMatrix.evolve_circuits`
+        replay with per-row noise models, so no circuit is built per
+        row; expectations are extracted by the
         :meth:`_density_expectations` hook the ansatz supplies.  Chunk
         size is the memory-capped
         :func:`~repro.quantum.batched_density.default_density_batch_size`
         (``4**n`` entries per row).
         """
+        skeleton = self.circuit(np.zeros(self.num_parameters))
+        angles = batch[:, self._density_columns()]
         chunk = default_density_batch_size(self.num_qubits)
         values = np.empty(batch.shape[0])
         for start in range(0, batch.shape[0], chunk):
-            rows = batch[start : start + chunk]
+            rows = angles[start : start + chunk]
             chunk_models = models[start : start + chunk]
             rho = BatchedDensityMatrix(
                 self.num_qubits, batch_size=rows.shape[0]
             )
-            rho.evolve_circuits(
-                [self.circuit(row) for row in rows], chunk_models
-            )
+            rho.evolve_circuits(skeleton, rows, chunk_models)
             values[start : start + rows.shape[0]] = self._density_expectations(
                 rho, chunk_models
             )
         return values
+
+    def _density_columns(self) -> np.ndarray:
+        """Parameter index feeding each parameterized instruction of
+        :meth:`circuit`, in circuit order.
+
+        Indexes the batch into the angle matrix :meth:`_density_many`
+        replays.  The default is one instruction per parameter, in
+        parameter order (Two-local); an ansatz whose gates share a
+        parameter overrides it.
+        """
+        return np.arange(self.num_parameters)
 
     def _density_expectations(
         self, rho: BatchedDensityMatrix, models: "list[NoiseModel]"

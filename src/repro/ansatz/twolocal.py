@@ -21,10 +21,12 @@ parameter bindings on a
 per-row ``(B, 2, 2)`` rotation stack and the parameter-independent CZ
 chain collapses to one shared ±1 diagonal, so a whole Tables 2-4 slice
 grid runs in a handful of array passes instead of a circuit per point.
-Noisy rows run vectorized as well, replayed gate by gate (the CZ chain
-included, so each entangler gate carries its depolarizing channel) on a
-:class:`~repro.quantum.batched_density.BatchedDensityMatrix` with
-per-row noise models — see :meth:`~repro.ansatz.base.Ansatz._density_many`.
+Noisy rows run vectorized as well: one circuit skeleton, replayed gate
+by gate (the CZ chain included, so each entangler gate carries its
+depolarizing channel) on a
+:class:`~repro.quantum.batched_density.BatchedDensityMatrix` against the
+batch's parameters as its angle matrix, with per-row noise models — see
+:meth:`~repro.ansatz.base.Ansatz._density_many`.
 """
 
 from __future__ import annotations

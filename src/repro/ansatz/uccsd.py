@@ -26,9 +26,11 @@ same gate sequence on a
 per-row ``(B, 4, 4)`` RXX/RYY stacks, doubles keep their shared
 basis-change/CX frame around one per-row RZ stack, so the Table 3
 slice grids run vectorized instead of a circuit per point.  Noisy rows
-run vectorized too, replayed on a
-:class:`~repro.quantum.batched_density.BatchedDensityMatrix` with
-per-row noise models — see :meth:`~repro.ansatz.base.Ansatz._density_many`.
+run vectorized too: one circuit skeleton replayed on a
+:class:`~repro.quantum.batched_density.BatchedDensityMatrix` against an
+angle matrix (a single's RXX and RYY read the same parameter column),
+with per-row noise models — see
+:meth:`~repro.ansatz.base.Ansatz._density_many`.
 """
 
 from __future__ import annotations
@@ -239,6 +241,14 @@ class UccsdAnsatz(Ansatz):
                 rows
             ).expectation_matrix(self._observable_matrix()),
             noisy_many=self._density_many,
+        )
+
+    def _density_columns(self) -> np.ndarray:
+        """A single's RXX and RYY share its parameter's column; a
+        double's RZ takes one (see :meth:`circuit`)."""
+        return np.repeat(
+            np.arange(self.num_parameters),
+            [2 if len(excitation) == 2 else 1 for excitation in self.excitations],
         )
 
     def _density_expectations(self, rho, models) -> np.ndarray:

@@ -21,7 +21,7 @@ which runs one vectorized FISTA loop over a whole stack of problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -86,8 +86,8 @@ class ReconstructionConfig:
     """Knobs of the CS reconstruction.
 
     Every field is checked when the config is built, so a bad value
-    (an unknown solver, a non-positive iteration cap, a negative
-    ``lam``, ...) raises ``ValueError`` before any sample is drawn.
+    (an unknown solver, a non-positive iteration cap, a negative or
+    infinite ``lam``, ...) raises ``ValueError`` before any sample is drawn.
 
     Attributes:
         solver: ``"fista"`` (default), ``"omp"`` or ``"bp"`` (see
@@ -135,10 +135,8 @@ class ReconstructionConfig:
                 f"tolerance must be a positive finite number, got {tolerance!r}"
             )
         lam = self.lam
-        if lam is not None and (
-            isinstance(lam, bool) or not isinstance(lam, Real) or not lam >= 0
-        ):
-            raise ValueError(f"lam must be a number >= 0 or None, got {lam!r}")
+        if lam is not None and not (is_finite_real(lam) and lam >= 0):
+            raise ValueError(f"lam must be a finite number >= 0 or None, got {lam!r}")
         atoms = self.max_atoms
         if atoms is not None and (
             isinstance(atoms, bool) or not isinstance(atoms, Integral) or atoms < 1

@@ -433,8 +433,8 @@ class LandscapeGenerator:
     ) -> np.ndarray:
         """The in-process :meth:`evaluate_indices` path (ignores
         ``daemon=``).  This is both the no-daemon fallback and what the
-        daemon itself runs server-side on a sparse miss."""
-        flat_indices = validate_flat_indices(self.grid.size, flat_indices)
+        daemon itself runs server-side on a sparse miss.  The indices
+        are checked by :meth:`~repro.landscape.grid.ParameterGrid.points_from_flat`."""
         return self.evaluate_points(self.grid.points_from_flat(flat_indices))
 
     def run_pipeline(self, config, sample_rng=None):

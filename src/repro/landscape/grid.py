@@ -122,8 +122,11 @@ class ParameterGrid:
         return self.point(np.unravel_index(int(flat_index), self.shape))
 
     def points_from_flat(self, flat_indices: np.ndarray) -> np.ndarray:
-        """Vectorised ``(m, ndim)`` parameter values for flat indices."""
-        unraveled = np.unravel_index(np.asarray(flat_indices, dtype=int), self.shape)
+        """Vectorised ``(m, ndim)`` parameter values for flat indices
+        (checked by :func:`validate_flat_indices`)."""
+        unraveled = np.unravel_index(
+            validate_flat_indices(self.size, flat_indices), self.shape
+        )
         columns = [
             axis.values[index_array]
             for axis, index_array in zip(self.axes, unraveled)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..ansatz.base import Ansatz
 from ..hardware.qpu import QpuPool
-from ..landscape.grid import ParameterGrid
+from ..landscape.grid import ParameterGrid, validate_flat_indices
 from .ncm import NoiseCompensationModel
 from ..utils import ensure_rng
 
@@ -113,7 +113,9 @@ class ParallelSampler:
 
         Args:
             ansatz: the circuit family being characterised.
-            flat_indices: grid points to evaluate.
+            flat_indices: integer flat indices of the grid points to
+                evaluate (checked by
+                :func:`~repro.landscape.grid.validate_flat_indices`).
             fractions: share of samples per QPU (default: even split).
             compensate: if True, fit the paper's linear NCM per
                 non-reference device and transform its values into the
@@ -123,7 +125,7 @@ class ParallelSampler:
             rng: RNG for choosing training points.
         """
         rng = ensure_rng(rng)
-        flat_indices = np.asarray(flat_indices, dtype=int)
+        flat_indices = validate_flat_indices(self.grid.size, flat_indices)
         if fractions is None:
             fractions = [1.0 / len(self.pool)] * len(self.pool)
         chunks = self.pool.split_indices(flat_indices, fractions)

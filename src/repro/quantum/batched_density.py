@@ -1,34 +1,43 @@
 """Batched exact density-matrix simulation with depolarizing noise.
 
 :class:`BatchedDensityMatrix` holds ``B`` density operators as one
-``(B, 2**n, 2**n)`` complex stack and replays ``B`` structurally
-identical circuits on it in a single vectorized pass
+``(B, 2**n, 2**n)`` complex stack and replays **one circuit skeleton**
+on it against a ``(B, K)`` angle matrix in a single vectorized pass
 (:meth:`BatchedDensityMatrix.evolve_circuits`) — the noisy twin of
-:class:`~repro.quantum.batched.BatchedStatevector`.  It serves the
+:class:`~repro.quantum.batched.BatchedStatevector`.  Column ``k`` of the
+matrix feeds the skeleton's ``k``-th parameterized instruction, so a
+batch of bindings costs one circuit, not one per row.  It serves the
 noisy rows of the Two-local and UCCSD ansatzes, batched ZNE (scale
 factors folded into the batch axis as per-row noise models) and CDR
 training, which would otherwise each pay a Python-level
 ``simulate_density`` loop per row.
 
-Operator application mirrors the batched statevector engine — reshape
-to a rank-``2n`` tensor behind the leading batch axis, move the target
-qubit axes to the front, contract — so no operator is ever embedded
-into the full ``2**n x 2**n`` space.  A density matrix has two index
-groups (rows and columns); gathering a gate's row *and* column axes
-together exposes the row-major vectorised ``(d**2,)`` local block, on
-which a conjugation ``U rho U^dag`` is one matmul with the
-``(d**2, d**2)`` superoperator ``U (x) conj(U)`` and a whole Kraus
-channel is one matmul with ``sum_k E_k (x) conj(E_k)``.  Circuit
-replay composes each gate's superoperator with its noise channel's, so
-a (gate, channel) pair costs a single contraction pass.  A parameterless
-gate is one shared operator; a parameterized position becomes a
-per-row ``(B, d, d)`` stack, and rows that disagree on the depolarizing
-probability get a per-row channel.
+A density matrix has two index groups (rows and columns).  Viewing the
+stack as a rank-``2n`` tensor behind the batch axis and bringing a
+gate's row *and* column axes to the front exposes the row-major
+vectorised ``(d**2,)`` local block, on which a conjugation
+``U rho U^dag`` is one matmul with the ``(d**2, d**2)`` superoperator
+``U (x) conj(U)`` and a whole Kraus channel is one matmul with
+``sum_k E_k (x) conj(E_k)`` — no operator is ever embedded into the
+full ``2**n x 2**n`` space.  Replay composes each gate's superoperator
+with its noise channel's, so a (gate, channel) pair costs one
+contraction.  A parameterless gate is one shared operator; a
+parameterized one is a per-row ``(B, d, d)`` stack built from its angle
+column.  Each channel is built once per distinct depolarizing
+probability in the batch and indexed per row.
 
-The serial :class:`~repro.quantum.density.DensityMatrix` delegates to
-the same kernels (:func:`conjugate_stack` / :func:`apply_kraus_stack`
-with ``B = 1``), so the reference oracle and the batched engine share
-one contraction implementation.
+The stack is carried in a **tracked axis order** between gates: each
+contraction moves its target axes to the front (one copy, none when they
+already lead), runs one matmul and records the order its output is in;
+a single transpose after the last gate restores ``(B, 2**n, 2**n)``.
+Copies and matmuls alternate between two work buffers allocated once
+per replay, so no gate allocates a stack.
+
+The serial :class:`~repro.quantum.density.DensityMatrix` reaches the
+same contraction step through :func:`conjugate_stack` /
+:func:`apply_kraus_stack` (``B = 1``, transposed back after each
+operator), so the reference oracle and the batched engine share one
+implementation.
 
 Memory: each row holds ``4**n`` complex entries — the square of a
 statevector row — so :func:`default_density_batch_size` shrinks the
@@ -37,13 +46,13 @@ cache-capped default batch accordingly.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .batched import DEFAULT_MAX_BATCH
 from .circuit import QuantumCircuit
-from .gates import gate_matrix_many
+from .gates import gate_matrix, gate_matrix_many
 from .noise import NoiseModel, kraus_superop
 
 __all__ = [
@@ -78,47 +87,69 @@ def default_density_batch_size(num_qubits: int | None = None) -> int:
     return max(1, min(DEFAULT_MAX_BATCH, rows))
 
 
-def _gather(
-    data: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> tuple[np.ndarray, tuple]:
-    """Pull the row- and column-local axes of ``qubits`` to the front.
+def _local_axes(qubits: Sequence[int], num_qubits: int) -> tuple[int, ...]:
+    """The rank-``2n`` tensor axes of ``qubits``: row axes, then column axes.
 
-    ``data`` is a ``(B, 2**n, 2**n)`` stack.  Returns a contiguous
-    ``(B, d, d, rest)`` view with ``d = 2**len(qubits)`` — axis 1 the
-    combined *row* index of the targeted qubits, axis 2 the combined
-    *column* index, ``rest`` all remaining indices — plus the scatter
-    recipe to undo the move.  The qubit order follows the ``|q1 q0>``
-    basis of :mod:`repro.quantum.gates` for pairs (``qubits[1]`` is the
-    high bit).
+    Axis ``n - 1 - q`` is qubit ``q``'s row index and ``2n - 1 - q`` its
+    column index.  The qubit order follows the ``|q1 q0>`` basis of
+    :mod:`repro.quantum.gates` for pairs (``qubits[1]`` is the high bit).
     """
     n = int(num_qubits)
-    batch = data.shape[0]
-    arity = len(qubits)
-    if arity == 1:
+    if len(qubits) == 1:
         (qubit,) = qubits
         local = (n - 1 - qubit,)
-    elif arity == 2:
+    elif len(qubits) == 2:
         qubit0, qubit1 = qubits  # q1 is the high bit of the matrix basis
         local = (n - 1 - qubit1, n - 1 - qubit0)
     else:
-        raise ValueError(f"unsupported operator arity {arity}")
-    source = tuple(1 + axis for axis in local) + tuple(
-        1 + n + axis for axis in local
-    )
-    destination = tuple(range(1, 1 + 2 * arity))
-    tensor = np.moveaxis(
-        data.reshape([batch] + [2] * n + [2] * n), source, destination
-    )
-    shape = tensor.shape
-    flat = tensor.reshape(batch, 1 << arity, 1 << arity, -1)
-    return flat, (shape, source, destination, batch, n)
+        raise ValueError(f"unsupported operator arity {len(qubits)}")
+    return local + tuple(n + axis for axis in local)
 
 
-def _scatter(flat: np.ndarray, recipe: tuple) -> np.ndarray:
-    """Undo :func:`_gather`: back to a contiguous ``(B, 2**n, 2**n)``."""
-    shape, source, destination, batch, n = recipe
-    tensor = np.moveaxis(flat.reshape(shape), destination, source)
-    return np.ascontiguousarray(tensor).reshape(batch, 1 << n, 1 << n)
+def _contract(
+    state: np.ndarray,
+    spare: np.ndarray,
+    order: tuple[int, ...],
+    superop: np.ndarray,
+    axes: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """One superoperator matmul on a stack held in a tracked axis order.
+
+    ``state`` and ``spare`` are two contiguous ``(B, 2, ..., 2)``
+    buffers the step may overwrite; axis ``1 + j`` of ``state`` holds
+    tensor axis ``order[j]``, and ``axes`` are the targets from
+    :func:`_local_axes`.  The targets are copied to the front in the
+    other buffer — skipped when they already lead — which exposes the
+    row-major vectorised local block, and ``superop`` (shared
+    ``(d**2, d**2)`` or per-row ``(B, d**2, d**2)``) contracts it in
+    one broadcast matmul (BLAS for both) written into the buffer the
+    block was not read from.  A gate therefore allocates no stack:
+    returns ``(result, free, order)`` — the buffer holding the result,
+    the buffer free for the next step, and the result's order (the
+    targets, then the other axes as they were).
+    """
+    front = tuple(range(1, 1 + len(axes)))
+    source = tuple(1 + order.index(axis) for axis in axes)
+    if source != front:
+        np.copyto(spare, np.moveaxis(state, source, front))
+        state, spare = spare, state
+    block = (state.shape[0], 1 << len(axes), -1)
+    np.matmul(superop, state.reshape(block), out=spare.reshape(block))
+    return spare, state, axes + tuple(axis for axis in order if axis not in axes)
+
+
+def _restore(
+    state: np.ndarray, spare: np.ndarray, order: tuple[int, ...]
+) -> np.ndarray:
+    """Transpose a tracked-order stack back to ``(B, 2**n, 2**n)``
+    (into ``spare``; no copy when the order is already the natural one)."""
+    natural = tuple(range(len(order)))
+    if order != natural:
+        permutation = (0,) + tuple(1 + order.index(axis) for axis in natural)
+        np.copyto(spare, state.transpose(permutation))
+        state = spare
+    dim = 1 << (len(order) // 2)
+    return state.reshape(state.shape[0], dim, dim)
 
 
 def _apply_superop(
@@ -127,18 +158,24 @@ def _apply_superop(
     qubits: Sequence[int],
     num_qubits: int,
 ) -> np.ndarray:
-    """One matmul with a local superoperator on every row of a stack.
+    """One local superoperator on every row of a ``(B, 2**n, 2**n)`` stack.
 
-    ``superop`` is a shared ``(d**2, d**2)`` matrix or a per-row
-    ``(B, d**2, d**2)`` stack acting on the row-major vectorisation of
-    the targeted qubits' ``(d, d)`` block — the combined (row, column)
-    index the gather produces at axes 1-2.  One gather, one broadcast
-    matmul (BLAS for shared and per-row operands alike), one scatter.
+    The serial engine's entry to the shared contraction step: one
+    :func:`_contract` from the natural axis order on a copy of ``data``,
+    transposed straight back.  Returns a new contiguous stack (out of
+    place).
     """
-    flat, recipe = _gather(data, qubits, num_qubits)
-    batch, d = flat.shape[0], flat.shape[1]
-    out = np.matmul(superop, flat.reshape(batch, d * d, -1))
-    return _scatter(out.reshape(flat.shape), recipe)
+    n = int(num_qubits)
+    state = data.reshape((data.shape[0],) + (2,) * (2 * n)).copy()
+    return _restore(
+        *_contract(
+            state,
+            np.empty_like(state),
+            tuple(range(2 * n)),
+            superop,
+            _local_axes(qubits, n),
+        )
+    )
 
 
 def unitary_superop(matrix: np.ndarray) -> np.ndarray:
@@ -218,6 +255,30 @@ def _resolve_models(
     return models
 
 
+def _row_channel(
+    models: list[NoiseModel | None], arity: int
+) -> np.ndarray | None:
+    """The depolarizing channel after every ``arity``-qubit gate.
+
+    ``None`` when no row is noisy, one shared ``(d**2, d**2)``
+    superoperator when every row has the same probability, else a
+    per-row ``(B, d**2, d**2)`` stack: one cached
+    :func:`~repro.quantum.noise.kraus_superop` per distinct probability
+    (ZNE folds a few scale factors into many rows), indexed per row.
+    """
+    probabilities = np.array(
+        [0.0 if model is None else model.error_probability(arity) for model in models]
+    )
+    if not probabilities.any():
+        return None
+    kind = "depolarizing" if arity == 1 else "two_qubit_depolarizing"
+    rates, rows = np.unique(probabilities, return_inverse=True)
+    superops = [kraus_superop(kind, float(rate)) for rate in rates]
+    if len(superops) == 1:
+        return superops[0]
+    return np.stack(superops)[rows]
+
+
 class BatchedDensityMatrix:
     """``B`` density operators in one ``(B, 2**n, 2**n)`` stack."""
 
@@ -284,96 +345,75 @@ class BatchedDensityMatrix:
 
     def evolve_circuits(
         self,
-        circuits: Iterable[QuantumCircuit],
+        circuit: QuantumCircuit,
+        angles: np.ndarray,
         noise: NoiseModel | Sequence[NoiseModel | None] | None = None,
     ) -> "BatchedDensityMatrix":
-        """Replay ``B`` structurally identical circuits, one per row.
+        """Replay one circuit skeleton with a row of angles per batch row.
 
-        The circuits must share their gate skeleton — same names and
-        operands at every position — and may differ only in their
-        angles: parameterless gates apply as one shared
-        operator, parameterized positions stack into per-row operands.
-        After each gate, rows whose noise model attaches a depolarizing
-        probability get the corresponding Kraus channel.  Each gate's
-        conjugation superoperator is composed with its channel's cached
-        superoperator (:func:`repro.quantum.noise.kraus_superop`) so a
-        (gate, channel) pair costs one contraction pass; when rows
-        disagree on the probability the composition is per-row.
-        Matches :meth:`repro.quantum.density.DensityMatrix.evolve` row
-        for row.
+        ``circuit`` fixes the gate names and operands; its own angles
+        are ignored.  ``angles`` is a ``(B, K)`` float array whose
+        column ``k`` feeds the ``k``-th parameterized instruction, so
+        row ``b`` replays the skeleton bound to ``angles[b]``.
+        Parameterless gates apply as one shared operator,
+        parameterized ones as a per-row stack built from their column
+        (:func:`~repro.quantum.gates.gate_matrix_many`).  After each
+        gate, rows whose noise model attaches a depolarizing
+        probability get that Kraus channel, composed with the gate's
+        superoperator so the pair costs one contraction.  The channel
+        superoperators (:func:`repro.quantum.noise.kraus_superop`) are
+        built once per distinct probability in the batch and indexed
+        per row.
+
+        The stack stays in the tracked axis order of
+        :func:`_contract` from gate to gate, in two work buffers
+        allocated once per call, and is transposed back to
+        ``(B, 2**n, 2**n)`` once at the end.  Row ``b`` matches
+        :meth:`repro.quantum.density.DensityMatrix.evolve` on the
+        skeleton bound to ``angles[b]``.
+
+        Raises:
+            ValueError: if ``angles`` is not 2-D, does not have one row
+                per batch row, or does not have one column per
+                parameterized instruction of ``circuit``.
         """
-        circuits = list(circuits)
-        if len(circuits) != self.batch_size:
+        instructions = circuit.instructions
+        width = sum(1 for instruction in instructions if instruction.params)
+        angles = np.asarray(angles, dtype=float)
+        if angles.shape != (self.batch_size, width):
             raise ValueError(
-                f"need {self.batch_size} circuits (one per row), "
-                f"got {len(circuits)}"
+                f"angles must have shape ({self.batch_size}, {width}): one "
+                "row per batch row, one column per parameterized "
+                f"instruction; got {angles.shape}"
             )
         models = _resolve_models(noise, self.batch_size)
-        instruction_rows = [circuit.instructions for circuit in circuits]
-        skeleton = [
-            (instruction.name, instruction.qubits)
-            for instruction in instruction_rows[0]
-        ]
-        parameterized = [
-            bool(instruction.params) for instruction in instruction_rows[0]
-        ]
-        for instructions in instruction_rows[1:]:
-            structure = [
-                (instruction.name, instruction.qubits)
-                for instruction in instructions
-            ]
-            if structure != skeleton:
-                raise ValueError(
-                    "evolve_circuits needs structurally identical circuits "
-                    "(same gate names and operands at every position)"
-                )
-        # Parameterless positions resolve once (shared operator);
-        # parameterized positions resolve for the whole batch via the
-        # vectorized gate constructors — never one matrix per row in
-        # Python.
-        reference = list(circuits[0].resolved_operations())
-        gate_probabilities = {
-            arity: np.array(
-                [
-                    0.0 if model is None else model.error_probability(arity)
-                    for model in models
-                ]
-            )
-            for arity in (1, 2)
-        }
-        for position, (name, qubits) in enumerate(skeleton):
-            if parameterized[position]:
-                matrix = gate_matrix_many(
-                    name,
-                    [
-                        instructions[position].params[0]
-                        for instructions in instruction_rows
-                    ],
-                )
+        channels = {arity: _row_channel(models, arity) for arity in (1, 2)}
+        n = self.num_qubits
+        # Two work buffers for the whole replay.  A fresh stack per gate
+        # is handed back to the OS and faulted in again, which cost as
+        # much as the contractions themselves.  ``self._data`` is only
+        # read, so the stack it held is left as it was.
+        state = self._data.reshape((self.batch_size,) + (2,) * (2 * n)).copy()
+        spare = np.empty_like(state)
+        order = tuple(range(2 * n))
+        column = 0
+        for instruction in instructions:
+            name, qubits = instruction.name, instruction.qubits
+            if instruction.params:
+                matrix = gate_matrix_many(name, angles[:, column])
+                column += 1
             else:
-                matrix = np.asarray(reference[position][2], dtype=complex)
+                matrix = gate_matrix(name)
             if name == "cx":
-                operands = (qubits[1], qubits[0])  # control is the high bit
-            else:
-                operands = tuple(qubits)
+                qubits = (qubits[1], qubits[0])  # control is the high bit
             superop = unitary_superop(matrix)
-            probabilities = gate_probabilities[len(qubits)]
-            if probabilities.any():
-                kind = (
-                    "depolarizing"
-                    if len(qubits) == 1
-                    else "two_qubit_depolarizing"
-                )
-                if np.all(probabilities == probabilities[0]):
-                    channel = kraus_superop(kind, float(probabilities[0]))
-                else:
-                    channel = np.stack(
-                        [kraus_superop(kind, float(p)) for p in probabilities]
-                    )
+            channel = channels[len(qubits)]
+            if channel is not None:
                 superop = np.matmul(channel, superop)
-            self._data = _apply_superop(
-                self._data, superop, operands, self.num_qubits
+            state, spare, order = _contract(
+                state, spare, order, superop, _local_axes(qubits, n)
             )
+        self._data = _restore(state, spare, order)
         return self
 
     # -- measurement -----------------------------------------------------

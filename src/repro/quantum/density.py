@@ -8,12 +8,13 @@ small-n experiments (Tables 2-3 run at 4-6 qubits) and as the oracle
 that the batched engines and the analytic QAOA noise contraction are
 validated against.
 
-Operator application delegates to the local-contraction kernels shared
-with :class:`~repro.quantum.batched_density.BatchedDensityMatrix`
-(``B = 1``): a gate on ``k`` qubits is two rank-``2n`` tensor
-contractions instead of a full ``2**n x 2**n`` embedding, so the serial
-oracle is ``O(4**n)`` per gate rather than ``O(8**n)`` — same values,
-one shared implementation.
+Operator application delegates to the contraction step shared with
+:class:`~repro.quantum.batched_density.BatchedDensityMatrix` (``B = 1``,
+transposed back to ``2**n x 2**n`` after each operator): a gate on
+``k`` qubits is one matmul of its ``4**k x 4**k`` superoperator with the
+rank-``2n`` tensor instead of a full ``2**n x 2**n`` embedding, so the
+serial oracle is ``O(4**n)`` per gate rather than ``O(8**n)`` — same
+values, one shared implementation.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class DensityMatrix:
         ``matrix`` is interpreted with the first operand as the low
         index bit when ``len(qubits) == 1`` and in ``|q1 q0>`` order for
         pairs (``qubits[1]`` high bit), matching
-        :mod:`repro.quantum.gates`.  Applied as two local tensor
-        contractions — the operator is never embedded into the full
+        :mod:`repro.quantum.gates`.  Applied as one local superoperator
+        contraction — the operator is never embedded into the full
         Hilbert space.
         """
         matrix = np.asarray(matrix, dtype=complex)

@@ -254,7 +254,7 @@ def gate_matrix(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
     raise KeyError(f"unknown gate {name!r}")
 
 
-def gate_matrix_many(name: str, angles: "list[float]") -> np.ndarray:
+def gate_matrix_many(name: str, angles: np.ndarray) -> np.ndarray:
     """``(B, d, d)`` stack of one rotation gate, one matrix per angle.
 
     Every parametric gate is a single-angle rotation with a ``*_many``

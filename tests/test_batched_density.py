@@ -23,7 +23,7 @@ from repro.landscape.generator import cost_function, resolve_batch_size
 from repro.mitigation.cdr import CdrCostFunction, CliffordDataRegression
 from repro.mitigation.zne import ZneConfig, zne_cost_function
 from repro.problems import random_3_regular_maxcut, sk_problem
-from repro.problems.chemistry import h2_hamiltonian
+from repro.problems.chemistry import h2_hamiltonian, lih_hamiltonian
 from repro.quantum import (
     BatchedDensityMatrix,
     NoiseModel,
@@ -42,17 +42,38 @@ from repro.quantum.noise import (
 NOISE = NoiseModel(p1=0.01, p2=0.03, readout=0.02)
 
 
-def _random_circuits(num_qubits, batch, rng):
-    """Structurally identical bound circuits with per-row parameters."""
-    circuits = []
-    for _ in range(batch):
-        theta = rng.uniform(-np.pi, np.pi, size=3)
-        qc = QuantumCircuit(num_qubits)
-        qc.h(0).cx(0, 1).rx(theta[0], num_qubits - 1)
-        qc.rzz(theta[1], 0, num_qubits - 1)
-        qc.ry(theta[2], 1).cz(1, num_qubits - 1)
-        circuits.append(qc)
-    return circuits
+def _skeleton(num_qubits):
+    """A replay skeleton mixing fixed and parameterized one- and
+    two-qubit gates; its three angle columns feed ``rx``, ``rzz`` and
+    ``ry`` (its own angles are placeholders)."""
+    qc = QuantumCircuit(num_qubits)
+    qc.h(0).cx(0, 1).rx(0.0, num_qubits - 1)
+    qc.rzz(0.0, 0, num_qubits - 1)
+    qc.ry(0.0, 1).cz(1, num_qubits - 1)
+    return qc
+
+
+def _random_angles(batch, rng):
+    """A ``(batch, 3)`` angle matrix for :func:`_skeleton`."""
+    return rng.uniform(-np.pi, np.pi, size=(batch, 3))
+
+
+def _bound(skeleton, row):
+    """The skeleton with one row of angles: the serial oracle's circuit."""
+    qc = QuantumCircuit(skeleton.num_qubits)
+    angles = iter(row)
+    for instruction in skeleton.instructions:
+        params = (float(next(angles)),) if instruction.params else ()
+        qc.append(instruction.name, instruction.qubits, params)
+    return qc
+
+
+def _assert_rows_match_serial(rho, skeleton, angles, models):
+    """Row ``b`` equals ``simulate_density`` of the skeleton bound to
+    ``angles[b]`` under ``models[b]``."""
+    for index, (row, model) in enumerate(zip(angles, models)):
+        reference = simulate_density(_bound(skeleton, row), model)
+        np.testing.assert_allclose(rho.data[index], reference.data, atol=1e-12)
 
 
 def _random_pure_stack(num_qubits, batch, seed):
@@ -93,52 +114,96 @@ def test_from_statevectors_is_pure():
 
 
 def test_evolve_circuits_matches_serial_shared_noise():
-    rng = np.random.default_rng(7)
-    circuits = _random_circuits(3, 5, rng)
-    rho = BatchedDensityMatrix(3, batch_size=5).evolve_circuits(circuits, NOISE)
-    for index, circuit in enumerate(circuits):
-        reference = simulate_density(circuit, NOISE)
-        np.testing.assert_allclose(
-            rho.data[index], reference.data, atol=1e-12
-        )
+    skeleton = _skeleton(3)
+    angles = _random_angles(5, np.random.default_rng(7))
+    rho = BatchedDensityMatrix(3, batch_size=5).evolve_circuits(
+        skeleton, angles, NOISE
+    )
+    _assert_rows_match_serial(rho, skeleton, angles, [NOISE] * 5)
 
 
 def test_evolve_circuits_matches_serial_per_row_noise():
-    rng = np.random.default_rng(8)
-    circuits = _random_circuits(3, 4, rng)
-    models = [None, NOISE, NoiseModel(), NOISE.scaled(2.0)]
-    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits, models)
-    for index, (circuit, model) in enumerate(zip(circuits, models)):
-        reference = simulate_density(circuit, model)
-        np.testing.assert_allclose(
-            rho.data[index], reference.data, atol=1e-12
-        )
+    """Per-row models with three distinct nonzero rates (and zero-rate
+    rows, ideal and ``None``), some rates on several rows: each
+    channel is built once per rate and indexed per row."""
+    skeleton = _skeleton(3)
+    angles = _random_angles(7, np.random.default_rng(8))
+    models = [
+        None,
+        NOISE,
+        NoiseModel(),
+        NOISE.scaled(2.0),
+        NOISE,
+        NOISE.scaled(3.0),
+        NOISE.scaled(2.0),
+    ]
+    rho = BatchedDensityMatrix(3, batch_size=7).evolve_circuits(
+        skeleton, angles, models
+    )
+    _assert_rows_match_serial(rho, skeleton, angles, models)
 
 
-def test_evolve_circuits_rejects_structure_mismatch():
-    qc1 = QuantumCircuit(2).h(0).cx(0, 1)
-    qc2 = QuantumCircuit(2).h(0).cx(1, 0)  # same gates, different operands
-    with pytest.raises(ValueError, match="structurally identical"):
-        BatchedDensityMatrix(2, batch_size=2).evolve_circuits([qc1, qc2])
+def test_evolve_circuits_two_qubit_rotations_share_a_column():
+    """Parameterized two-qubit gates (``rxx``, ``ryy``) replay from
+    their angle columns; two columns may carry the same parameter, as a
+    UCCSD single's pair does."""
+    skeleton = QuantumCircuit(3).x(0).rxx(0.0, 0, 2).ryy(0.0, 0, 2).cx(2, 1)
+    theta = np.random.default_rng(13).uniform(-np.pi, np.pi, size=4)
+    angles = np.stack([theta, theta], axis=1)
+    models = [NOISE, NOISE.scaled(2.0), None, NOISE.scaled(3.0)]
+    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(
+        skeleton, angles, models
+    )
+    _assert_rows_match_serial(rho, skeleton, angles, models)
 
 
-def test_evolve_circuits_rejects_wrong_batch_length():
-    qc = QuantumCircuit(2).h(0)
-    with pytest.raises(ValueError, match="one per row"):
-        BatchedDensityMatrix(2, batch_size=3).evolve_circuits([qc, qc])
+def test_evolve_circuits_without_parameterized_gates():
+    """A skeleton with no parameterized gate takes a ``(B, 0)`` angle
+    matrix; rows then differ only by their noise."""
+    skeleton = QuantumCircuit(3).h(0).cx(0, 2).h(1).cz(1, 2).s(2)
+    angles = np.empty((3, 0))
+    models = [NOISE, None, NOISE.scaled(2.0)]
+    rho = BatchedDensityMatrix(3, batch_size=3).evolve_circuits(
+        skeleton, angles, models
+    )
+    _assert_rows_match_serial(rho, skeleton, angles, models)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        pytest.param(np.zeros(3), id="one-dimensional"),
+        pytest.param(np.zeros((3, 3, 1)), id="three-dimensional"),
+        pytest.param(np.zeros((2, 3)), id="too-few-rows"),
+        pytest.param(np.zeros((4, 3)), id="too-many-rows"),
+        pytest.param(np.zeros((3, 2)), id="too-few-columns"),
+        pytest.param(np.zeros((3, 4)), id="too-many-columns"),
+    ],
+)
+def test_evolve_circuits_rejects_misshapen_angles(angles):
+    """The angle matrix needs one row per batch row and one column per
+    parameterized instruction; anything else is refused before any
+    gate runs."""
+    rho = BatchedDensityMatrix(3, batch_size=3)
+    before = rho.data.copy()
+    with pytest.raises(ValueError, match="angles must have shape"):
+        rho.evolve_circuits(_skeleton(3), angles, NOISE)
+    np.testing.assert_array_equal(rho.data, before)
 
 
 # -- measurement --------------------------------------------------------------
 
 
 def test_probabilities_per_row_readout_matches_serial():
-    rng = np.random.default_rng(9)
-    circuits = _random_circuits(3, 4, rng)
-    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits, NOISE)
+    skeleton = _skeleton(3)
+    angles = _random_angles(4, np.random.default_rng(9))
+    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(
+        skeleton, angles, NOISE
+    )
     readout = np.array([0.0, 0.05, 0.2, 0.0])
     probs = rho.probabilities(readout)
-    for index, circuit in enumerate(circuits):
-        reference = simulate_density(circuit, NOISE)
+    for index, row in enumerate(angles):
+        reference = simulate_density(_bound(skeleton, row), NOISE)
         np.testing.assert_allclose(
             probs[index],
             reference.probabilities(float(readout[index])),
@@ -260,6 +325,36 @@ def test_density_batch_rows_override_still_matches(monkeypatch):
     np.testing.assert_allclose(chunked, reference, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ansatz",
+    [
+        TwoLocalAnsatz(sk_problem(4, seed=3).to_pauli_sum(), reps=1),
+        UccsdAnsatz(lih_hamiltonian(), num_parameters=8),
+    ],
+    ids=["twolocal", "uccsd"],
+)
+def test_noisy_expectation_many_builds_no_circuit_per_row(monkeypatch, ansatz):
+    """Noisy rows replay one skeleton against an angle matrix: a batch
+    split over several density chunks builds one circuit per call, not
+    one per row, and still matches the serial loop."""
+    rng = np.random.default_rng(14)
+    batch = rng.uniform(-np.pi, np.pi, size=(5, ansatz.num_parameters))
+    models = [NOISE, NOISE.scaled(2.0), NOISE.scaled(3.0), NOISE, None]
+    serial = [ansatz.expectation(row, noise=model) for row, model in zip(batch, models)]
+    built = []
+    circuit = ansatz.circuit
+
+    def counting(parameters):
+        built.append(parameters)
+        return circuit(parameters)
+
+    monkeypatch.setattr(ansatz, "circuit", counting)
+    monkeypatch.setattr(ansatz_base, "default_density_batch_size", lambda n: 2)
+    values = ansatz.expectation_many(batch, noise=models)
+    assert len(built) == 1
+    np.testing.assert_allclose(values, serial, atol=1e-12)
+
+
 # -- hypothesis: channel invariants through circuit replay ---------------------
 
 PROBS = st.floats(min_value=0.0, max_value=1.0)
@@ -272,8 +367,10 @@ def test_shared_kraus_preserves_trace_and_purity_bound(seed, model):
     """Replaying circuits under one shared model — both depolarizing
     kinds, as the circuits mix 1q and 2q gates — keeps every row a valid
     state: trace ~ 1, purity <= 1."""
-    circuits = _random_circuits(3, 4, np.random.default_rng(seed))
-    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits, model)
+    angles = _random_angles(4, np.random.default_rng(seed))
+    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(
+        _skeleton(3), angles, model
+    )
     np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
     assert np.all(rho.purities() <= 1.0 + 1e-9)
 
@@ -287,11 +384,16 @@ def test_per_row_kraus_preserves_trace_and_purity_bound(seed, models):
     """Per-row models — every row its own channels — keep every row a
     valid state, and a ``None`` row keeps the purity of its noiseless
     replay."""
-    circuits = _random_circuits(3, 4, np.random.default_rng(seed))
-    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits, models)
+    skeleton = _skeleton(3)
+    angles = _random_angles(4, np.random.default_rng(seed))
+    rho = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(
+        skeleton, angles, models
+    )
     np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
     assert np.all(rho.purities() <= 1.0 + 1e-9)
-    noiseless = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(circuits)
+    noiseless = BatchedDensityMatrix(3, batch_size=4).evolve_circuits(
+        skeleton, angles
+    )
     untouched = np.array([model is None for model in models])
     np.testing.assert_allclose(
         rho.purities()[untouched], noiseless.purities()[untouched], atol=1e-10
@@ -306,10 +408,12 @@ def test_two_qubit_depolarizing_preserves_trace_shared_and_per_row(
     """The two-qubit channel alone (``p1 = 0``), shared and with a
     different probability on every row."""
     rng = np.random.default_rng(seed)
-    circuits = _random_circuits(3, 3, rng)
+    angles = _random_angles(3, rng)
     shared = NoiseModel(p2=probability)
     per_row = [NoiseModel(p2=float(p)) for p in rng.uniform(0.0, 1.0, size=3)]
     for noise in (shared, per_row):
-        rho = BatchedDensityMatrix(3, batch_size=3).evolve_circuits(circuits, noise)
+        rho = BatchedDensityMatrix(3, batch_size=3).evolve_circuits(
+            _skeleton(3), angles, noise
+        )
         np.testing.assert_allclose(rho.traces(), 1.0, atol=1e-10)
         assert np.all(rho.purities() <= 1.0 + 1e-9)

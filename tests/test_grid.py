@@ -77,6 +77,17 @@ def test_points_from_flat_vectorised():
         assert np.allclose(row, grid.point_from_flat(flat))
 
 
+def test_points_from_flat_checks_indices():
+    """``points_from_flat`` runs the library's one index check:
+    fractional indices are refused, not truncated to the points below
+    them, and a negative index names itself."""
+    grid = qaoa_grid(p=1, resolution=(5, 7))
+    with pytest.raises(ValueError, match="integers"):
+        grid.points_from_flat([1.5, 2.9])
+    with pytest.raises(ValueError, match="negative"):
+        grid.points_from_flat([-1])
+
+
 def test_point_arity_validation():
     grid = qaoa_grid(p=1, resolution=(5, 7))
     with pytest.raises(ValueError):

@@ -115,6 +115,14 @@ def test_sampler_distributes_all_indices(two_qpu_setup):
     assert batch.latencies.shape == batch.values.shape
 
 
+def test_sampler_refuses_fractional_indices(two_qpu_setup):
+    """The multi-QPU path runs the library's index check before any QPU
+    executes: ``[1.5, 2.9]`` is refused, not sampled as points 1 and 2."""
+    ansatz, grid, pool = two_qpu_setup
+    with pytest.raises(ValueError, match="integers"):
+        ParallelSampler(pool, grid).run(ansatz, [1.5, 2.9])
+
+
 def test_sampler_compensation_improves_reference_match(two_qpu_setup):
     ansatz, grid, pool = two_qpu_setup
     sampler = ParallelSampler(pool, grid, reference="qpu1")

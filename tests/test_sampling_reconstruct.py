@@ -140,6 +140,17 @@ def test_reconstruct_signal_unknown_solver():
         )
 
 
+def test_config_refuses_infinite_lam():
+    """An infinite ``lam`` would threshold every coefficient but the DC
+    term to zero and still report convergence, so it is refused like a
+    negative one; zero and the auto heuristic stay valid."""
+    for lam in (float("inf"), -1.0):
+        with pytest.raises(ValueError, match="lam must be a finite number"):
+            ReconstructionConfig(lam=lam)
+    assert ReconstructionConfig(lam=0.0).lam == 0.0
+    assert ReconstructionConfig(lam=None).lam is None
+
+
 def test_basis_pursuit_grid_size_cap():
     big = (128, 64)  # 8192 > 4096
     with pytest.raises(ValueError):

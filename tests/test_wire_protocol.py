@@ -845,6 +845,7 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(
         {"reconstruction": {"solver": "nope"}},
         {"reconstruction": {"lam": "x"}},
         {"reconstruction": {"lam": -1.0}},
+        {"reconstruction": {"lam": float("inf")}},
         {"reconstruction": {"max_iterations": 0}},
         {"reconstruction": {"max_iterations": -3}},
         {"reconstruction": {"tolerance": True}},
@@ -867,6 +868,7 @@ def test_pipeline_optimizer_options_are_checked_before_any_work(
         "unknown-solver",
         "lam-not-a-number",
         "negative-lam",
+        "infinite-lam",
         "zero-iterations",
         "negative-iterations",
         "bool-tolerance",
