@@ -3,10 +3,10 @@
 Acceptance bars for the daemon subsystem:
 
 - a **warm daemon request** (socket round trip to an already-running
-  daemon whose pool forked at startup and whose store holds the
-  landscape) must beat a **cold ``ShardedExecutor`` run** of the same
-  request (per-call pool startup + full computation) — the whole point
-  of keeping a daemon resident;
+  daemon whose store holds the landscape) must beat the **in-process
+  sharded compute** of the same request on the process's warm pool (no
+  fork, full computation) — the whole point of keeping a daemon
+  resident;
 - **concurrent identical requests compute once**: N clients asking for
   the same spec at the same time must trigger exactly one computation
   (single-flight dedup), all of them receiving the same landscape;
@@ -51,8 +51,8 @@ def _table1_setup():
 
 
 def test_warm_daemon_request_beats_cold_sharded_startup(tmp_path):
-    """A warm daemon request (persistent pool, warm store) is faster
-    than paying ShardedExecutor pool startup + compute per call."""
+    """A warm daemon request (warm store) is faster than the in-process
+    sharded compute on the process's warm pool."""
     ansatz, grid = _table1_setup()
     function = cost_function(ansatz)
 
@@ -76,7 +76,8 @@ def test_warm_daemon_request_beats_cold_sharded_startup(tmp_path):
         assert client.last_served_by == "daemon-hit"
 
         # Cold baseline: what every request costs without a daemon —
-        # a fresh pool per call, then the same computation.
+        # the same computation, sharded in-process on the process's warm
+        # pool (the daemon forked it; no call forks one).
         cold_seconds = float("inf")
         for _ in range(2):
             cold_generator = LandscapeGenerator(function, grid, workers=WORKERS)

@@ -5,7 +5,8 @@ Acceptance bars for the sparse service path (ISSUE 7):
 - a **warm-daemon sparse request** (Table-1-sized index set answered by
   read-through from the daemon's cached dense landscape) must be at
   least **3x faster** than a **cold client-local sharded evaluation**
-  of the same index set (per-call pool startup + computation);
+  of the same index set (the in-process sharded compute on the
+  process's warm pool);
 - the **pipeline op's trajectory is bit-identical** to the
   client-composed sample → evaluate → reconstruct → optimize sequence
   under the parity rng regime (daemon workers=1, same integer sample
@@ -76,7 +77,8 @@ def test_warm_sparse_request_beats_cold_sharded_evaluation(tmp_path):
         assert client.last_served_by == "daemon-readthrough"
 
         # Cold baseline: what the sampling loop costs without a daemon
-        # — a fresh sharded pool per call, then the subset evaluation.
+        # — the subset evaluation, sharded in-process on the process's
+        # warm pool.
         cold_seconds = float("inf")
         for _ in range(2):
             cold_generator = LandscapeGenerator(function, grid, workers=WORKERS)

@@ -1,11 +1,11 @@
-"""Landscape daemon: one persistent pool + one cache, many clients.
+"""Landscape daemon: one warm pool + one cache, many clients.
 
-``oscar-repro serve`` runs a long-lived daemon owning a persistent
-worker pool and a content-addressed landscape store behind a Unix
-socket.  Clients — the ``LandscapeClient`` library, or any
+``oscar-repro serve`` runs a long-lived daemon that serves from its
+process's warm worker pool and a content-addressed landscape store
+behind a Unix socket.  Clients — the ``LandscapeClient`` library, or any
 ``LandscapeGenerator(daemon=...)`` / CLI ``--daemon`` call — then share
-that pool and cache instead of each paying pool startup and keeping a
-private store.  Concurrent identical requests are *single-flighted*:
+that pool and cache instead of each forking a pool of its own and
+keeping a private store.  Concurrent identical requests are *single-flighted*:
 the daemon computes once and every waiting client gets the result.
 
 With ``tcp=`` and a ``tokens_file`` the same daemon also serves the

@@ -63,9 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="processes for sharded landscape execution (default: 1, "
-            "in-process); with a pool, this process and its workers run "
-            "one BLAS thread (Linux), as idle BLAS threads would contend "
-            "with the workers for cores",
+            "in-process); a larger count forks one warm pool at the first "
+            "sharded call and reuses it for the rest of the command; with "
+            "a pool, this process and its workers run one BLAS thread "
+            "(Linux), as idle BLAS threads would contend with the workers "
+            "for cores",
         )
         command.add_argument(
             "--cache-dir",
@@ -193,10 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="persistent worker-pool size (forked once at startup; "
-        "default: 1, in-process); with a pool, the daemon and its workers "
-        "run one BLAS thread (Linux), as idle BLAS threads would contend "
-        "with the workers for cores",
+        help="size of the worker pool the daemon serves every request "
+        "from (forked at startup, before the first connection; a lost "
+        "worker fails its request with a retryable error and the next "
+        "request forks a fresh pool; default: 1, in-process); with a "
+        "pool, the daemon and its workers run one BLAS thread (Linux), as "
+        "idle BLAS threads would contend with the workers for cores",
     )
     serve.add_argument(
         "--cache-dir",

@@ -28,8 +28,8 @@ On top of the single-process engine sit the service knobs
 
 - ``workers=`` / ``seed=`` fan the evaluation out across a
   :class:`~repro.service.shards.ShardedExecutor` — contiguous grid
-  shards, sized by the executor from the point count, on a
-  multiprocessing pool, with per-shard ``SeedSequence.spawn``
+  shards, sized by the executor from the point count, on the
+  process's warm worker pool, with per-shard ``SeedSequence.spawn``
   generators when ``seed`` is given so shot-noise results are
   bit-identical for any worker count;
 - ``store=`` consults a content-addressed
@@ -217,10 +217,12 @@ class LandscapeGenerator:
             (:func:`resolve_batch_size`,
             :func:`~repro.service.shards.plan_shards`).
         workers: processes for sharded execution (``1`` = in-process).
-            Once a pool is forked, this process and its workers run one
-            BLAS thread (Linux only; see
-            :func:`~repro.service.shards.create_pool` for the measured
-            reason).
+            Larger counts run on this process's warm pool of that size,
+            forked by the first such call and reused by every later one
+            (:func:`~repro.service.shards.worker_pool`).  Once a pool is
+            forked, this process and its workers run one BLAS thread
+            (Linux only); :func:`~repro.service.shards.worker_pool`
+            gives the measured reason.
         seed: root seed for per-shard shot-noise generators.  Required
             for multiprocess shot noise and for caching shot-noise
             landscapes; makes seeded results bit-identical for any
@@ -239,10 +241,6 @@ class LandscapeGenerator:
             ``workers``/``store``) when no daemon is listening.  An
             authenticated ``tcp://`` daemon needs a client that carries
             its bearer token: ``LandscapeClient(target, token=...)``.
-        executor_pool: an already-running ``multiprocessing`` pool the
-            sharded executor should reuse instead of forking per call
-            (how the daemon itself executes requests); the pool's
-            lifetime belongs to the caller.
 
     Example — a dense grid search over a 4-qubit QAOA landscape::
 
@@ -268,7 +266,6 @@ class LandscapeGenerator:
         seed: int | None = None,
         store: "LandscapeStore | None" = None,
         daemon=None,
-        executor_pool=None,
     ):
         self.function = function
         self.grid = grid
@@ -278,7 +275,6 @@ class LandscapeGenerator:
         self.seed = None if seed is None else int(seed)
         self.store = store
         self.daemon = daemon
-        self.executor_pool = executor_pool
 
     def _sharded(self) -> bool:
         """Whether evaluation routes through the sharded executor.
@@ -292,9 +288,7 @@ class LandscapeGenerator:
     def _executor(self):
         from ..service.shards import ShardedExecutor
 
-        return ShardedExecutor(
-            workers=self.workers, seed=self.seed, pool=self.executor_pool
-        )
+        return ShardedExecutor(workers=self.workers, seed=self.seed)
 
     def _client(self):
         """The daemon client for ``daemon=`` (paths become clients)."""

@@ -8,12 +8,12 @@ package is the first step toward a system that serves repeated traffic:
   (ansatz/problem content, grid, noise, shots, mitigation, rng plan),
   with LRU eviction and an index listing;
 - :mod:`repro.service.shards` — a :class:`ShardedExecutor` that splits
-  a grid into contiguous shards and fans them out across a
-  ``multiprocessing`` pool, with `SeedSequence.spawn`-style per-shard
+  a grid into contiguous shards and fans them out across the
+  process's warm worker pool, with `SeedSequence.spawn`-style per-shard
   seeding so shot-noise results are bit-identical for any worker count.
 
 - :mod:`repro.service.daemon` / :mod:`repro.service.client` — a
-  long-running :class:`LandscapeDaemon` owning one persistent pool and
+  long-running :class:`LandscapeDaemon` serving from one warm pool and
   one store behind a Unix-domain socket and, with ``tcp=`` +
   ``tokens_file=``, an authenticated TCP listener — one asyncio loop
   speaking the pickle-free v2 protocol on both — and the

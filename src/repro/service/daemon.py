@@ -1,16 +1,17 @@
-"""The landscape daemon: a persistent-pool service front over the store.
+"""The landscape daemon: one pool and one store shared by many clients.
 
-:class:`LandscapeDaemon` is a long-running server that owns **one**
-persistent ``multiprocessing`` pool and **one**
-:class:`~repro.service.store.LandscapeStore`, and serves landscape
+:class:`LandscapeDaemon` is a long-running server over **one**
+:class:`~repro.service.store.LandscapeStore` and its process's warm
+worker pool (:func:`~repro.service.shards.worker_pool`, forked when the
+daemon binds, before any serving thread starts), serving landscape
 requests to any number of clients over a Unix-domain socket (and,
-optionally, an authenticated TCP listener).  Compared with each client
-running its own :class:`~repro.service.shards.ShardedExecutor`, the
-daemon
+optionally, an authenticated TCP listener).  Every process keeps its
+own warm pool, so what only the daemon adds is sharing:
 
-- **amortizes pool startup**: workers fork once at daemon start and
-  stay warm, so a request pays only the socket round trip instead of
-  per-call pool creation (gated in ``benchmarks/test_daemon.py``);
+- **one pool and one store across client processes**: a client process
+  pays a socket round trip instead of forking a pool of its own, and a
+  landscape any client computed is a store hit for every other
+  (gated in ``benchmarks/test_daemon.py``);
 - **single-flights identical requests**: concurrent ``compute``
   requests for the same :class:`~repro.service.store.LandscapeSpec`
   key join one in-flight computation instead of racing the pool — the
@@ -33,7 +34,7 @@ op                  meaning
 ``ping``            liveness probe; returns pid/workers/uptime/tenant
 ``compute``         ``get_or_compute`` for a ``(function, grid)`` spec:
                     store hit, else single-flighted computation on the
-                    persistent pool; returns the landscape as base64
+                    warm pool; returns the landscape as base64
                     ``.npz`` plus its store key
 ``compute_indices`` sparse evaluation of an arbitrary flat-index set
                     (OSCAR's sampling path): bounds validation, a
@@ -87,6 +88,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, BinaryIO, Callable
 
@@ -110,7 +112,7 @@ from .protocol import (
     noise_from_spec,
     rng_from_state,
 )
-from .shards import ShardedExecutor, create_pool
+from .shards import ShardedExecutor, worker_pool
 from .store import LandscapeStore, TenantStores, is_store_key
 
 __all__ = ["LandscapeDaemon", "DEFAULT_SOCKET", "DEFAULT_MAX_PAYLOAD_BYTES"]
@@ -176,11 +178,14 @@ class LandscapeDaemon:
         socket_path: where to bind the ``AF_UNIX`` socket (the file is
             created on :meth:`start` and removed on :meth:`close`; keep
             it under ~100 characters, the kernel's path limit).
-        workers: process count for the persistent pool.  ``1`` serves
-            every request in-process (no pool) — still useful for the
-            shared cache and single-flight dedup.  With a pool, the
-            daemon and its workers run one BLAS thread (Linux only;
-            :func:`~repro.service.shards.create_pool` says why).
+        workers: size of the process's warm pool the daemon serves
+            from (:func:`~repro.service.shards.worker_pool`, forked on
+            :meth:`start` unless this process already has one; a
+            restarted daemon reuses it).  ``1`` serves every request
+            in-process (no pool) — still useful for the shared cache
+            and single-flight dedup.  With a pool, the daemon and its
+            workers run one BLAS thread (Linux only;
+            :func:`~repro.service.shards.worker_pool` says why).
         cache_dir: directory for the daemon's
             :class:`~repro.service.store.LandscapeStore`.  ``None``
             disables caching: every ``compute`` computes, but identical
@@ -215,7 +220,7 @@ class LandscapeDaemon:
         daemon = LandscapeDaemon("d.sock", workers=2, cache_dir="cache")
         daemon.start()          # binds + serves on a thread
         ...                     # clients connect via LandscapeClient
-        daemon.close()          # stop serving, join, release the pool
+        daemon.close()          # stop serving and join; the pool stays warm
 
     ``oscar-repro serve`` runs :meth:`serve_forever` in the foreground
     instead.
@@ -294,7 +299,6 @@ class LandscapeDaemon:
             "errors": 0,
         }
         self._tenant_counters: dict[str, dict[str, int]] = {}
-        self._pool = None
         self._started = time.time()
         self._close_lock = threading.Lock()
         self._closed = threading.Event()
@@ -312,19 +316,18 @@ class LandscapeDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     def _bind(self) -> None:
-        """Fork the pool, then bind and serve both listeners on the
-        serving loop's thread (idempotent).
+        """Warm the process's pool, then bind and serve both listeners
+        on the serving loop's thread (idempotent).
 
         Binding errors (a port in use, an over-long socket path) raise
         here, in the caller's thread."""
         if self._loop is not None:
             return
         self._closed.clear()
-        if self.workers > 1 and self._pool is None:
+        if self.workers > 1:
             # Fork the workers before any serving thread exists:
-            # fork-under-threads is the classic multiprocessing hazard
-            # the persistent pool is designed to avoid.
-            self._pool = create_pool(self.workers)
+            # fork-under-threads is the classic multiprocessing hazard.
+            worker_pool(self.workers)
         self._request_executor = ThreadPoolExecutor(
             max_workers=self.max_concurrent_requests,
             thread_name_prefix="landscape-daemon-req",
@@ -366,7 +369,8 @@ class LandscapeDaemon:
 
     def close(self) -> None:
         """Stop serving (both listeners drain gracefully), join the
-        serving thread, release pool + socket.  Idempotent."""
+        serving thread, remove the socket.  Idempotent.  The process's
+        pool stays warm for the next daemon or sharded call."""
         with self._close_lock:
             loop, self._loop = self._loop, None
             if loop is not None:
@@ -383,10 +387,6 @@ class LandscapeDaemon:
                     self._tcp_address = None
                     self._request_executor.shutdown(wait=False)
                     self._request_executor = None
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
             self.socket_path.unlink(missing_ok=True)
             self._closed.set()
 
@@ -419,6 +419,10 @@ class LandscapeDaemon:
             code, retryable = error.code, error.retryable
         elif isinstance(error, (json.JSONDecodeError, UnicodeDecodeError)):
             code = "malformed"
+        elif isinstance(error, BrokenProcessPool):
+            # A pool worker died mid-request; the next request runs on a
+            # fresh pool.
+            retryable = True
         return {
             "type": type(error).__name__,
             "message": str(error) or traceback.format_exc(limit=1),
@@ -559,7 +563,6 @@ class LandscapeDaemon:
             grid,
             workers=self.workers,
             seed=self._int_field(request, "seed", 0),
-            executor_pool=self._pool,
         )
 
     def _v2_spec_for(self, generator):
@@ -788,7 +791,6 @@ class LandscapeDaemon:
         executor = ShardedExecutor(
             workers=self.workers,
             seed=self._int_field(request, "seed", 0),
-            pool=self._pool,
         )
         values = executor.run_ansatz(
             ansatz,

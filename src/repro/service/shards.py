@@ -2,7 +2,7 @@
 
 :class:`ShardedExecutor` splits a flat run of grid points into
 contiguous shards and evaluates them through the existing batched
-engine — in-process, or fanned out across a ``multiprocessing`` pool.
+engine — in-process, or fanned out across the process's worker pool.
 Merging is trivial because shards are contiguous: the per-shard value
 arrays concatenate back into the original point order.
 
@@ -37,10 +37,16 @@ Reproducibility contract (the part worth being precise about):
   generator to N processes would either correlate shards or depend on
   scheduling order, so the executor raises instead of guessing.
 
-BLAS policy: once a process forks a pool (:func:`create_pool`, the only
-place one is created), it and its workers run one BLAS thread — on
-Linux, where the OpenBLAS libraries are found; :func:`create_pool`
-gives the measured reason.
+Pool lifetime: a process has one warm pool per worker count
+(:func:`worker_pool`, the only place one is created).  It forks on first
+use, serves every later call in that process (library and daemon
+alike), and shuts down when the interpreter exits; its workers exit with
+the process even when it ends without running exit handlers.  A worker
+that dies fails the call it was serving with ``BrokenProcessPool``, and
+the next call gets a fresh pool.  Once a process forks a pool, it and
+its workers run one BLAS thread (on Linux, where the OpenBLAS libraries
+are found), and the workers keep their freed engine stacks in the heap;
+:func:`worker_pool` gives the measured reasons.
 """
 
 from __future__ import annotations
@@ -51,8 +57,11 @@ import functools
 import hashlib
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -65,7 +74,7 @@ __all__ = [
     "Shard",
     "ShardedExecutor",
     "plan_shards",
-    "create_pool",
+    "worker_pool",
     "DEFAULT_MAX_SHARDS",
 ]
 
@@ -209,30 +218,135 @@ def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
     return tuple(controls)
 
 
-def create_pool(processes: int) -> multiprocessing.pool.Pool:
-    """The one way this package creates a worker pool.
+#: glibc ``mallopt`` parameters (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Workers serve allocations below this from the heap instead of a fresh
+#: ``mmap``: glibc's 64-bit ceiling, the value its dynamic threshold
+#: converges to.
+_WORKER_MMAP_THRESHOLD = 32 * 1024 * 1024
+#: Free heap top a worker keeps before glibc trims it: twice the mmap
+#: threshold, as glibc's dynamic rule sets it.
+_WORKER_TRIM_THRESHOLD = 2 * _WORKER_MMAP_THRESHOLD
+#: Seconds between a worker's checks that its parent process still lives.
+_PARENT_POLL_S = 0.5
 
-    Pins every OpenBLAS mapped into this process to one thread, then
-    forks where available (cheap, inherits the parent's modules; spawn
-    elsewhere).  The pin stays in place, so the workers inherit one BLAS
-    thread and never start OpenBLAS's thread pool, whose idle threads
-    would spin on the cores the other workers need.  On 2 cores, the
-    first map of the 8-qubit, 5000-point QAOA grid on a fresh 2-worker
-    pool takes a median 67–78 ms with the kept pin, against 115 ms
-    pinning in a pool initializer, 118–121 ms pinning, then restoring
-    the parent after the fork, and 347–399 ms unpinned:
-    ``openblas_set_num_threads`` re-creates the threads a fork shut
-    down.  For the same reason a library already at one thread is not
-    set again.  The cost: a later in-process ``workers=1`` run is
-    single-threaded too — no slower at 8–12 qubits, ~13% slower at 14
-    (best of 5 on a 10x20 grid: 237 → 268 ms).
+#: The process's pools, keyed by ``(pid, worker count)`` so that a forked
+#: child never reuses its parent's executor.  Daemon request threads
+#: reach it concurrently, hence the lock.
+_POOLS: dict[tuple[int, int], ProcessPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _keep_freed_stacks() -> None:
+    """Raise glibc's mmap and trim thresholds (skipped without ``mallopt``)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt: not glibc
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker once ``parent`` is no longer its parent process."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _start_worker(parent: int) -> None:
+    """Pool-worker initializer; runs in the workers only."""
+    _keep_freed_stacks()
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), name="exit-with-parent", daemon=True
+    ).start()
+
+
+def _forget_pool(processes: int, pool: ProcessPoolExecutor) -> None:
+    """Drop a broken pool from the registry, unless a caller already
+    replaced it; the executor has terminated its workers itself."""
+    key = (os.getpid(), processes)
+    with _POOLS_LOCK:
+        if _POOLS.get(key) is pool:
+            del _POOLS[key]
+
+
+def worker_pool(processes: int) -> ProcessPoolExecutor:
+    """This process's pool of ``processes`` workers, forked on first use.
+
+    The one way this package creates a worker pool.  Every later sharded
+    call in the process, library and daemon alike, reuses it, so no call
+    pays a fork; ``concurrent.futures`` shuts it down when the
+    interpreter exits.  A worker that dies makes the call it serves
+    raise ``BrokenProcessPool`` instead of hanging it, and
+    :class:`ShardedExecutor` then drops the pool, so the next call gets
+    a fresh one.
+
+    Creating the pool:
+
+    - **BLAS pin.**  Pins every OpenBLAS mapped into this process to one
+      thread before the fork, and leaves the pin in place, so the
+      workers inherit one BLAS thread and never start OpenBLAS's thread
+      pool, whose idle threads would spin on the cores the other workers
+      need.  On 2 cores, the first map of the 8-qubit, 5000-point QAOA
+      grid on a fresh 2-worker pool took a median 67–78 ms with the kept
+      pin, against 115 ms pinning in a pool initializer, 118–121 ms
+      pinning, then restoring the parent after the fork, and 347–399 ms
+      unpinned: ``openblas_set_num_threads`` re-creates the threads a
+      fork shut down.  For the same reason a library already at one
+      thread is not set again.  The cost: a later in-process
+      ``workers=1`` run is single-threaded too — no slower at 8–12
+      qubits, ~13% slower at 14 (best of 5 on a 10x20 grid: 237 →
+      268 ms).
+    - **Fork where available** (spawn elsewhere): cheap, and the workers
+      inherit the parent's modules as they are, including wrappers a
+      profiler installed before the first fork.  A fork-context executor
+      forks its workers at the first submit, not at construction, so
+      the creating call submits a no-op at once: a daemon creates its
+      pool before it starts any serving thread.
+    - **Heap pin, workers only.**  Each worker raises glibc's mmap
+      threshold to 32 MiB and its trim threshold to 64 MiB (no-op
+      without ``mallopt``).  At the defaults a freed multi-megabyte
+      engine stack goes back to the OS and the next chunk faults it in
+      again: a ``grid-cold``-sized ZNE slice (676 points, 5 qubits,
+      three scale factors) took ~28K minor faults inside the workers on
+      every call.  With the pin a fresh pool took ~5.5K on its first
+      call, ~0.6K on the second and under 50 after.  The caller's own
+      process keeps glibc's defaults.
+    - **Workers exit with their process.**  A persistent pool idles
+      between calls, so a process that ends without running exit
+      handlers (SIGKILL, ``os._exit``) would leave its workers blocked
+      on the call queue for good.  Each worker polls its parent pid
+      every half second and exits once it is reparented.
+      ``PR_SET_PDEATHSIG`` would not do: it fires when the forking
+      *thread* exits, and a daemon may rebuild its pool from a request
+      thread.
     """
-    for set_threads, get_threads in _openblas_thread_controls():
-        if get_threads() != 1:
-            set_threads(1)
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    return context.Pool(processes=processes)
+    key = (os.getpid(), processes)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        created = pool is None
+        if created:
+            for set_threads, get_threads in _openblas_thread_controls():
+                if get_threads() != 1:
+                    set_threads(1)
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+            pool = _POOLS[key] = ProcessPoolExecutor(
+                processes,
+                mp_context=context,
+                initializer=_start_worker,
+                initargs=(os.getpid(),),
+            )
+    if created:
+        # Fork now, outside the lock: a worker that inherited the lock
+        # held could never take it.
+        pool.submit(os.getpid).result()
+    return pool
 
 
 class ShardedExecutor:
@@ -242,9 +356,11 @@ class ShardedExecutor:
         workers: process count.  ``1`` evaluates shards sequentially
             in-process (no pool, no pickling) — with no ``seed`` this is
             *parity mode*, bit-identical to the unsharded batched path.
-            Once a call forks a pool, this process and its workers run
-            one BLAS thread (Linux only), because inherited idle BLAS
-            threads spin on the cores the workers need.
+            Larger counts run on this process's warm pool of that size
+            (:func:`worker_pool`): the first such call forks it, and
+            from then on this process and its workers run one BLAS
+            thread (Linux only), because inherited idle BLAS threads
+            spin on the cores the workers need.
         shard_points: points per shard.  ``None`` = the
             :func:`plan_shards` default (at most
             :data:`DEFAULT_MAX_SHARDS` shards), which every program
@@ -255,12 +371,6 @@ class ShardedExecutor:
             (``SeedSequence(seed).spawn``) — *spawn mode*, required for
             multiprocess shot noise, and what makes seeded results
             identical for any worker count.
-        pool: an already-running ``multiprocessing`` pool to reuse
-            instead of forking a fresh one per call.  This is how the
-            landscape daemon (:mod:`repro.service.daemon`) amortizes
-            pool startup across requests; the pool's lifetime belongs
-            to the caller (it is never closed here).  Ignored when a
-            run resolves to a single shard (evaluated inline).
 
     Example — sharded evaluation matches the unsharded batch path to
     machine precision (the cross-engine contract, ``ATOL = 1e-10``)::
@@ -282,7 +392,6 @@ class ShardedExecutor:
         workers: int = 1,
         shard_points: int | None = None,
         seed: int | None = None,
-        pool=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -291,7 +400,6 @@ class ShardedExecutor:
         self.workers = int(workers)
         self.shard_points = shard_points
         self.seed = None if seed is None else int(seed)
-        self.pool = pool
 
     # -- seeding -----------------------------------------------------------
 
@@ -342,12 +450,12 @@ class ShardedExecutor:
         spawn per-shard seed sequences (spawn mode), build one
         ``task(shard, seed_sequence)`` per shard, run ``worker`` over
         the tasks — inline in shard order with ``workers=1`` or a single
-        shard, else on the pool — and concatenate in shard order.  A
-        caller-supplied persistent pool (``pool=``) is reused as-is;
-        otherwise an ephemeral pool is created for this call (by
-        :func:`create_pool`) and torn down afterwards.  The pool gets
-        one batch of tasks per worker, so each worker unpickles the
-        cost function and builds its ansatz caches once per call.
+        shard, else on the process's pool (:func:`worker_pool`) — and
+        concatenate in shard order.  The pool gets one batch of tasks
+        per worker, so each worker unpickles the cost function and
+        builds its ansatz caches once per call.  A worker lost mid-call
+        raises ``BrokenProcessPool`` here; the broken pool leaves the
+        registry first, so the next call forks a fresh one.
         """
         shards = plan_shards(points.shape[0], self.shard_points)
         if not shards:
@@ -360,12 +468,13 @@ class ShardedExecutor:
         ]
         if self.workers == 1 or len(tasks) == 1:
             return np.concatenate([worker(one) for one in tasks])
-        processes = min(self.workers, len(tasks))
-        chunksize = math.ceil(len(tasks) / processes)
-        if self.pool is not None:
-            return np.concatenate(self.pool.map(worker, tasks, chunksize))
-        with create_pool(processes) as pool:
-            return np.concatenate(pool.map(worker, tasks, chunksize))
+        pool = worker_pool(self.workers)
+        chunksize = math.ceil(len(tasks) / self.workers)
+        try:
+            return np.concatenate(list(pool.map(worker, tasks, chunksize=chunksize)))
+        except BrokenProcessPool:
+            _forget_pool(self.workers, pool)
+            raise
 
     # -- cost-function level (the LandscapeGenerator path) -----------------
 

@@ -7,6 +7,8 @@ every code path the experiments use.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,14 @@ def ideal_generator(qaoa6, medium_grid) -> LandscapeGenerator:
 def mild_noise() -> NoiseModel:
     """A light depolarizing model used across noisy-path tests."""
     return NoiseModel(p1=0.002, p2=0.006)
+
+
+@pytest.fixture
+def no_warm_pool():
+    """Shut this process's 2-worker pool down first, so the test sees
+    which call forks the next one."""
+    from repro.service import shards
+
+    pool = shards._POOLS.pop((os.getpid(), 2), None)
+    if pool is not None:
+        pool.shutdown()

@@ -9,7 +9,10 @@ return structured errors without killing the server), and the ``LandscapeGenerat
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
+import sys
 import threading
 import time
 
@@ -25,6 +28,7 @@ from repro.service import (
     LandscapeDaemon,
     LandscapeStore,
     ShardedExecutor,
+    shards,
 )
 from repro.service.shards import _openblas_thread_controls
 
@@ -263,11 +267,102 @@ def _blas_threads(point):
     not _openblas_thread_controls(), reason="no OpenBLAS mapped into this process"
 )
 def test_daemon_pool_workers_run_one_blas_thread(tmp_path):
-    with LandscapeDaemon(tmp_path / "blas.sock", workers=2) as daemon:
-        values = ShardedExecutor(
-            workers=2, shard_points=1, pool=daemon._pool
-        ).run(_blas_threads, np.zeros((4, 2)))
+    with LandscapeDaemon(tmp_path / "blas.sock", workers=2):
+        values = ShardedExecutor(workers=2, shard_points=1).run(
+            _blas_threads, np.zeros((4, 2))
+        )
     np.testing.assert_array_equal(values, 1.0)
+
+
+def test_daemon_start_forks_the_pool_and_a_restart_reuses_it(tmp_path, no_warm_pool):
+    """Both workers run before the first request, and closing a daemon
+    leaves them warm for the next one in the same process."""
+    key = (os.getpid(), 2)
+    with LandscapeDaemon(tmp_path / "first.sock", workers=2):
+        pool = shards._POOLS[key]
+        workers = dict(pool._processes)
+        assert len(workers) == 2
+        assert all(process.is_alive() for process in workers.values())
+    with LandscapeDaemon(tmp_path / "second.sock", workers=2):
+        assert shards._POOLS[key] is pool
+        assert pool._processes == workers
+        assert all(process.is_alive() for process in workers.values())
+
+
+def _children_cpu_ticks() -> dict[int, int]:
+    """User + system CPU clock ticks of each live child of this process."""
+    me = str(os.getpid())
+    ticks = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[1] == me:
+            ticks[int(entry)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_lost_worker_fails_the_request_with_a_retryable_error(tmp_path, ansatz, grid):
+    """A pool worker SIGKILLed mid-request: the request gets a structured
+    retryable error instead of hanging, and the next one is served."""
+    big = cost_function(QaoaAnsatz(random_3_regular_maxcut(12, seed=0), p=1))
+    outcomes = []
+
+    def request(function, request_grid):
+        try:
+            outcomes.append(client.get_or_compute(function, request_grid))
+        except Exception as error:  # noqa: BLE001 - handed to the test
+            outcomes.append(error)
+
+    # The fresh pool forks on a request thread while this process's own
+    # client socket is open, so its workers hold a copy and the daemon
+    # sees no EOF on that connection: close() cancels it after the drain.
+    with LandscapeDaemon(
+        tmp_path / "kill.sock",
+        workers=2,
+        cache_dir=tmp_path / "cache",
+        drain_timeout=0.5,
+    ) as daemon:
+        client = LandscapeClient(daemon.socket_path, fallback=False)
+        idle = _children_cpu_ticks()
+        worker = threading.Thread(
+            target=request, args=(big, qaoa_grid(p=1, resolution=(50, 100))), daemon=True
+        )
+        worker.start()
+        # Kill the first child whose CPU time rises by 3 clock ticks: a
+        # pool worker computing shards, not an idle one.
+        victim, deadline = None, time.monotonic() + 20.0
+        while victim is None and worker.is_alive() and time.monotonic() < deadline:
+            for pid, ticks in _children_cpu_ticks().items():
+                if ticks - idle.get(pid, ticks) >= 3:
+                    victim = pid
+                    break
+            else:
+                time.sleep(0.005)
+        assert victim is not None, "no worker started computing"
+        os.kill(victim, signal.SIGKILL)
+        worker.join(30.0)
+        assert not worker.is_alive(), "a lost worker hung the request"
+        error = outcomes.pop()
+        assert isinstance(error, DaemonError), error
+        assert error.kind == "BrokenProcessPool"
+        assert error.code == "internal" and error.retryable
+
+        worker = threading.Thread(
+            target=request, args=(cost_function(ansatz), grid), daemon=True
+        )
+        worker.start()
+        worker.join(30.0)
+        assert not worker.is_alive(), "the request after a lost worker hung"
+    expected = LandscapeGenerator(cost_function(ansatz), grid).grid_search()
+    np.testing.assert_allclose(
+        outcomes.pop().values, expected.values, rtol=0.0, atol=1e-10
+    )
 
 
 def test_daemon_restart_preserves_store(tmp_path, ansatz, grid):
