@@ -22,16 +22,36 @@ vectorised ``(d**2,)`` local block, on which a conjugation
 full ``2**n x 2**n`` space.  Replay composes each gate's superoperator
 with its noise channel's, so a (gate, channel) pair costs one
 contraction.  A parameterless gate is one shared operator; a
-parameterized one is a per-row ``(B, d, d)`` stack built from its angle
-column.  Each channel is built once per distinct depolarizing
-probability in the batch and indexed per row.
+parameterized one is a per-slot ``(S, d, d)`` stack built from its
+angle column.  Each channel is built once per distinct depolarizing
+probability in the batch and indexed per slot.
 
-The stack is carried in a **tracked axis order** between gates: each
+**Slots: rows share their circuit prefix.**  The replay evolves one
+state per slot, a group of rows that started equal, carry the same
+depolarizing rates and have been fed bit-equal angles so far.  A stack
+the engine built itself (every row ``|0...0>``) starts with one slot per
+distinct ``(p1, p2)`` rate pair; at each parameterized gate a slot
+splits only where the gate's angle column differs inside it, keyed by
+the angles' bits, so sharing is exact and never a tolerance.  After the
+last gate one gather expands the slots back to the ``(B, 2**n, 2**n)``
+stack.  Each slot runs the very matmuls its rows would have run, so
+every value is bit-identical to a replay of that row alone; the per-row
+replay is the case where every row is its own slot.  Sharing pays when
+the leading parameters are frozen or on a slow grid axis: in a Tables
+2-3 slice 8 of a 5-qubit Two-local's 10 angles are frozen, so a ZNE
+chunk (42 points x 3 scale factors) runs every gate before the first
+varying one on 3 states instead of 126.  A CDR-mitigated slice (one
+shared noise model) shares its frozen prefix the same way.  Rows drawn
+uniformly at random split at the first gate and cost what they did
+before.
+
+Slots are carried in a **tracked axis order** between gates: each
 contraction moves its target axes to the front (one copy, none when they
 already lead), runs one matmul and records the order its output is in;
-a single transpose after the last gate restores ``(B, 2**n, 2**n)``.
-Copies and matmuls alternate between two work buffers allocated once
-per replay, so no gate allocates a stack.
+a single transpose after the last gate restores the natural order
+before the expansion.  Slots live in the leading rows of two work
+buffers allocated once per replay at ``B`` rows; copies, matmuls and
+splits alternate between them, so no gate allocates a stack.
 
 The serial :class:`~repro.quantum.density.DensityMatrix` reaches the
 same contraction step through :func:`conjugate_stack` /
@@ -140,16 +160,67 @@ def _contract(
 
 def _restore(
     state: np.ndarray, spare: np.ndarray, order: tuple[int, ...]
-) -> np.ndarray:
-    """Transpose a tracked-order stack back to ``(B, 2**n, 2**n)``
-    (into ``spare``; no copy when the order is already the natural one)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transpose a tracked-order stack back to the natural axis order.
+
+    Copies into ``spare``, or nothing when the order is already the
+    natural one; returns ``(result, free)`` like :func:`_contract`.
+    """
     natural = tuple(range(len(order)))
     if order != natural:
         permutation = (0,) + tuple(1 + order.index(axis) for axis in natural)
         np.copyto(spare, state.transpose(permutation))
-        state = spare
-    dim = 1 << (len(order) // 2)
-    return state.reshape(state.shape[0], dim, dim)
+        return spare, state
+    return state, spare
+
+
+def _split(
+    state: np.ndarray,
+    spare: np.ndarray,
+    slot_of: np.ndarray,
+    first: np.ndarray,
+    columns: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a replay's slots where per-row ``columns`` differ inside one.
+
+    Row ``b`` of the batch is in slot ``slot_of[b]``, slot ``s`` holds
+    its state in row ``s`` of ``state`` and ``first[s]`` is its first
+    row.  Rows stay in one slot only while each of ``columns`` is
+    bit-equal across them: the floats are keyed by their bits as
+    integers, so equality is exact (``-0.0`` is not ``0.0``) and the
+    keys go through a 1-D ``np.unique``.  New slots are numbered in the
+    order of their first row, so when every row has its own slot, slot
+    ``b`` is row ``b``.  Each is gathered from its parent slot into the
+    leading rows of ``spare``.  Returns ``(state, spare, slot_of,
+    first)``: the same objects when no slot splits.
+    """
+    if first.size == slot_of.size:
+        return state, spare, slot_of, first
+    keys = slot_of
+    for column in columns:
+        bits = column.view(np.int64)
+        if (bits != bits[:1]).any():
+            values, ids = np.unique(bits, return_inverse=True)
+            keys = keys * values.size + ids
+    if keys is slot_of:
+        return state, spare, slot_of, first
+    _, rows, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if rows.size == first.size:
+        return state, spare, slot_of, first
+    by_row = np.argsort(rows)
+    number = np.empty_like(by_row)
+    number[by_row] = np.arange(by_row.size)
+    rows = rows[by_row]
+    # The slot indices are valid by construction; the default
+    # mode="raise" would buffer ``out`` and copy it again.
+    np.take(
+        state[: first.size],
+        slot_of[rows],
+        axis=0,
+        out=spare[: rows.size],
+        mode="clip",
+    )
+    return spare, state, number[inverse], rows
 
 
 def _apply_superop(
@@ -167,7 +238,7 @@ def _apply_superop(
     """
     n = int(num_qubits)
     state = data.reshape((data.shape[0],) + (2,) * (2 * n)).copy()
-    return _restore(
+    result, _ = _restore(
         *_contract(
             state,
             np.empty_like(state),
@@ -176,6 +247,7 @@ def _apply_superop(
             _local_axes(qubits, n),
         )
     )
+    return result.reshape(data.shape)
 
 
 def unitary_superop(matrix: np.ndarray) -> np.ndarray:
@@ -255,10 +327,9 @@ def _resolve_models(
     return models
 
 
-def _row_channel(
-    models: list[NoiseModel | None], arity: int
-) -> np.ndarray | None:
-    """The depolarizing channel after every ``arity``-qubit gate.
+def _row_channel(probabilities: np.ndarray, arity: int) -> np.ndarray | None:
+    """The depolarizing channel after every ``arity``-qubit gate, given
+    the probability of each row it acts on (each slot, in a replay).
 
     ``None`` when no row is noisy, one shared ``(d**2, d**2)``
     superoperator when every row has the same probability, else a
@@ -266,9 +337,6 @@ def _row_channel(
     :func:`~repro.quantum.noise.kraus_superop` per distinct probability
     (ZNE folds a few scale factors into many rows), indexed per row.
     """
-    probabilities = np.array(
-        [0.0 if model is None else model.error_probability(arity) for model in models]
-    )
     if not probabilities.any():
         return None
     kind = "depolarizing" if arity == 1 else "two_qubit_depolarizing"
@@ -290,6 +358,9 @@ class BatchedDensityMatrix:
     ):
         self.num_qubits = int(num_qubits)
         dim = 1 << self.num_qubits
+        # Whether every row still holds the |0...0> state written here,
+        # which lets a replay start its rows in shared slots.
+        self._ground = data is None
         if data is None:
             if batch_size is None:
                 raise ValueError("provide either batch_size or data")
@@ -321,6 +392,7 @@ class BatchedDensityMatrix:
     @property
     def data(self) -> np.ndarray:
         """The underlying ``(B, 2**n, 2**n)`` stack (a live view)."""
+        self._ground = False  # the caller may write to it
         return self._data
 
     @property
@@ -356,21 +428,40 @@ class BatchedDensityMatrix:
         column ``k`` feeds the ``k``-th parameterized instruction, so
         row ``b`` replays the skeleton bound to ``angles[b]``.
         Parameterless gates apply as one shared operator,
-        parameterized ones as a per-row stack built from their column
+        parameterized ones as a per-slot stack built from their column
         (:func:`~repro.quantum.gates.gate_matrix_many`).  After each
         gate, rows whose noise model attaches a depolarizing
         probability get that Kraus channel, composed with the gate's
         superoperator so the pair costs one contraction.  The channel
         superoperators (:func:`repro.quantum.noise.kraus_superop`) are
-        built once per distinct probability in the batch and indexed
-        per row.
+        built once per distinct probability and indexed per slot.
 
-        The stack stays in the tracked axis order of
-        :func:`_contract` from gate to gate, in two work buffers
-        allocated once per call, and is transposed back to
-        ``(B, 2**n, 2**n)`` once at the end.  Row ``b`` matches
-        :meth:`repro.quantum.density.DensityMatrix.evolve` on the
-        skeleton bound to ``angles[b]``.
+        **Slots.**  The replay evolves one state per slot: rows that
+        started equal, carry the same ``(p1, p2)`` rates and have been
+        fed bit-equal angles so far.  A stack this engine built
+        (``batch_size=``, every row ``|0...0>``, not yet evolved or
+        handed out through :attr:`data`) starts with one slot per
+        distinct rate pair; any other stack (``data=``,
+        :meth:`from_statevectors`) starts with one slot per row, and its
+        values are not inspected.  At a parameterized gate a slot splits
+        only where that gate's angle column differs inside it
+        (:func:`_split`); the channels are rebuilt only when a split
+        changes the slots.  Readout is not part of the key: it applies
+        per row at measurement.  Each slot runs the matmuls its rows
+        would run alone, so row ``b`` is bit-identical to a one-row
+        replay of row ``b``.  Sharing pays when the leading parameters
+        are frozen or on a slow grid axis: a Tables 2-3 slice, plain,
+        CDR-mitigated or ZNE-folded (the scale factors are then the
+        only other split).
+
+        The slots live in the leading rows of two work buffers
+        allocated once per call at ``B`` rows; a split gathers into the
+        other one.  Between gates the slots stay in the tracked axis
+        order of :func:`_contract`; after the last gate they are
+        transposed back once, and one gather into the free buffer
+        expands them to the ``(B, 2**n, 2**n)`` stack.  Row ``b``
+        matches :meth:`repro.quantum.density.DensityMatrix.evolve` on
+        the skeleton bound to ``angles[b]``.
 
         Raises:
             ValueError: if ``angles`` is not 2-D, does not have one row
@@ -378,42 +469,80 @@ class BatchedDensityMatrix:
                 parameterized instruction of ``circuit``.
         """
         instructions = circuit.instructions
+        batch = self.batch_size
         width = sum(1 for instruction in instructions if instruction.params)
         angles = np.asarray(angles, dtype=float)
-        if angles.shape != (self.batch_size, width):
+        if angles.shape != (batch, width):
             raise ValueError(
-                f"angles must have shape ({self.batch_size}, {width}): one "
+                f"angles must have shape ({batch}, {width}): one "
                 "row per batch row, one column per parameterized "
                 f"instruction; got {angles.shape}"
             )
-        models = _resolve_models(noise, self.batch_size)
-        channels = {arity: _row_channel(models, arity) for arity in (1, 2)}
+        rates = np.array(
+            [
+                (0.0, 0.0) if model is None else (model.p1, model.p2)
+                for model in _resolve_models(noise, batch)
+            ],
+            dtype=float,
+        ).reshape(batch, 2)
         n = self.num_qubits
         # Two work buffers for the whole replay.  A fresh stack per gate
         # is handed back to the OS and faulted in again, which cost as
         # much as the contractions themselves.  ``self._data`` is only
         # read, so the stack it held is left as it was.
-        state = self._data.reshape((self.batch_size,) + (2,) * (2 * n)).copy()
+        state = np.empty((batch,) + (2,) * (2 * n), dtype=complex)
         spare = np.empty_like(state)
+        # Row b is in slot slot_of[b]; slot s holds its state in row s
+        # of ``state`` and first[s] is its first row.
+        if self._ground:
+            slot_of = np.zeros(batch, dtype=np.intp)
+            first = np.zeros(1, dtype=np.intp)
+        else:
+            slot_of = first = np.arange(batch)
+        head = state[: first.size]
+        head[...] = self._data[: first.size].reshape(head.shape)
+        state, spare, slot_of, first = _split(
+            state, spare, slot_of, first, rates.T
+        )
         order = tuple(range(2 * n))
         column = 0
+        built = None
         for instruction in instructions:
             name, qubits = instruction.name, instruction.qubits
             if instruction.params:
-                matrix = gate_matrix_many(name, angles[:, column])
+                state, spare, slot_of, first = _split(
+                    state, spare, slot_of, first, (angles[:, column],)
+                )
+                matrix = gate_matrix_many(name, angles[first, column])
                 column += 1
             else:
                 matrix = gate_matrix(name)
             if name == "cx":
                 qubits = (qubits[1], qubits[0])  # control is the high bit
+            arity = len(qubits)
+            if built is not first:  # a split changed the slots
+                built, channels = first, {}
+            if arity not in channels:
+                channels[arity] = _row_channel(rates[first, arity - 1], arity)
             superop = unitary_superop(matrix)
-            channel = channels[len(qubits)]
+            channel = channels[arity]
             if channel is not None:
                 superop = np.matmul(channel, superop)
-            state, spare, order = _contract(
-                state, spare, order, superop, _local_axes(qubits, n)
+            head, tail = state[: first.size], spare[: first.size]
+            result, _, order = _contract(
+                head, tail, order, superop, _local_axes(qubits, n)
             )
-        self._data = _restore(state, spare, order)
+            if result is tail:
+                state, spare = spare, state
+        head, tail = state[: first.size], spare[: first.size]
+        result, _ = _restore(head, tail, order)
+        if result is tail:
+            state, spare = spare, state
+        if first.size < batch:
+            np.take(state[: first.size], slot_of, axis=0, out=spare, mode="clip")
+            state = spare
+        self._data = state.reshape(self._data.shape)
+        self._ground = False
         return self
 
     # -- measurement -----------------------------------------------------

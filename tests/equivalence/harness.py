@@ -338,6 +338,22 @@ def ansatz_cases() -> dict[str, Callable[[], Ansatz]]:
     }
 
 
+def slice_batch(ansatz: Ansatz, side: int, seed: int) -> np.ndarray:
+    """A Tables 2-3 slice as a batch: the last two parameters run a
+    ``side x side`` grid (the earlier one the slower axis) and the rest
+    stay frozen at random values, so rows share every gate before the
+    first varying one, as in a landscape slice.  Uniform random batches
+    split at the first gate and never exercise that sharing."""
+    rng = np.random.default_rng(seed)
+    batch = np.tile(
+        rng.uniform(-np.pi, np.pi, ansatz.num_parameters), (side * side, 1)
+    )
+    axis = np.linspace(-np.pi, np.pi, side)
+    batch[:, -2] = np.repeat(axis, side)
+    batch[:, -1] = np.tile(axis, side)
+    return batch
+
+
 # -- randomized instances for property tests ----------------------------------
 
 

@@ -22,6 +22,7 @@ from harness import (
     random_qaoa,
     random_twolocal,
     random_uccsd,
+    slice_batch,
 )
 from repro.quantum import NoiseModel
 
@@ -53,6 +54,20 @@ def test_per_row_noise_matches_serial(case, shots):
     rng = np.random.default_rng(7)
     batch = rng.uniform(-np.pi, np.pi, size=(6, ansatz.num_parameters))
     rows = [None, NOISE, NOISE.scaled(2.0), None, NOISE.scaled(3.0), NOISE]
+    assert_engines_match(ansatz, batch, noise=rows, shots=shots)
+
+
+@pytest.mark.parametrize("case", ["twolocal-sk", "twolocal-h2", "uccsd-lih"])
+@pytest.mark.parametrize("shots", [None, 64], ids=["exact", "shots"])
+def test_slice_batch_with_mixed_per_row_noise_matches_serial(case, shots):
+    """A slice-shaped batch (frozen parameters, a grid over the last
+    two) under mixed per-row noise: the density engine's rows share
+    their state up to the first varying gate, split per rate and angle,
+    and every engine still matches the serial loop, draws included."""
+    ansatz = CASES[case]()
+    batch = slice_batch(ansatz, 3, seed=sorted(CASES).index(case))
+    cycle = [NOISE, NOISE.scaled(2.0), None, NOISE.scaled(3.0)]
+    rows = [cycle[index % len(cycle)] for index in range(batch.shape[0])]
     assert_engines_match(ansatz, batch, noise=rows, shots=shots)
 
 

@@ -19,13 +19,18 @@ from hypothesis import strategies as st
 
 import repro.ansatz.base as ansatz_base
 from repro.ansatz import QaoaAnsatz, TwoLocalAnsatz, UccsdAnsatz
-from repro.landscape.generator import cost_function, resolve_batch_size
+from repro.landscape.generator import (
+    cost_function,
+    evaluate_points_chunked,
+    resolve_batch_size,
+)
 from repro.mitigation.cdr import CdrCostFunction, CliffordDataRegression
 from repro.mitigation.zne import ZneConfig, zne_cost_function
 from repro.problems import random_3_regular_maxcut, sk_problem
 from repro.problems.chemistry import h2_hamiltonian, lih_hamiltonian
 from repro.quantum import (
     BatchedDensityMatrix,
+    DensityMatrix,
     NoiseModel,
     QuantumCircuit,
     default_batch_size,
@@ -189,6 +194,188 @@ def test_evolve_circuits_rejects_misshapen_angles(angles):
     with pytest.raises(ValueError, match="angles must have shape"):
         rho.evolve_circuits(_skeleton(3), angles, NOISE)
     np.testing.assert_array_equal(rho.data, before)
+
+
+# -- shared-prefix replay: slots ------------------------------------------------
+
+
+def _assert_rows_match_one_row_replays(rho, skeleton, angles, models):
+    """Row ``b`` equals a one-row replay of row ``b`` bit for bit."""
+    for index, model in enumerate(models):
+        alone = BatchedDensityMatrix(skeleton.num_qubits, batch_size=1)
+        alone.evolve_circuits(skeleton, angles[index : index + 1], model)
+        np.testing.assert_array_equal(rho.data[index], alone.data[0])
+
+
+def _slice_angles(width, varying, side, seed):
+    """A Tables 2-3 slice as an angle matrix: every column frozen at one
+    random value except the two ``varying`` ones, which run a
+    ``side x side`` Cartesian grid (the first varying column slower)."""
+    rng = np.random.default_rng(seed)
+    angles = np.tile(rng.uniform(-np.pi, np.pi, width), (side * side, 1))
+    axis = np.linspace(-np.pi, np.pi, side)
+    angles[:, varying[0]] = np.repeat(axis, side)
+    angles[:, varying[1]] = np.tile(axis, side)
+    return angles
+
+
+def _zne_rows(angles, models):
+    """Point-major, scale-minor rows: each angle row once per model."""
+    return np.repeat(angles, len(models), axis=0), models * angles.shape[0]
+
+
+def _twolocal_skeleton(num_qubits):
+    ansatz = TwoLocalAnsatz(sk_problem(num_qubits, seed=4).to_pauli_sum(), reps=1)
+    return ansatz.circuit(np.zeros(ansatz.num_parameters))
+
+
+def _uccsd_rows(num_points, seed):
+    """UCCSD's skeleton and an angle matrix from its parameter columns
+    (a single's RXX and RYY read one parameter), varying two parameters
+    over a few values with the rest frozen."""
+    ansatz = UccsdAnsatz(lih_hamiltonian(), num_parameters=8)
+    skeleton = ansatz.circuit(np.zeros(ansatz.num_parameters))
+    parameters = _slice_angles(ansatz.num_parameters, (2, 6), num_points, seed)
+    return skeleton, parameters[:, ansatz._density_columns()]
+
+
+SCALED = [NOISE, NOISE.scaled(2.0), NOISE.scaled(3.0)]
+
+
+def _oracle_cases():
+    twolocal = _twolocal_skeleton(3)
+    slice_angles = _slice_angles(6, (3, 5), 3, seed=20)
+    zne_angles, zne_models = _zne_rows(
+        _slice_angles(6, (2, 4), 2, seed=21),
+        [NOISE, None, NOISE.scaled(3.0), NoiseModel()],
+    )
+    repeated = np.repeat(_random_angles(2, np.random.default_rng(22)), 2, axis=0)
+    mixed = [NOISE, NOISE, NOISE.scaled(2.0), None]
+    uccsd, uccsd_angles = _uccsd_rows(2, seed=23)
+    no_params = QuantumCircuit(3).h(0).cx(0, 2).h(1).cz(1, 2).s(2)
+    return {
+        "slice-shared-noise": (twolocal, slice_angles, [NOISE] * 9),
+        "slice-per-row-noise": (
+            twolocal,
+            slice_angles,
+            (SCALED + [None]) * 2 + [NOISE],
+        ),
+        "zne-rates": (twolocal, zne_angles, zne_models),
+        "first-column-differs": (
+            _skeleton(3),
+            _random_angles(5, np.random.default_rng(24)),
+            SCALED + [None, NOISE],
+        ),
+        "repeated-rows": (_skeleton(3), repeated, mixed),
+        "no-parameters": (no_params, np.empty((5, 0)), SCALED + [None, NOISE]),
+        "uccsd-shared-column": (uccsd, uccsd_angles, SCALED + [None]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_every_row_equals_its_one_row_replay(case):
+    """Slots share a state only while their rows' rates and angles are
+    bit-equal, and each slot runs the matmuls its rows would: every row
+    of a replay equals a one-row replay of that row exactly."""
+    skeleton, angles, models = _oracle_cases()[case]
+    rho = BatchedDensityMatrix(skeleton.num_qubits, batch_size=len(models))
+    rho.evolve_circuits(skeleton, angles, models)
+    _assert_rows_match_one_row_replays(rho, skeleton, angles, models)
+    _assert_rows_match_serial(rho, skeleton, angles, models)
+
+
+def _record_contracted_rows(monkeypatch):
+    """Patch the replay's contraction step to log each call's row count."""
+    import repro.quantum.batched_density as batched_density
+
+    rows = []
+    contract = batched_density._contract
+
+    def recording(state, *args):
+        rows.append(state.shape[0])
+        return contract(state, *args)
+
+    monkeypatch.setattr(batched_density, "_contract", recording)
+    return rows
+
+
+def test_zne_slice_contracts_one_row_per_scale_before_the_varying_gates(
+    monkeypatch,
+):
+    """A 26x26 ZNE-folded 5-qubit Two-local slice varying parameters 8
+    and 9 (instructions 12 and 13): in every chunk, each earlier gate
+    contracts one row per scale factor instead of the chunk's rows (42
+    points x 3 scales = 126), and instruction 12 one per slow-axis
+    value and scale factor."""
+    ansatz = TwoLocalAnsatz(sk_problem(5, seed=1).to_pauli_sum(), reps=1)
+    gates = len(ansatz.circuit(np.zeros(ansatz.num_parameters)).instructions)
+    points = _slice_angles(ansatz.num_parameters, (8, 9), 26, seed=25)
+    function = zne_cost_function(ansatz, NOISE, ZneConfig((1.0, 2.0, 3.0)))
+    chunk = resolve_batch_size(function, None)
+    assert (gates, chunk) == (14, 42)
+    rows = _record_contracted_rows(monkeypatch)
+    values = evaluate_points_chunked(function, points)
+    chunks = -(-points.shape[0] // chunk)
+    assert len(rows) == gates * chunks
+    for index in range(chunks):
+        per_gate = rows[index * gates : (index + 1) * gates]
+        slow = np.unique(points[index * chunk : (index + 1) * chunk, 8]).size
+        assert per_gate[:12] == [3] * 12, per_gate
+        assert per_gate[12] == 3 * slow, per_gate
+        assert per_gate[13] == 3 * min(chunk, points.shape[0] - index * chunk)
+    serial = [function(point) for point in points[::97]]
+    np.testing.assert_allclose(values[::97], serial, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", ["data", "from_statevectors"])
+def test_stack_the_engine_did_not_build_is_never_merged(monkeypatch, build):
+    """A ``data=`` or ``from_statevectors`` stack starts with one slot
+    per row, its values unread: repeated rows under equal rates and
+    angles are still contracted separately, and each matches the serial
+    oracle and its own one-row replay."""
+    rng = np.random.default_rng(26)
+    amplitudes = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+    rho = BatchedDensityMatrix.from_statevectors(np.repeat(amplitudes, 2, axis=0))
+    if build == "data":
+        rho = BatchedDensityMatrix(3, data=rho.data)
+    start = rho.data.copy()
+    skeleton, angles = _skeleton(3), np.zeros((4, 3))
+    rows = _record_contracted_rows(monkeypatch)
+    rho.evolve_circuits(skeleton, angles, NOISE)
+    assert rows == [4] * len(skeleton.instructions)
+    for index in range(4):
+        serial = DensityMatrix(3, start[index])
+        serial.evolve(_bound(skeleton, angles[index]), NOISE)
+        np.testing.assert_allclose(rho.data[index], serial.data, atol=1e-12)
+        alone = BatchedDensityMatrix(3, data=start[index : index + 1])
+        alone.evolve_circuits(skeleton, angles[index : index + 1], NOISE)
+        np.testing.assert_array_equal(rho.data[index], alone.data[0])
+
+
+def test_a_written_or_evolved_stack_is_not_assumed_ground():
+    """Only an untouched engine-built stack starts in shared slots: one
+    written through the live ``data`` view, or evolved before, starts
+    with a slot per row."""
+    skeleton = _skeleton(3)
+    angles = np.zeros((3, 3))
+    written = BatchedDensityMatrix(3, batch_size=3)
+    written.data[1] = _random_pure_stack(3, 1, seed=27).data[0]
+    start = written.data.copy()
+    written.evolve_circuits(skeleton, angles, NOISE)
+    for index in range(3):
+        alone = BatchedDensityMatrix(3, data=start[index : index + 1])
+        alone.evolve_circuits(skeleton, angles[index : index + 1], NOISE)
+        np.testing.assert_array_equal(written.data[index], alone.data[0])
+    twice = BatchedDensityMatrix(3, batch_size=3).evolve_circuits(
+        skeleton, _random_angles(3, np.random.default_rng(28)), NOISE
+    )
+    after_once = twice.data.copy()
+    twice.evolve_circuits(skeleton, angles, NOISE)
+    for index in range(3):
+        alone = BatchedDensityMatrix(3, data=after_once[index : index + 1])
+        alone.evolve_circuits(skeleton, angles[index : index + 1], NOISE)
+        np.testing.assert_array_equal(twice.data[index], alone.data[0])
 
 
 # -- measurement --------------------------------------------------------------

@@ -320,13 +320,11 @@ def test_lost_worker_fails_the_request_with_a_retryable_error(tmp_path, ansatz, 
             outcomes.append(error)
 
     # The fresh pool forks on a request thread while this process's own
-    # client socket is open, so its workers hold a copy and the daemon
-    # sees no EOF on that connection: close() cancels it after the drain.
+    # client socket and the daemon's listener are open; its workers drop
+    # their copies, so close() sees the connection's EOF and does not
+    # wait out the default drain.
     with LandscapeDaemon(
-        tmp_path / "kill.sock",
-        workers=2,
-        cache_dir=tmp_path / "cache",
-        drain_timeout=0.5,
+        tmp_path / "kill.sock", workers=2, cache_dir=tmp_path / "cache"
     ) as daemon:
         client = LandscapeClient(daemon.socket_path, fallback=False)
         idle = _children_cpu_ticks()
@@ -359,6 +357,8 @@ def test_lost_worker_fails_the_request_with_a_retryable_error(tmp_path, ansatz, 
         worker.start()
         worker.join(30.0)
         assert not worker.is_alive(), "the request after a lost worker hung"
+        closing = time.monotonic()
+    assert time.monotonic() - closing < 2.0, "close() waited out the drain"
     expected = LandscapeGenerator(cost_function(ansatz), grid).grid_search()
     np.testing.assert_allclose(
         outcomes.pop().values, expected.values, rtol=0.0, atol=1e-10

@@ -6,6 +6,7 @@ import itertools
 import os
 import platform
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -371,6 +372,43 @@ class _WorkerFaults:
         faults = np.zeros(len(points))
         faults[0] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         return faults
+
+
+def _socket_fds(pid: int) -> list[str]:
+    """The socket descriptors ``pid`` holds, from ``/proc/<pid>/fd``."""
+    links = []
+    for entry in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            links.append(os.readlink(entry))
+        except FileNotFoundError:  # closed since the listing
+            continue
+    return [link for link in links if link.startswith("socket:")]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_new_pool_holds_none_of_its_process_sockets(no_warm_pool):
+    """A pool forked while the process has a listener and a connected
+    pair open (a daemon replacing a lost worker on a request thread)
+    leaves no socket in its workers: the closed listener's port stops
+    accepting and the far end of a closed connection sees its EOF."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    near, far = socket.socketpair()
+    try:
+        pids = list(shards.worker_pool(2)._processes)
+        deadline = time.monotonic() + 5.0
+        while any(map(_socket_fds, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert {pid: _socket_fds(pid) for pid in pids} == {pid: [] for pid in pids}
+        listener.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
+        near.close()
+        far.settimeout(2.0)
+        assert far.recv(1) == b""
+    finally:
+        for open_socket in (listener, near, far):
+            open_socket.close()
 
 
 @pytest.mark.skipif(
